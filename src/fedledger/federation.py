@@ -127,7 +127,6 @@ class FederationState:
     chain: list[Block]
     global_params: ModelParams
     contributions: dict[int, float] = field(default_factory=dict)
-    shapley_history: list[ShapleyResult] = field(default_factory=list)
     reports: list[RoundReport] = field(default_factory=list)
 
     def train_local(self, round_index: int, org: int) -> ModelParams:
@@ -308,7 +307,6 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
             )
         for org, value in shapley.values.items():
             state.contributions[org] = state.contributions.get(org, 0.0) + value
-        state.shapley_history.append(shapley)
 
     block = ledgermod.make_block(
         height=len(state.chain),

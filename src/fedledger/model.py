@@ -106,17 +106,22 @@ def _layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    """Logistic function that cannot overflow: exp only sees -|z| <= 0.
+
+    Bit for bit equal to 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
+    otherwise. The exponent is picked with where() rather than -abs(z) so
+    that a NaN logit keeps its sign bit, as it does in those two forms.
+    """
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    denom = 1.0 + e
+    return np.where(pos, 1.0 / denom, e / denom)
 
 
-def _forward(params: ModelParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
     """ReLU hidden layers, sigmoid output. Returns activations and probabilities."""
-    layers = _layers(params)
     activations = [x]
     a = x
     for w, b in layers[:-1]:
@@ -144,11 +149,16 @@ def predict(params: ModelParams, features: np.ndarray) -> float:
     x = _as_matrix(params, features)
     if x.shape[0] != 1:
         raise ValueError("predict takes a single feature vector; see predict_batch")
-    return float(_forward(params, x)[1][0])
+    return float(_forward(_layers(params), x)[1][0])
 
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    return _forward(params, _as_matrix(params, features))[1]
+    return _forward(_layers(params), _as_matrix(params, features))[1]
+
+
+def _bce(probs: np.ndarray, labels: np.ndarray) -> np.floating:
+    probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return -np.mean(labels * np.log(probs) + (1 - labels) * np.log(1.0 - probs))
 
 
 def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float:
@@ -158,32 +168,32 @@ def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    probs = predict_batch(params, data.features)
-    probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    y = data.labels
-    bce = -np.mean(y * np.log(probs) + (1 - y) * np.log(1.0 - probs))
+    bce = _bce(predict_batch(params, data.features), data.labels)
     if weight_decay:
         bce += 0.5 * weight_decay * float(params.weights @ params.weights)
     return float(bce)
 
 
-def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> np.ndarray:
-    """Gradient of loss() over the batch, in the flat parameter layout.
+def _grad(
+    dims: tuple[int, ...],
+    flat: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    weight_decay: float,
+) -> np.ndarray:
+    """Backpropagation over one non-empty batch of checked raw arrays.
 
-    Backpropagation with ReLU'(0) taken as 0. The weight-decay term is
-    folded in here (classical SGD + L2, not decoupled).
+    The one gradient kernel: gradient() and local_train() both call it after
+    checking their inputs. Returns a new flat vector; `flat` is only read.
     """
-    if len(batch) == 0:
-        raise ValueError("batch is empty")
-    x = _as_matrix(params, batch.features)
     m = x.shape[0]
-    layers = _layers(params)
-    activations, probs = _forward(params, x)
+    layers = _layer_views(dims, flat)
+    activations, probs = _forward(layers, x)
 
-    grad = np.zeros_like(params.weights)
+    grad = np.zeros_like(flat)
     # these views alias `grad`, so writing into them fills the flat vector
-    grad_layers = _layer_views(params.layer_dims, grad)
-    delta = ((probs - batch.labels) / m).reshape(m, 1)
+    grad_layers = _layer_views(dims, grad)
+    delta = ((probs - y) / m).reshape(m, 1)
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
         gw, gb = grad_layers[li]
@@ -192,8 +202,23 @@ def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> 
         if li > 0:
             delta = (delta @ w.T) * (activations[li] > 0)
     if weight_decay:
-        grad += weight_decay * params.weights
+        grad += weight_decay * flat
     return grad
+
+
+def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> np.ndarray:
+    """Gradient of loss() over the batch, in the flat parameter layout.
+
+    Backpropagation with ReLU'(0) taken as 0. The weight-decay term is
+    folded in here (classical SGD + L2, not decoupled). The Dataset checked
+    its rows when it was built; this checks only that the batch is non-empty
+    and matches the model's input width, then runs the same kernel as
+    local_train().
+    """
+    if len(batch) == 0:
+        raise ValueError("batch is empty")
+    x = _as_matrix(params, batch.features)
+    return _grad(params.layer_dims, params.weights, x, batch.labels, weight_decay)
 
 
 def local_train(params: ModelParams, data: Dataset, cfg: TrainConfig) -> ModelParams:
@@ -202,27 +227,35 @@ def local_train(params: ModelParams, data: Dataset, cfg: TrainConfig) -> ModelPa
     Batches come from a seeded shuffle each epoch; identical inputs and seed
     give bitwise-identical outputs. The input params are left untouched and
     the result's version is bumped by one.
+
+    The Dataset checked its rows (finite features, 0/1 labels) when it was
+    built, so this checks only emptiness and feature width, once, and then
+    runs every step on rows indexed straight from its arrays. Each step is
+    the same arithmetic as gradient() on data.subset(batch indices).
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
+    x = _as_matrix(params, data.features)
+    y = data.labels
+    dims = params.layer_dims
     rng = np.random.default_rng(cfg.seed)
     n = len(data)
-    weights = params.weights.copy()
-    current = ModelParams(params.layer_dims, weights, params.version)
+    weights = params.weights
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = data.subset(order[start : start + cfg.batch_size])
-            g = gradient(current, batch, cfg.weight_decay)
+            idx = order[start : start + cfg.batch_size]
+            g = _grad(dims, weights, x[idx], y[idx], cfg.weight_decay)
             weights = weights - cfg.learning_rate * g
-            current = ModelParams(params.layer_dims, weights, params.version)
-    return ModelParams(params.layer_dims, weights, params.version + 1)
+    return ModelParams(dims, weights, params.version + 1)
 
 
 def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metrics:
     """Thresholded classification metrics; fraud (label 1) is the positive class.
 
-    Precision and F1 fall back to 0 when their denominators vanish.
+    Precision and F1 fall back to 0 when their denominators vanish. One
+    forward pass serves both the thresholded metrics and the loss, which
+    equals loss(params, data).
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -238,7 +271,7 @@ def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metr
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Metrics(accuracy, loss(params, data), f1, precision)
+    return Metrics(accuracy, float(_bce(probs, data.labels)), f1, precision)
 
 
 def average(models: Sequence[ModelParams]) -> ModelParams:

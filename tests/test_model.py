@@ -7,6 +7,7 @@ from fedledger.data import Dataset
 from fedledger.model import (
     ModelParams,
     TrainConfig,
+    _sigmoid,
     average,
     evaluate,
     gradient,
@@ -41,6 +42,47 @@ def finite_difference_gradient(params, batch, weight_decay=0.0, step=1e-5):
         lo = loss(ModelParams(params.layer_dims, down), batch, weight_decay)
         out[j] = (hi - lo) / (2 * step)
     return out
+
+
+def masked_sigmoid(z):
+    """Two-branch logistic selected with boolean masks; the oracle for _sigmoid."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def subset_sgd(params, data, cfg):
+    """The Dataset-level SGD loop: subset, gradient() on a fresh ModelParams,
+    w - lr*g. The oracle local_train must reproduce bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = params.weights.copy()
+    current = ModelParams(params.layer_dims, weights, params.version)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            batch = data.subset(order[start : start + cfg.batch_size])
+            g = gradient(current, batch, cfg.weight_decay)
+            weights = weights - cfg.learning_rate * g
+            current = ModelParams(params.layer_dims, weights, params.version)
+    return weights
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_form(self):
+        edges = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0,
+                 1e308, -1e308, np.nan, -np.nan]
+        z = np.concatenate([edges, np.random.default_rng(0).normal(scale=20.0, size=5000)])
+        got = _sigmoid(z)
+        assert np.array_equal(got.view(np.uint64), masked_sigmoid(z).view(np.uint64))
+
+    def test_extremes_stay_in_unit_interval(self):
+        with np.errstate(over="raise"):
+            got = _sigmoid(np.array([-1e308, -745.0, 745.0, 1e308]))
+        assert got[0] == 0.0 and got[-1] == 1.0
+        assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 class TestPredict:
@@ -191,6 +233,33 @@ class TestLocalTrain:
         trained = local_train(params, ds, cfg)
         assert evaluate(trained, ds).accuracy == 1.0
 
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 2601])
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
+    def test_bit_identical_to_subset_loop(self, n, hidden, weight_decay):
+        rng = np.random.default_rng(n)
+        ds = make_dataset(rng.normal(size=(n, 5)), (rng.random(n) < 0.3).astype(int))
+        base = init_params((5, *hidden, 1), seed=n + len(hidden))
+        params = ModelParams(base.layer_dims, base.weights, version=4)
+        before = params.weights.copy()
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=32,
+                          weight_decay=weight_decay, seed=11)
+        trained = local_train(params, ds, cfg)
+        assert np.array_equal(trained.weights, subset_sgd(params, ds, cfg))
+        assert np.array_equal(params.weights, before)
+        assert trained.version == 5
+        assert trained.layer_dims == params.layer_dims
+
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty"):
+            local_train(init_params((3, 1), seed=0), empty, TrainConfig())
+
+    def test_width_mismatch_rejected(self):
+        ds = make_dataset(np.ones((4, 2)), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="width"):
+            local_train(init_params((3, 1), seed=0), ds, TrainConfig())
+
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -224,6 +293,13 @@ class TestEvaluate:
             assert 0.0 <= m.precision <= 1.0
             assert 0.0 <= m.f1 <= 1.0
             assert m.loss >= 0.0
+
+    @pytest.mark.parametrize("dims", [(4, 1), (4, 3, 1), (4, 6, 2, 1)])
+    def test_loss_equals_loss_function(self, dims):
+        rng = np.random.default_rng(len(dims))
+        ds = make_dataset(rng.normal(size=(50, 4)) * 4.0, rng.integers(0, 2, size=50))
+        params = init_params(dims, seed=3, scale=2.0)
+        assert evaluate(params, ds).loss == loss(params, ds)
 
 
 class TestShardAveraging:
