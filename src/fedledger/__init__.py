@@ -12,7 +12,6 @@ configuration produce identical metric files and identical chains.
 
 from .data import (
     Dataset,
-    Example,
     PartitionPlan,
     SmoteConfig,
     Standardizer,

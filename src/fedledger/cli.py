@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ledger as ledgermod
-from .data import CREDIT_CARD_COLUMNS, Dataset, SmoteConfig, standardize
+from .data import CREDIT_CARD_COLUMNS, Dataset, SmoteConfig, load_csv, standardize
 from .federation import (
     FederationConfig,
     RunResult,
@@ -89,17 +90,16 @@ class ExperimentSpec:
     policies: tuple[str, ...] = ("contribution",)
     out: str = "results"
 
-
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_optional_float(v: str) -> float | None:
-    return None if v.strip() == "" else float(v)
+    def __post_init__(self) -> None:
+        """Refuse, before any job runs or writes, a value that a job would reject."""
+        if self.data not in ("synthetic", "csv"):
+            raise ConfigError(f"bad value for 'data': {self.data!r} (synthetic or csv)")
+        if self.data == "csv" and not Path(self.csv_path).is_file():
+            raise ConfigError(f"bad value for 'csv_path': no file {self.csv_path!r}")
+        _checked("synthetic_n / synthetic_minority_fraction", _class_sizes,
+                 n=self.synthetic_n, minority_fraction=self.synthetic_minority_fraction)
+        for job in _run_jobs(self):
+            build_federation_config(*job)
 
 
 def _parse_bool(v: str) -> bool:
@@ -111,52 +111,20 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
-def _parse_int_tuple(v: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in v.split(",") if p.strip()]
-    return tuple(int(p) for p in parts)
+def _parse(hint, v: str):
+    """Read one text value as the spec field type `hint`."""
+    if hint is bool:
+        return _parse_bool(v)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]: comma-separated
+        item = typing.get_args(hint)[0]
+        return tuple(_parse(item, p.strip()) for p in v.split(",") if p.strip())
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None: blank means unset
+        return None if v.strip() == "" else _parse(args[0], v)
+    return hint(v)
 
 
-def _parse_str_tuple(v: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in v.split(",") if p.strip())
-
-
-_PARSERS = {
-    "data": str,
-    "csv_path": str,
-    "synthetic_n": _parse_int,
-    "synthetic_features": _parse_int,
-    "synthetic_minority_fraction": _parse_float,
-    "synthetic_separation": _parse_float,
-    "num_orgs": _parse_int,
-    "clients_per_round": _parse_int,
-    "rounds": _parse_int,
-    "learning_rate": _parse_float,
-    "epochs": _parse_int,
-    "batch_size": _parse_int,
-    "weight_decay": _parse_float,
-    "hidden_dims": _parse_int_tuple,
-    "exploration_period": _parse_int,
-    "partition_mode": str,
-    "partition_skew": _parse_float,
-    "smote": _parse_bool,
-    "smote_k": _parse_int,
-    "smote_target_ratio": _parse_float,
-    "label_noise_orgs": _parse_int,
-    "label_noise": _parse_float,
-    "valuation": str,
-    "tmc_truncation_tol": _parse_float,
-    "tmc_max_permutations": _parse_int,
-    "tmc_convergence_tol": _parse_float,
-    "accuracy_target": _parse_optional_float,
-    "validators": _parse_int,
-    "accuracy_floor": _parse_float,
-    "threshold": _parse_float,
-    "seed": _parse_int,
-    "epochs_sweep": _parse_int_tuple,
-    "batch_sweep": _parse_int_tuple,
-    "policies": _parse_str_tuple,
-    "out": str,
-}
+_FIELD_TYPES = typing.get_type_hints(ExperimentSpec)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -179,21 +147,21 @@ def resolve_spec(
     env: dict[str, str] | None = None,
     overrides: dict[str, object] | None = None,
 ) -> ExperimentSpec:
-    """Layer defaults < config file < environment < explicit overrides."""
+    """Defaults < config file < environment < overrides; text parsed by field type."""
     values: dict[str, object] = {}
     for key, raw in (config or {}).items():
-        if key not in _PARSERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            values[key] = _PARSERS[key](raw)
+            values[key] = _parse(_FIELD_TYPES[key], raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     env = dict(os.environ) if env is None else env
-    for key in _PARSERS:
+    for key, hint in _FIELD_TYPES.items():
         env_key = ENV_PREFIX + key.upper()
         if env_key in env:
             try:
-                values[key] = _PARSERS[key](env[env_key])
+                values[key] = _parse(hint, env[env_key])
             except ValueError as exc:
                 raise ConfigError(f"bad value for {env_key}: {exc}") from exc
     for key, value in (overrides or {}).items():
@@ -201,8 +169,26 @@ def resolve_spec(
             values[key] = value
     try:
         return ExperimentSpec(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _run_jobs(spec: ExperimentSpec) -> list[tuple[ExperimentSpec, str, int, int]]:
+    """(spec, policy, epochs, batch_size) per run: policies x epoch and batch sweeps."""
+    return [
+        (spec, policy, epochs, batch)
+        for policy in spec.policies
+        for epochs in spec.epochs_sweep or (spec.epochs,)
+        for batch in spec.batch_sweep or (spec.batch_size,)
+    ]
+
+
+def _checked(keys: str, make, **kwargs):
+    """`make(**kwargs)`, naming the spec keys it was built from if a check fails."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {keys}: {exc}") from exc
 
 
 def config_hash(spec: ExperimentSpec) -> str:
@@ -217,6 +203,16 @@ def config_hash(spec: ExperimentSpec) -> str:
 # synthetic data
 
 
+def _class_sizes(n: int, minority_fraction: float) -> tuple[int, int]:
+    """(majority, minority) example counts of an n-row synthetic dataset."""
+    if not 0.0 < minority_fraction < 0.5:
+        raise ValueError("minority_fraction must lie in (0, 0.5)")
+    n_minority = int(round(n * minority_fraction))
+    if n_minority < 2 or n - n_minority < 2:
+        raise ValueError("both classes need at least 2 examples")
+    return n - n_minority, n_minority
+
+
 def synthesize_raw(
     n: int, width: int, minority_fraction: float, separation: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -225,19 +221,15 @@ def synthesize_raw(
     The minority class mean is shifted by `separation` along a seeded random
     direction, so larger values give an easier classification problem.
     """
-    if not 0.0 < minority_fraction < 0.5:
-        raise ValueError("minority_fraction must lie in (0, 0.5)")
-    n_minority = int(round(n * minority_fraction))
-    if n_minority < 2 or n - n_minority < 2:
-        raise ValueError("both classes need at least 2 examples")
+    n_majority, n_minority = _class_sizes(n, minority_fraction)
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=width)
     direction /= np.linalg.norm(direction)
-    majority = rng.normal(size=(n - n_minority, width))
+    majority = rng.normal(size=(n_majority, width))
     minority = rng.normal(size=(n_minority, width)) + separation * direction
     features = np.vstack([majority, minority])
     labels = np.concatenate(
-        [np.zeros(n - n_minority, dtype=np.int64), np.ones(n_minority, dtype=np.int64)]
+        [np.zeros(n_majority, dtype=np.int64), np.ones(n_minority, dtype=np.int64)]
     )
     order = rng.permutation(n)
     return features[order], labels[order]
@@ -269,14 +261,8 @@ def write_schema_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
 
 def load_experiment_data(spec: ExperimentSpec) -> Dataset:
     if spec.data == "csv":
-        if not spec.csv_path:
-            raise ConfigError("data = csv requires csv_path")
-        from .data import load_csv
-
         return load_csv(spec.csv_path)
-    if spec.data == "synthetic":
-        return synthetic_dataset(spec)
-    raise ConfigError(f"unknown data source {spec.data!r}")
+    return synthetic_dataset(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +272,9 @@ def load_experiment_data(spec: ExperimentSpec) -> Dataset:
 def build_federation_config(
     spec: ExperimentSpec, policy_kind: str, epochs: int, batch_size: int
 ) -> FederationConfig:
-    policy = SelectionPolicy(
+    policy = _checked(
+        "policies / clients_per_round / exploration_period",
+        SelectionPolicy,
         kind=policy_kind,
         k=spec.clients_per_round,
         exploration_period=spec.exploration_period,
@@ -300,7 +288,8 @@ def build_federation_config(
         seed=0,  # per-round seeds are derived inside the federation
     )
     smote_cfg = (
-        SmoteConfig(k=spec.smote_k, target_ratio=spec.smote_target_ratio)
+        _checked("smote_k / smote_target_ratio", SmoteConfig,
+                 k=spec.smote_k, target_ratio=spec.smote_target_ratio)
         if spec.smote
         else None
     )
@@ -310,7 +299,9 @@ def build_federation_config(
         num_orgs=spec.num_orgs,
         rounds=spec.rounds,
         smote=smote_cfg,
-        valuation=ValuationSettings(
+        valuation=_checked(
+            "valuation / tmc_truncation_tol / tmc_max_permutations",
+            ValuationSettings,
             method=spec.valuation,
             truncation_tol=spec.tmc_truncation_tol,
             max_permutations=spec.tmc_max_permutations,
@@ -381,14 +372,7 @@ def execute_job(args: tuple[ExperimentSpec, str, int, int]) -> dict[str, str]:
 def cmd_run(spec: ExperimentSpec, parallel: bool = False) -> list[Path]:
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    epochs_list = spec.epochs_sweep or (spec.epochs,)
-    batch_list = spec.batch_sweep or (spec.batch_size,)
-    jobs = [
-        (spec, policy, epochs, batch)
-        for policy in spec.policies
-        for epochs in epochs_list
-        for batch in batch_list
-    ]
+    jobs = _run_jobs(spec)
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor() as pool:
             outcomes = list(pool.map(execute_job, jobs))

@@ -31,12 +31,6 @@ class StratificationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Example:
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class Standardizer:
     """Per-column mean/std captured at load time, reusable on new data."""
 
@@ -79,9 +73,6 @@ class Dataset:
     @property
     def schema_width(self) -> int:
         return self.features.shape[1]
-
-    def example(self, i: int) -> Example:
-        return Example(self.features[i].copy(), int(self.labels[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -9,7 +9,6 @@ submissions, and seal the round in a new block.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +24,10 @@ from .model import Metrics, ModelParams, TrainConfig
 from .seeds import derive_seed
 from .selection import SelectionPolicy
 from .valuation import ShapleyResult, UtilityGame
+
+
+# share of each class held by the organizations; the rest is the server test set
+TRAIN_FRACTION = 0.8
 
 
 class FederationAborted(RuntimeError):
@@ -45,12 +48,22 @@ class ValuationSettings:
     def __post_init__(self) -> None:
         if self.method not in ("exact", "tmc", "off"):
             raise ValueError(f"unknown valuation method {self.method!r}")
+        if self.truncation_tol < 0:
+            raise ValueError("truncation_tol must be non-negative")
+        if self.max_permutations < 1:
+            raise ValueError("max_permutations must be at least 1")
 
 
 @dataclass(frozen=True)
 class ValidatorSettings:
     count: int = 3
     accuracy_floor: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.count < 1 or self.count % 2 == 0:
+            raise ValueError("the number of validators must be odd so majority is defined")
+        if not 0.0 <= self.accuracy_floor <= 1.0:
+            raise ValueError("accuracy_floor must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,6 @@ class FederationConfig:
     hidden_dims: tuple[int, ...] = (16,)
     partition_mode: str = "iid"
     partition_skew: float = 0.5
-    train_fraction: float = 0.8
     threshold: float = 0.5
     # experiment condition: a seeded subset of orgs holds label-noisy data,
     # modeling participants whose updates are persistently low-quality
@@ -80,13 +92,25 @@ class FederationConfig:
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if self.policy.k > self.num_orgs:
-            raise ValueError("policy.k cannot exceed num_orgs")
+            raise ValueError("clients per round (policy.k) cannot exceed num_orgs")
         if self.accuracy_target is not None and not 0.0 <= self.accuracy_target < 1.0:
             raise ValueError("accuracy_target must lie in [0, 1)")
         if not 0 <= self.label_noise_orgs <= self.num_orgs:
             raise ValueError("label_noise_orgs must lie in [0, num_orgs]")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError("label_noise must lie in [0, 1]")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError("threshold must lie strictly between 0 and 1")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError("hidden_dims widths must be positive")
+        try:
+            PartitionPlan(self.num_orgs, self.partition_mode, self.partition_skew)
+        except ValueError as exc:
+            raise ValueError(f"partition_mode / partition_skew: {exc}") from exc
+        if self.valuation.method == "exact" and self.policy.k > valmod.EXACT_MAX_PLAYERS:
+            raise valmod.CapacityError(
+                f"valuation exact allows at most {valmod.EXACT_MAX_PLAYERS} clients "
+                f"per round (policy.k), got {self.policy.k}; use tmc")
 
 
 @dataclass(frozen=True)
@@ -98,7 +122,6 @@ class RoundReport:
     shapley: ShapleyResult | None
     bytes_on_chain: int
     bytes_off_chain: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -152,8 +175,7 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
     if min(counts) == 0:
         raise ValueError("dataset must contain both classes")
     ms = cfg.master_seed
-    train, server_test = datamod.split(dataset, cfg.train_fraction,
-                                       derive_seed(ms, "split"))
+    train, server_test = datamod.split(dataset, TRAIN_FRACTION, derive_seed(ms, "split"))
     plan = PartitionPlan(cfg.num_orgs, cfg.partition_mode, cfg.partition_skew,
                          derive_seed(ms, "partition"))
     shards = datamod.partition(train, plan)
@@ -223,7 +245,6 @@ def run_round(state: FederationState, t: int) -> RoundReport:
     expected = len(state.chain) - 1
     if t != expected:
         raise ValueError(f"round {t} out of order; expected {expected}")
-    started = time.perf_counter()
     try:
         report = _attempt_round(state, t, forced_random=False)
     except ledgermod.ConsensusError:
@@ -233,7 +254,6 @@ def run_round(state: FederationState, t: int) -> RoundReport:
             raise FederationAborted(
                 f"round {t}: consensus failed twice: {exc}", state.reports
             ) from exc
-    report = replace(report, wall_time=time.perf_counter() - started)
     state.reports.append(report)
     return report
 
@@ -333,7 +353,6 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         shapley=shapley,
         bytes_on_chain=bytes_on_chain,
         bytes_off_chain=bytes_off_chain,
-        wall_time=0.0,
     )
 
 

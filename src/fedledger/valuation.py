@@ -21,6 +21,10 @@ from .data import Dataset
 from .model import ModelParams
 
 
+# exact_shapley evaluates all 2^n coalitions; beyond this many players it refuses
+EXACT_MAX_PLAYERS = 20
+
+
 class CapacityError(ValueError):
     """Player count too large for an enumeration-based routine."""
 
@@ -162,7 +166,7 @@ def exact_shapley(game: CoalitionGame) -> ShapleyResult:
     """
     players = game.players
     n = len(players)
-    if n > 20:
+    if n > EXACT_MAX_PLAYERS:
         raise CapacityError(
             f"{n} players is beyond exact enumeration; use tmc_shapley"
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from fedledger.cli import (
 )
 from fedledger.data import load_csv, split
 from fedledger.model import TrainConfig, evaluate, init_params, local_train
+from fedledger.valuation import EXACT_MAX_PLAYERS
 
 GOLDEN = Path(__file__).parent / "golden_rounds_toy.csv"
 
@@ -116,6 +118,106 @@ class TestConfigResolution:
         b = ExperimentSpec(seed=2)
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(ExperimentSpec(seed=1))
+
+
+DEFAULT_CONFIG_HASH = "443f76d1caa83e5db6dfc1fb355b63d525d32144e32cb3ba844f30504730753d"
+
+
+def render(value) -> str:
+    """A spec value as config text: comma lists, blank for None, on/off."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+SPEC_FIELDS = [f.name for f in dataclasses.fields(ExperimentSpec)]
+
+
+class TestTypeDrivenParsing:
+    @pytest.mark.parametrize("key", SPEC_FIELDS)
+    def test_default_text_round_trips_through_file(self, tmp_path, key):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"{key} = {render(getattr(ExperimentSpec(), key))}\n")
+        spec = resolve_spec(config=parse_config_file(conf), env={})
+        assert spec == ExperimentSpec()
+        assert config_hash(spec) == DEFAULT_CONFIG_HASH  # also pins int vs float
+
+    @pytest.mark.parametrize("key", SPEC_FIELDS)
+    def test_default_text_round_trips_through_env(self, key):
+        env = {f"FEDLEDGER_{key.upper()}": render(getattr(ExperimentSpec(), key))}
+        spec = resolve_spec(env=env)
+        assert spec == ExperimentSpec()
+        assert config_hash(spec) == DEFAULT_CONFIG_HASH
+
+    def test_default_config_hash_pinned(self):
+        assert config_hash(ExperimentSpec()) == DEFAULT_CONFIG_HASH
+
+    def test_values_parse_by_field_type(self):
+        spec = resolve_spec(env={
+            "FEDLEDGER_HIDDEN_DIMS": "8, 4",
+            "FEDLEDGER_POLICIES": " random , greedy ",
+            "FEDLEDGER_SMOTE": "No",
+            "FEDLEDGER_ACCURACY_TARGET": "0.9",
+            "FEDLEDGER_LABEL_NOISE": "1",
+        })
+        assert spec.hidden_dims == (8, 4)
+        assert spec.policies == ("random", "greedy")
+        assert spec.smote is False
+        assert spec.accuracy_target == 0.9
+        assert type(spec.label_noise) is float
+
+    def test_bad_env_value_names_variable(self):
+        with pytest.raises(ConfigError, match="FEDLEDGER_SMOTE"):
+            resolve_spec(env={"FEDLEDGER_SMOTE": "maybe"})
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("text, key", [
+        ("rounds = 0", "rounds"),
+        ("valuation = exct", "valuation"),
+        ("policies = contrib", "policies"),
+        ("threshold = 1.5", "threshold"),
+        ("validators = 2", "validators"),
+        ("partition_mode = skewed", "partition_mode"),
+        ("valuation = exact\nclients_per_round = 25\naccuracy_floor = 0", "valuation"),
+        ("data = parquet", "data"),
+        ("synthetic_minority_fraction = 0.7", "synthetic_minority_fraction"),
+        ("data = csv\ncsv_path = nowhere.csv", "csv_path"),
+    ])
+    def test_run_refuses_before_writing(self, tmp_path, capsys, text, key):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text + "\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert key in err
+        assert not out.exists()
+
+    def test_generate_refuses_before_writing(self, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("rounds = 0\n")
+        out = tmp_path / "gen.csv"
+        assert main(["generate", "--config", str(conf), "--out", str(out)]) == 2
+        assert "rounds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_point_checked_before_any_job(self, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("epochs_sweep = 2, 0\n")
+        with pytest.raises(ConfigError, match="epochs"):
+            resolve_spec(config=parse_config_file(conf), env={})
+
+    def test_exact_player_limit(self):
+        at_limit = {"valuation": "exact", "clients_per_round": EXACT_MAX_PLAYERS}
+        assert resolve_spec(env={}, overrides=at_limit).clients_per_round == EXACT_MAX_PLAYERS
+        with pytest.raises(ConfigError, match=str(EXACT_MAX_PLAYERS)):
+            resolve_spec(env={}, overrides={**at_limit,
+                                            "clients_per_round": EXACT_MAX_PLAYERS + 1})
 
 
 class TestRunCommand:
