@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ledger as ledgermod
-from .data import CREDIT_CARD_COLUMNS, Dataset, SmoteConfig, load_csv, standardize
+from .data import CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, load_csv, standardize
 from .federation import (
     FederationConfig,
     RunResult,
@@ -370,8 +370,7 @@ def execute_job(args: tuple[ExperimentSpec, str, int, int]) -> dict[str, str]:
 
 
 def cmd_run(spec: ExperimentSpec, parallel: bool = False) -> list[Path]:
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run every job, then write their outputs; a failed job leaves no --out."""
     jobs = _run_jobs(spec)
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor() as pool:
@@ -379,6 +378,8 @@ def cmd_run(spec: ExperimentSpec, parallel: bool = False) -> list[Path]:
     else:
         outcomes = [execute_job(job) for job in jobs]
 
+    out_dir = Path(spec.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     summary_lines = [f"# config_hash={config_hash(spec)}", SUMMARY_CSV_HEADER]
     for outcome in outcomes:
@@ -495,7 +496,11 @@ def main(argv=None) -> int:
         path = cmd_generate(spec, out_path=args.out)
         print(f"wrote {path}")
         return 0
-    written = cmd_run(spec, parallel=args.parallel)
+    try:
+        written = cmd_run(spec, parallel=args.parallel)
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(f"wrote {path}")
     return 0

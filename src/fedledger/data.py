@@ -22,11 +22,15 @@ CREDIT_CARD_COLUMNS: tuple[str, ...] = (
 )
 
 
-class ParseError(ValueError):
+class DataError(ValueError):
+    """The data cannot support the configured run; found once it is loaded."""
+
+
+class ParseError(DataError):
     """CSV content that does not match the expected schema."""
 
 
-class StratificationError(ValueError):
+class StratificationError(DataError):
     """A class is too small to stratify."""
 
 
@@ -214,7 +218,7 @@ def partition(data: Dataset, plan: PartitionPlan) -> list[Dataset]:
     """Split a training set into disjoint, exhaustive per-organization shards."""
     n = len(data)
     if plan.num_orgs > n:
-        raise ValueError("cannot create more shards than examples")
+        raise DataError(f"cannot deal {n} training rows to {plan.num_orgs} organizations")
     rng = np.random.default_rng(plan.seed)
     if plan.mode == "iid":
         order = rng.permutation(n)

@@ -173,9 +173,18 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
     """Split, shard, rebalance, initialize the global model, seal genesis."""
     counts = dataset.class_counts()
     if min(counts) == 0:
-        raise ValueError("dataset must contain both classes")
+        raise datamod.DataError("dataset must contain both classes")
     ms = cfg.master_seed
     train, server_test = datamod.split(dataset, TRAIN_FRACTION, derive_seed(ms, "split"))
+    validator_shards = datamod.stratified_parts(
+        server_test, cfg.validators.count, derive_seed(ms, "panel")
+    )
+    if any(len(shard) == 0 for shard in validator_shards):
+        raise datamod.DataError(
+            f"validators = {cfg.validators.count} leaves some validators no test rows: "
+            f"the server test set has {len(server_test)} rows "
+            f"({' + '.join(map(str, server_test.class_counts()))} by class)"
+        )
     plan = PartitionPlan(cfg.num_orgs, cfg.partition_mode, cfg.partition_skew,
                          derive_seed(ms, "partition"))
     shards = datamod.partition(train, plan)
@@ -203,9 +212,6 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
     w0 = modelmod.init_params(dims, derive_seed(ms, "init"))
 
     validator_ids = tuple(range(cfg.validators.count))
-    validator_shards = datamod.stratified_parts(
-        server_test, cfg.validators.count, derive_seed(ms, "panel")
-    )
     panel = ValidatorPanel(
         validator_ids,
         dict(zip(validator_ids, validator_shards)),

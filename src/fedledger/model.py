@@ -89,15 +89,23 @@ def init_params(layer_dims: Sequence[int], seed: int, scale: float = 0.1) -> Mod
 
 
 def _layer_views(dims: tuple[int, ...], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of a flat vector as per-layer (W, b) pairs; no copies."""
+    """Views of flat parameter vectors as per-layer (W, b) pairs; no copies.
+
+    `flat` is one vector (P,), giving W (din, dout) and b (dout,), or a stack
+    of m vectors (m, P), giving W (m, din, dout) and b (m, 1, dout), so that
+    each model's b broadcasts over the rows of its input.
+    """
     out = []
     offset = 0
     for din, dout in zip(dims, dims[1:]):
-        w = flat[offset : offset + din * dout].reshape(din, dout)
-        offset += din * dout
-        b = flat[offset : offset + dout]
-        offset += dout
-        out.append((w, b))
+        end = offset + din * dout
+        if flat.ndim == 1:
+            out.append((flat[offset:end].reshape(din, dout), flat[end : end + dout]))
+        else:
+            m = len(flat)
+            out.append((flat[:, offset:end].reshape(m, din, dout),
+                        flat[:, end : end + dout].reshape(m, 1, dout)))
+        offset = end + dout
     return out
 
 
@@ -121,15 +129,25 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _forward(
     layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """ReLU hidden layers, sigmoid output. Returns activations and probabilities."""
+    """ReLU hidden layers, sigmoid output. Returns activations and probabilities.
+
+    x is (n, din). With stacked layers from _layer_views, every model of the
+    stack runs on the same x: activations are (..., n, width) and
+    probabilities (..., n). A stacked matmul computes each model's slice with
+    the same BLAS call as a single model, so each slice is bit for bit what
+    that model alone gives. The bias add and ReLU write into the product.
+    """
     activations = [x]
     a = x
     for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
         activations.append(a)
     w_out, b_out = layers[-1]
-    z = (a @ w_out + b_out).ravel()
-    return activations, _sigmoid(z)
+    z = a @ w_out
+    z += b_out
+    return activations, _sigmoid(z[..., 0])
 
 
 def _as_matrix(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -156,9 +174,12 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return _forward(_layers(params), _as_matrix(params, features))[1]
 
 
-def _bce(probs: np.ndarray, labels: np.ndarray) -> np.floating:
+def _bce(probs: np.ndarray, labels: np.ndarray) -> np.floating | np.ndarray:
+    """Mean BCE over the last axis: a scalar for (n,) probabilities, one value
+    per model for (..., n). Each row is averaged by the same pairwise sum as
+    a single (n,) vector."""
     probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return -np.mean(labels * np.log(probs) + (1 - labels) * np.log(1.0 - probs))
+    return -np.mean(labels * np.log(probs) + (1 - labels) * np.log(1.0 - probs), axis=-1)
 
 
 def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float:
@@ -172,6 +193,33 @@ def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float
     if weight_decay:
         bce += 0.5 * weight_decay * float(params.weights @ params.weights)
     return float(bce)
+
+
+def stacked_loss(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
+    """loss() of many models of one architecture at once, one per row of `stack`.
+
+    `stack` is (m, P): row i is the flat weight vector of model i. Entry i
+    of the result is bit for bit loss(ModelParams(layer_dims, stack[i]), data),
+    from one stacked forward pass; its memory grows with m * len(data) *
+    the widest layer, so callers bound m.
+    """
+    dims = tuple(int(d) for d in layer_dims)
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
+    if stack.ndim != 2 or stack.shape[1] != param_count(dims):
+        raise ValueError(
+            f"stack shape {stack.shape} does not match layer_dims {dims} "
+            f"(expected (m, {param_count(dims)}))"
+        )
+    if data.features.shape[1] != dims[0]:
+        raise ValueError(
+            f"feature width {data.features.shape[1]} does not match model input "
+            f"width {dims[0]}"
+        )
+    # a stack of one runs unstacked: the same arithmetic, less per-call overhead
+    flat = stack[0] if len(stack) == 1 else stack
+    probs = _forward(_layer_views(dims, flat), data.features)[1]
+    return np.reshape(_bce(probs, data.labels), len(stack))
 
 
 def _grad(
@@ -275,12 +323,21 @@ def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metr
 
 
 def average(models: Sequence[ModelParams]) -> ModelParams:
-    """Uniform average of parameter vectors; the unit step of aggregation."""
+    """Uniform average of parameter vectors; the unit step of aggregation.
+
+    Models are added in the order given, starting from a zero vector, and the
+    sum is divided by their count (so an all -0.0 coordinate averages to 0.0).
+    """
     if not models:
         raise ValueError("cannot average zero models")
     dims = models[0].layer_dims
     for m in models[1:]:
         if m.layer_dims != dims:
             raise ValueError("models must share layer_dims to be averaged")
-    stacked = np.stack([m.weights for m in models])
-    return ModelParams(dims, stacked.mean(axis=0), models[0].version)
+    # the order np.stack(...).mean(axis=0) sums in, spelled out so that the
+    # batched coalition means in valuation can match it bit for bit
+    total = np.zeros_like(models[0].weights)
+    for m in models:
+        total += m.weights
+    total /= len(models)
+    return ModelParams(dims, total, models[0].version)

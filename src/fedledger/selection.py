@@ -49,7 +49,9 @@ def select_greedy(game: CoalitionGame, k: int) -> set[int]:
     """Grow a coalition k times by the organization with best marginal gain.
 
     Requires candidate updates from every organization in the pool (that is
-    what the utility game evaluates); ties go to the lower org_id.
+    what the utility game evaluates); ties go to the lower org_id, and a NaN
+    gain never wins. Each step asks the game for all its candidate
+    coalitions in one utilities() call.
     """
     pool = sorted(game.players)
     if k > len(pool):
@@ -57,12 +59,12 @@ def select_greedy(game: CoalitionGame, k: int) -> set[int]:
     chosen: list[int] = []
     for _ in range(k):
         base = game.utility(chosen)
+        rest = [org for org in pool if org not in chosen]
+        values = game.utilities([chosen + [org] for org in rest]).tolist()
         best_org = None
         best_gain = -np.inf
-        for org in pool:
-            if org in chosen:
-                continue
-            gain = game.utility(chosen + [org]) - base
+        for org, value in zip(rest, values):
+            gain = value - base
             if gain > best_gain:
                 best_gain = gain
                 best_org = org

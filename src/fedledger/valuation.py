@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from itertools import groupby, islice
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from .model import ModelParams
 
 # exact_shapley evaluates all 2^n coalitions; beyond this many players it refuses
 EXACT_MAX_PLAYERS = 20
+
+# UtilityGame evaluates coalitions in batches of at most this many hidden
+# activations (coalitions x server_test rows x widest layer): 2 MiB of float64
+BATCH_ACTIVATIONS = 1 << 18
 
 
 class CapacityError(ValueError):
@@ -37,17 +42,32 @@ class CoalitionGame(Protocol):
 
     def utility(self, coalition: Iterable[int]) -> float: ...
 
+    def utilities(self, coalitions: Iterable[Iterable[int]]) -> np.ndarray: ...
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
 
 class _GameBase:
     """Bitmask-keyed utility cache shared by the concrete game types.
 
     Entries are write-once: utility is a pure function of the coalition, so
-    a cached value never changes.
+    a cached value never changes. Misses are computed by _evaluate_masks,
+    which by default evaluates them one by one.
     """
 
     _players: tuple[int, ...]
     _bit: dict[int, int]
     _cache: dict[int, float]
+    # coalitions utilities() reads, and evaluates the misses of, per step
+    _batch = 256
 
     def _init_players(self, players: Iterable[int]) -> None:
         self._players = tuple(sorted(players))
@@ -71,9 +91,28 @@ class _GameBase:
         mask = self.mask_of(coalition)
         cached = self._cache.get(mask)
         if cached is None:
-            cached = self._evaluate(mask)
-            self._cache[mask] = cached
+            self._cache.update(self._evaluate_masks([mask]))
+            cached = self._cache[mask]
         return cached
+
+    def utilities(self, coalitions: Iterable[Iterable[int]]) -> np.ndarray:
+        """utility() of each coalition, in order, as one float64 array.
+
+        Coalitions are read _batch at a time and the misses of each batch are
+        evaluated together; they fill the same cache as utility().
+        """
+        return np.fromiter(self._stream_utilities(iter(coalitions)), dtype=np.float64)
+
+    def _stream_utilities(self, coalitions) -> Iterator[float]:
+        while masks := [self.mask_of(c) for c in islice(coalitions, self._batch)]:
+            misses = [m for m in dict.fromkeys(masks) if m not in self._cache]
+            if misses:
+                self._cache.update(self._evaluate_masks(misses))
+            yield from map(self._cache.__getitem__, masks)
+
+    def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
+        """(mask, utility) for each of at most _batch uncached masks."""
+        return [(mask, self._evaluate(mask)) for mask in masks]
 
     def _evaluate(self, mask: int) -> float:
         raise NotImplementedError
@@ -84,6 +123,11 @@ class UtilityGame(_GameBase):
 
     utility(S) = L(prior_global, server_test) - L(mean of S's models,
     server_test) for non-empty S, and 0 for the empty coalition.
+
+    Coalitions are evaluated in batches through model.stacked_loss, up to
+    BATCH_ACTIVATIONS hidden activations at a time; utility() is a batch of
+    one. Every value is bit for bit base_loss - model.loss(model.average(
+    members), server_test) with the members in sorted org_id order.
     """
 
     def __init__(
@@ -99,13 +143,39 @@ class UtilityGame(_GameBase):
         self.server_test = server_test
         self._init_players(self.submissions)
         self._base_loss = model.loss(prior_global, server_test)
+        models = [self.submissions[p] for p in self._players]
+        self._dims = models[0].layer_dims if models else prior_global.layer_dims
+        if any(m.layer_dims != self._dims for m in models):
+            raise ValueError("models must share layer_dims to be averaged")
+        # row i: the weights of the i-th player in sorted order
+        self._weights = np.array([m.weights for m in models]).reshape(
+            len(models), model.param_count(self._dims))
+        self._batch = max(1, BATCH_ACTIVATIONS // (len(server_test) * max(self._dims[1:])))
 
-    def _evaluate(self, mask: int) -> float:
-        members = [
-            self.submissions[p] for p in self._players if mask & self._bit[p]
-        ]
-        averaged = model.average(members)
-        return self._base_loss - model.loss(averaged, self.server_test)
+    def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
+        """Utilities of at most _batch non-empty coalitions from one stacked pass."""
+        masks = sorted(masks, key=int.bit_count)
+        losses = model.stacked_loss(self._dims, self._means(masks), self.server_test)
+        return zip(masks, (self._base_loss - losses).tolist())
+
+    def _means(self, masks: list[int]) -> np.ndarray:
+        """Mean weight vector of each coalition, for masks sorted by size.
+
+        The sum runs as in model.average: from zeros, the members in sorted
+        player order, then one division by the count. Coalitions of one size
+        fill one block of rows, one member position at a time.
+        """
+        weights = self._weights
+        means = np.zeros((len(masks), weights.shape[1]))
+        start = 0
+        for size, group in groupby(masks, key=int.bit_count):
+            members = np.array([_bits(mask) for mask in group])
+            block = means[start : start + len(members)]
+            for position in members.T:
+                block += weights.take(position, axis=0)
+            block /= size
+            start += len(members)
+        return means
 
 
 class FunctionGame(_GameBase):
@@ -146,14 +216,9 @@ class ShapleyResult:
 
 
 def _utility_table(game: CoalitionGame, n: int) -> np.ndarray:
-    """Utility of every coalition, indexed by player bitmask."""
+    """Utility of every coalition, indexed by player bitmask, from one call."""
     players = game.players
-    table = np.empty(1 << n, dtype=np.float64)
-    for mask in range(1 << n):
-        table[mask] = game.utility(
-            [players[i] for i in range(n) if mask >> i & 1]
-        )
-    return table
+    return game.utilities([players[i] for i in _bits(mask)] for mask in range(1 << n))
 
 
 def exact_shapley(game: CoalitionGame) -> ShapleyResult:

@@ -385,3 +385,61 @@ class TestSyntheticDataset:
         np.testing.assert_allclose(in_memory.features, from_file.features,
                                    atol=1e-12)
         assert np.array_equal(in_memory.labels, from_file.labels)
+
+
+class TestDataChecks:
+    """Errors only the loaded data reveals: exit 2, `error: …`, and no --out."""
+
+    # 400 rows at 10% fraud leave a server test set of 72 + 8 = 80 rows; the
+    # panel deals them class by class, so more than 72 validators leaves
+    # some shard empty
+    PANEL = ("synthetic_n = 400\nsynthetic_minority_fraction = 0.1\nrounds = 1\n"
+             "num_orgs = 3\nclients_per_round = 2\nepochs = 1\n")
+
+    def run_main(self, tmp_path, text, *flags):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(text)
+        out = tmp_path / "res"
+        code = main(["run", "--config", str(conf), "--out", str(out), *flags])
+        return code, out
+
+    @pytest.mark.parametrize("count", [81, 73])
+    def test_too_many_validators_refused(self, tmp_path, capsys, count):
+        code, out = self.run_main(tmp_path, self.PANEL + f"validators = {count}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"validators = {count}" in err
+        assert "80 rows" in err
+        assert not out.exists()
+
+    def test_largest_panel_with_full_shards_runs(self, tmp_path):
+        code, out = self.run_main(tmp_path, self.PANEL + "validators = 71\n")
+        assert code == 0
+        assert (out / "summary.csv").exists()
+
+    def test_refused_in_parallel_jobs_too(self, tmp_path, capsys):
+        code, out = self.run_main(
+            tmp_path, self.PANEL + "validators = 81\npolicies = random, contribution\n",
+            "--parallel")
+        assert code == 2
+        assert "validators = 81" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_organizations_than_training_rows(self, tmp_path, capsys):
+        # 18 + 2 rows: 14 + 1 of them train, too few for 30 organizations
+        code, out = self.run_main(
+            tmp_path, "synthetic_n = 20\nsynthetic_minority_fraction = 0.1\n")
+        assert code == 2
+        assert "15 training rows to 30 organizations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_with_wrong_header(self, tmp_path, capsys):
+        csv = tmp_path / "two.csv"
+        csv.write_text("a,b\n1.0,0\n2.0,1\n")
+        code, out = self.run_main(tmp_path, f"data = csv\ncsv_path = {csv}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "header mismatch" in err and "two.csv" in err
+        assert not out.exists()

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from fedledger.data import Dataset
+from fedledger.model import ModelParams, loss
 from fedledger.selection import (
     SelectionPolicy,
     select_by_contribution,
     select_greedy,
     select_random,
 )
-from fedledger.valuation import FunctionGame
+from fedledger.valuation import FunctionGame, UtilityGame
 
 
 def additive_game(gains):
@@ -134,3 +136,72 @@ class TestDeterminism:
                 b = select_by_contribution(scores, 2, rnd, policy)
             assert a == b
             assert len(a) == 2
+
+
+def model_game(seed, twin_of_best=False, nan_org=None):
+    """UtilityGame over seeded logistic submissions for orgs 3..8.
+
+    twin_of_best adds org 1 with exactly the weights of the best single org,
+    so greedy's first step is a tie; nan_org gets NaN weights.
+    """
+    rng = np.random.default_rng(seed)
+    dims = (4, 1)
+    server_test = Dataset(rng.normal(size=(60, 4)), (rng.random(60) < 0.4).astype(np.int64))
+    prior = ModelParams(dims, np.zeros(5))
+    submissions = {org: ModelParams(dims, rng.normal(size=5)) for org in range(3, 9)}
+    if nan_org is not None:
+        submissions[nan_org] = ModelParams(dims, np.full(5, np.nan))
+    if twin_of_best:
+        solo = {org: scalar_utility(prior, submissions, server_test, [org])
+                for org in submissions}
+        best = max(solo, key=lambda org: (solo[org], -org))
+        submissions[1] = ModelParams(dims, submissions[best].weights.copy())
+    return UtilityGame(0, prior, submissions, server_test)
+
+
+def scalar_utility(prior, submissions, server_test, coalition):
+    if not coalition:
+        return 0.0
+    members = [submissions[org].weights for org in sorted(coalition)]
+    mean = ModelParams(prior.layer_dims, np.stack(members).mean(axis=0))
+    return loss(prior, server_test) - loss(mean, server_test)
+
+
+def oracle_greedy(game, k):
+    """Scalar greedy on the per-coalition definition, first-best wins ties."""
+    def u(coalition):
+        return scalar_utility(game.prior_global, game.submissions, game.server_test,
+                              coalition)
+
+    chosen = []
+    for _ in range(k):
+        base = u(chosen)
+        gains = [(u(chosen + [org]) - base, org)
+                 for org in sorted(game.players) if org not in chosen]
+        finite = [(gain, org) for gain, org in gains if not np.isnan(gain)]
+        best_gain = max(gain for gain, _ in finite)
+        chosen.append(min(org for gain, org in finite if gain == best_gain))
+    return chosen
+
+
+class TestSelectGreedyOnModels:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_matches_scalar_oracle(self, seed, k):
+        game = model_game(seed)
+        assert select_greedy(game, k) == set(oracle_greedy(game, k))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_between_identical_submissions_goes_to_lower_id(self, seed):
+        game = model_game(seed, twin_of_best=True)
+        first = oracle_greedy(game, 1)
+        assert first == [1]  # the twin with the lower org_id
+        assert select_greedy(game, 1) == {1}
+        assert select_greedy(game, 3) == set(oracle_greedy(game, 3))
+
+    def test_nan_gain_never_wins(self):
+        game = model_game(2, nan_org=5)
+        assert np.isnan(game.utility([5]))
+        got = select_greedy(game, 4)
+        assert 5 not in got
+        assert got == set(oracle_greedy(game, 4))

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from fedledger import valuation
 from fedledger.data import Dataset
-from fedledger.model import ModelParams, loss
+from fedledger.model import ModelParams, average, loss
 from fedledger.valuation import (
     CapacityError,
     FunctionGame,
@@ -303,3 +304,115 @@ class TestAccumulateContributions:
         assert set(got) == set(expected)
         for o in expected:
             assert got[o] == pytest.approx(expected[o], abs=1e-12)
+
+
+def bits(values):
+    """uint64 view, so that equality is bit for bit (signed zeros, NaN payloads)."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def model_game(hidden_dims, n_test, players, seed):
+    """UtilityGame over seeded submissions scattered around a seeded prior."""
+    rng = np.random.default_rng(seed)
+    width = 6
+    dims = (width, *hidden_dims, 1)
+    server_test = Dataset(rng.normal(size=(n_test, width)),
+                          (rng.random(n_test) < 0.3).astype(np.int64))
+    size = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+    prior = ModelParams(dims, rng.uniform(-0.5, 0.5, size=size))
+    submissions = {
+        p: ModelParams(dims, prior.weights + rng.normal(scale=0.4, size=size))
+        for p in players
+    }
+    return UtilityGame(0, prior, submissions, server_test)
+
+
+def per_coalition_oracle(game, coalition):
+    """The definition: base loss minus the loss of the members' plain mean."""
+    if not coalition:
+        return 0.0
+    members = [game.submissions[p] for p in sorted(coalition)]
+    mean = np.stack([m.weights for m in members]).mean(axis=0)
+    base = loss(game.prior_global, game.server_test)
+    return base - loss(ModelParams(members[0].layer_dims, mean), game.server_test)
+
+
+PLAYERS = (2, 5, 7, 11, 13)
+ALL_COALITIONS = [list(c) for r in range(len(PLAYERS) + 1)
+                  for c in itertools.combinations(PLAYERS, r)]
+
+
+class TestBatchedUtilities:
+    @pytest.mark.parametrize("hidden_dims", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("n_test", [1, 37])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_bitwise_equal_to_per_coalition_oracle(
+        self, monkeypatch, hidden_dims, n_test, batch
+    ):
+        if batch is not None:
+            # batches of 3: the 31 non-empty coalitions leave a partial batch
+            widest = max((*hidden_dims, 1))
+            monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", batch * n_test * widest)
+        game = model_game(hidden_dims, n_test, PLAYERS, seed=n_test + len(hidden_dims))
+        if batch is not None:
+            assert game._batch == batch
+        order = np.random.default_rng(1).permutation(len(ALL_COALITIONS))
+        coalitions = [ALL_COALITIONS[i] for i in order]  # sizes 0..5, mixed
+        expected = [per_coalition_oracle(game, c) for c in coalitions]
+        got = game.utilities(coalitions)
+        assert got.dtype == np.float64 and got.shape == (len(coalitions),)
+        np.testing.assert_array_equal(bits(got), bits(expected))
+        # utility() on a fresh game is the same computation, one coalition at a time
+        fresh = model_game(hidden_dims, n_test, PLAYERS, seed=n_test + len(hidden_dims))
+        singles = [fresh.utility(list(reversed(c))) for c in coalitions]
+        np.testing.assert_array_equal(bits(singles), bits(expected))
+        # and the cache utilities() filled answers utility() with the same bits
+        np.testing.assert_array_equal(
+            bits([game.utility(c) for c in coalitions]), bits(expected))
+
+    def test_exact_shapley_equals_values_from_oracle_table(self):
+        game = model_game((16,), 37, PLAYERS, seed=3)
+        table = {frozenset(c): per_coalition_oracle(game, c) for c in ALL_COALITIONS}
+        from_table = exact_shapley(FunctionGame(PLAYERS, lambda s: table[frozenset(s)]))
+        res = exact_shapley(game)
+        assert res.values == from_table.values
+        assert res.num_evaluations == 2 ** len(PLAYERS)
+
+    def test_duplicates_and_hits_evaluated_once(self):
+        calls = []
+
+        def fn(s):
+            calls.append(s)
+            return float(sum(s)) + 0.5
+
+        game = FunctionGame(range(3), fn)
+        assert game.utility([2]) == 2.5
+        got = game.utilities(iter([[0], [1, 0], [0], [2], [0, 1], []]))
+        assert got.tolist() == [0.5, 1.5, 0.5, 2.5, 1.5, 0.0]
+        assert calls == [frozenset({2}), frozenset({0}), frozenset({0, 1})]
+        assert game.utilities([]).shape == (0,)
+
+    def test_sum_game_utilities(self):
+        a = additive_game([1.0, 2.0, 4.0])
+        b = additive_game([10.0, 20.0, 40.0])
+        got = SumGame(a, b).utilities([[0], [1, 2], [0, 1, 2]])
+        assert got.tolist() == [11.0, 66.0, 77.0]
+
+    def test_unknown_org_rejected(self, small_model_game):
+        with pytest.raises(ValueError):
+            small_model_game.utilities([[1], [99]])
+
+
+class TestAverageOrder:
+    @pytest.mark.parametrize("count", [1, 2, 3, 9, 25])
+    def test_bitwise_equal_to_stacked_mean(self, count):
+        rng = np.random.default_rng(count)
+        dims = (12, 8, 1)
+        size = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+        vectors = rng.normal(size=(count, size)) * 10.0 ** rng.integers(-9, 9, (count, size))
+        vectors[:, 0] = -0.0  # all -0.0: the stacked mean gives +0.0
+        vectors[0, 1] = -0.0
+        vectors[:, 2] = [(-1.0) ** i * 3.0 for i in range(count)]
+        models = [ModelParams(dims, v) for v in vectors]
+        got = average(models).weights
+        np.testing.assert_array_equal(bits(got), bits(np.stack(vectors).mean(axis=0)))
