@@ -10,6 +10,7 @@ submissions, and seal the round in a new block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class FederationConfig:
     master_seed: int = 0
     hidden_dims: tuple[int, ...] = (16,)
     partition_mode: str = "iid"
-    partition_skew: float = 0.5
+    partition_skew: float = 0.8
     threshold: float = 0.5
     # experiment condition: a seeded subset of orgs holds label-noisy data,
     # modeling participants whose updates are persistently low-quality
@@ -152,14 +153,18 @@ class FederationState:
     contributions: dict[int, float] = field(default_factory=dict)
     reports: list[RoundReport] = field(default_factory=list)
 
-    def train_local(self, round_index: int, org: int) -> ModelParams:
-        """One organization's local SGD pass for this round, seeded by
-        (master, round, org) so worker scheduling cannot change results."""
-        cfg_t = replace(
+    def train_round(self, round_index: int, orgs: Iterable[int]) -> dict[int, ModelParams]:
+        """Each listed organization's local SGD pass for this round, the
+        organizations in lock-step. Org i is seeded by (master, round, i), so
+        which orgs train together cannot change any one's result."""
+        orgs = list(orgs)
+        trained = modelmod.local_train_many(
+            self.global_params,
+            [self.shards[org] for org in orgs],
             self.cfg.train,
-            seed=derive_seed(self.cfg.master_seed, "train", round_index, org),
+            [derive_seed(self.cfg.master_seed, "train", round_index, org) for org in orgs],
         )
-        return modelmod.local_train(self.global_params, self.shards[org], cfg_t)
+        return dict(zip(orgs, trained))
 
 
 def _flip_labels(shard: Dataset, probability: float, seed: int) -> Dataset:
@@ -237,7 +242,7 @@ def _select(state: FederationState, t: int) -> tuple[set[int], dict[int, ModelPa
     if cfg.policy.kind == "contribution":
         scores = {org: state.contributions.get(org, 0.0) for org in orgs}
         return selmod.select_by_contribution(scores, cfg.policy.k, t, cfg.policy), {}
-    candidates = {org: state.train_local(t, org) for org in orgs}
+    candidates = state.train_round(t, orgs)
     game = UtilityGame(t, state.global_params, candidates, state.server_test)
     return selmod.select_greedy(game, cfg.policy.k), candidates
 
@@ -276,11 +281,8 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         selected, pretrained = _select(state, t)
 
     # local training and submission; greedy charges its full candidate pool
-    submitting = sorted(pretrained) if pretrained else sorted(selected)
-    submissions = {
-        org: pretrained[org] if pretrained else state.train_local(t, org)
-        for org in submitting
-    }
+    submissions = pretrained or state.train_round(t, sorted(selected))
+    submitting = sorted(submissions)
     txs = []
     bytes_off_chain = 0
     for org in submitting:

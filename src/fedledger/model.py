@@ -132,10 +132,11 @@ def _forward(
     """ReLU hidden layers, sigmoid output. Returns activations and probabilities.
 
     x is (n, din). With stacked layers from _layer_views, every model of the
-    stack runs on the same x: activations are (..., n, width) and
-    probabilities (..., n). A stacked matmul computes each model's slice with
-    the same BLAS call as a single model, so each slice is bit for bit what
-    that model alone gives. The bias add and ReLU write into the product.
+    stack runs on the same x, or model i on its own rows x[i] when x is
+    (m, n, din): activations are (..., n, width) and probabilities (..., n).
+    A stacked matmul computes each model's slice with the same BLAS call as a
+    single model, so each slice is bit for bit what that model alone gives.
+    The bias add and ReLU write into the product.
     """
     activations = [x]
     a = x
@@ -231,24 +232,27 @@ def _grad(
 ) -> np.ndarray:
     """Backpropagation over one non-empty batch of checked raw arrays.
 
-    The one gradient kernel: gradient() and local_train() both call it after
-    checking their inputs. Returns a new flat vector; `flat` is only read.
+    The one gradient kernel, called by gradient() and local_train_many() after
+    they check their inputs. `flat` is one vector (P,) with x (n, din) and y
+    (n,), or a stack (m, P) with x (m, n, din) and y (m, n): model i on its
+    own batch x[i]. Each slice of a stacked result is bit for bit that model's
+    gradient alone, as in _forward. Returns new arrays; `flat` is only read.
     """
-    m = x.shape[0]
+    n = x.shape[-2]
     layers = _layer_views(dims, flat)
     activations, probs = _forward(layers, x)
 
     grad = np.zeros_like(flat)
-    # these views alias `grad`, so writing into them fills the flat vector
+    # these views alias `grad`, so writing into them fills the flat vectors
     grad_layers = _layer_views(dims, grad)
-    delta = ((probs - y) / m).reshape(m, 1)
+    delta = np.expand_dims((probs - y) / n, -1)
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
         gw, gb = grad_layers[li]
-        gw[...] = activations[li].T @ delta
-        gb[...] = delta.sum(axis=0)
+        gw[...] = activations[li].swapaxes(-1, -2) @ delta
+        gb[...] = delta.sum(axis=-2, keepdims=True)
         if li > 0:
-            delta = (delta @ w.T) * (activations[li] > 0)
+            delta = (delta @ w.swapaxes(-1, -2)) * (activations[li] > 0)
     if weight_decay:
         grad += weight_decay * flat
     return grad
@@ -274,28 +278,94 @@ def local_train(params: ModelParams, data: Dataset, cfg: TrainConfig) -> ModelPa
 
     Batches come from a seeded shuffle each epoch; identical inputs and seed
     give bitwise-identical outputs. The input params are left untouched and
-    the result's version is bumped by one.
-
-    The Dataset checked its rows (finite features, 0/1 labels) when it was
-    built, so this checks only emptiness and feature width, once, and then
-    runs every step on rows indexed straight from its arrays. Each step is
-    the same arithmetic as gradient() on data.subset(batch indices).
+    the result's version is bumped by one. Each step is the same arithmetic
+    as gradient() on data.subset(batch indices). This is local_train_many()
+    of one shard.
     """
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    x = _as_matrix(params, data.features)
-    y = data.labels
+    return local_train_many(params, [data], cfg, [cfg.seed])[0]
+
+
+def local_train_many(
+    params: ModelParams,
+    shards: Sequence[Dataset],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
+) -> list[ModelParams]:
+    """local_train() of `params` on every shard, the shards in lock-step.
+
+    Entry i is bit for bit local_train(params, shards[i], replace(cfg,
+    seed=seeds[i])): each shard draws its own seeded permutation when it
+    starts an epoch, so its batches are exactly those. At each step index,
+    the shards whose batch has the same row count take that step together,
+    through one stacked forward and backward pass of _grad; a shard alone at
+    its row count takes it unstacked. The groups are formed again only when a
+    shard starts an epoch, reaches a short last batch or is done. Beside the
+    concatenated rows this keeps one index per row, so memory grows with
+    neither epochs nor batch_size.
+
+    The Datasets checked their rows (finite features, 0/1 labels) when they
+    were built, so this checks only that every shard is non-empty and matches
+    the model's input width, once, and then runs every step on rows indexed
+    straight from one concatenated array.
+    """
+    if len(seeds) != len(shards):
+        raise ValueError(f"{len(seeds)} seeds for {len(shards)} shards")
     dims = params.layer_dims
-    rng = np.random.default_rng(cfg.seed)
-    n = len(data)
-    weights = params.weights
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            g = _grad(dims, weights, x[idx], y[idx], cfg.weight_decay)
-            weights = weights - cfg.learning_rate * g
-    return ModelParams(dims, weights, params.version + 1)
+    for i, shard in enumerate(shards):
+        where = f"shard {i}: " if len(shards) > 1 else ""
+        if len(shard) == 0:
+            raise ValueError(f"{where}dataset is empty")
+        if shard.schema_width != params.input_width:
+            raise ValueError(
+                f"{where}feature width {shard.schema_width} does not match "
+                f"model input width {params.input_width}"
+            )
+    if not shards:
+        return []
+    x = np.concatenate([shard.features for shard in shards])
+    y = np.concatenate([shard.labels for shard in shards])
+    batch = cfg.batch_size
+    sizes = [len(shard) for shard in shards]
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    per_epoch = [-(-n // batch) for n in sizes]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # order[starts[i] : starts[i] + sizes[i]] is shard i's current epoch, as rows of x
+    order = np.empty(len(x), dtype=np.intp)
+    weights = np.tile(params.weights, (len(shards), 1))
+    step, end = 0, cfg.epochs * max(per_epoch)
+    while step < end:
+        # row count -> (the shards, where each one's batch starts in `order`).
+        # The groups hold for `run` steps: until a shard reaches a short last
+        # batch, starts an epoch or is done.
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        run = end - step
+        for i, (n, k, start) in enumerate(zip(sizes, per_epoch, starts)):
+            if step >= cfg.epochs * k:
+                continue
+            first = step % k * batch
+            if first == 0:
+                np.add(rngs[i].permutation(n), start, out=order[start : start + n])
+            run = min(run, max((n - first) // batch, 1))
+            members, offsets = groups.setdefault(min(batch, n - first), ([], []))
+            members.append(i)
+            offsets.append(start + first)
+        # shards never share a step's arithmetic, so each group takes its run
+        # of steps in turn
+        for count, (members, offsets) in groups.items():
+            if len(members) == 1:  # a shard alone at its row count steps unstacked
+                sel, pos = members[0], np.arange(offsets[0], offsets[0] + count)
+            else:
+                sel, pos = members, np.add.outer(offsets, np.arange(count))
+            w = weights[sel]  # a view of one shard's row, or a copy of the group's
+            for _ in range(run):
+                idx = order[pos]
+                g = _grad(dims, w, x.take(idx, axis=0), y.take(idx), cfg.weight_decay)
+                g *= cfg.learning_rate
+                w -= g
+                pos += batch
+            weights[sel] = w  # a no-op for a view
+        step += run
+    return [ModelParams(dims, w, params.version + 1) for w in weights]
 
 
 def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metrics:

@@ -101,14 +101,18 @@ class _GameBase:
         Coalitions are read _batch at a time and the misses of each batch are
         evaluated together; they fill the same cache as utility().
         """
-        return np.fromiter(self._stream_utilities(iter(coalitions)), dtype=np.float64)
+        return self._mask_utilities(map(self.mask_of, coalitions))
 
-    def _stream_utilities(self, coalitions) -> Iterator[float]:
-        while masks := [self.mask_of(c) for c in islice(coalitions, self._batch)]:
-            misses = [m for m in dict.fromkeys(masks) if m not in self._cache]
+    def _mask_utilities(self, masks: Iterable[int]) -> np.ndarray:
+        """utilities() of coalitions given as bitmasks over the sorted players."""
+        return np.fromiter(self._stream_utilities(iter(masks)), dtype=np.float64)
+
+    def _stream_utilities(self, masks: Iterator[int]) -> Iterator[float]:
+        while batch := list(islice(masks, self._batch)):
+            misses = [m for m in dict.fromkeys(batch) if m not in self._cache]
             if misses:
                 self._cache.update(self._evaluate_masks(misses))
-            yield from map(self._cache.__getitem__, masks)
+            yield from map(self._cache.__getitem__, batch)
 
     def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
         """(mask, utility) for each of at most _batch uncached masks."""
@@ -215,19 +219,19 @@ class ShapleyResult:
     stderr: dict[int, float] | None = None
 
 
-def _utility_table(game: CoalitionGame, n: int) -> np.ndarray:
+def _utility_table(game: _GameBase, n: int) -> np.ndarray:
     """Utility of every coalition, indexed by player bitmask, from one call."""
-    players = game.players
-    return game.utilities([players[i] for i in _bits(mask)] for mask in range(1 << n))
+    return game._mask_utilities(range(1 << n))
 
 
-def exact_shapley(game: CoalitionGame) -> ShapleyResult:
+def exact_shapley(game: _GameBase) -> ShapleyResult:
     """Exact Shapley values by enumeration of all 2^N coalitions.
 
     v_i = (1/N) * sum over S not containing i of
           [U(S + i) - U(S)] / C(N-1, |S|),
     the classical permutation-average form, so the values always sum to the
-    utility of the grand coalition.
+    utility of the grand coalition. The game must be one of this module's
+    games (a _GameBase): the table is read through its mask-level entry.
     """
     players = game.players
     n = len(players)
@@ -346,10 +350,10 @@ class AxiomReport:
 
 
 def check_axioms(
-    game: CoalitionGame,
+    game: _GameBase,
     result: ShapleyResult,
     tol: float = 1e-9,
-    additivity_game: CoalitionGame | None = None,
+    additivity_game: _GameBase | None = None,
 ) -> AxiomReport:
     """Verify the Shapley axioms on an exact result by full coalition scans.
 
@@ -359,7 +363,8 @@ def check_axioms(
     solo utility (the classical zero-marginal dummy is the solo-utility-0
     special case; witnesses record which kind was found). Additivity: the
     values of the sum game must equal the per-player sums, checked against
-    a caller-supplied second game.
+    a caller-supplied second game. Like exact_shapley, both games must be
+    this module's games (a _GameBase).
     """
     players = game.players
     n = len(players)

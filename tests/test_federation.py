@@ -4,7 +4,7 @@ import pytest
 from fedledger import federation as fed
 from fedledger import ledger as ledgermod
 from fedledger import model as modelmod
-from fedledger.cli import ExperimentSpec, synthetic_dataset
+from fedledger.cli import ExperimentSpec, build_federation_config, synthetic_dataset
 from fedledger.data import SmoteConfig
 from fedledger.federation import (
     FederationConfig,
@@ -87,6 +87,23 @@ class TestInitRound0:
         with pytest.raises(ValueError):
             init_round0(small_config(), negatives)
 
+    def test_default_label_skew_deals_the_cli_shards(self):
+        # a library caller who leaves partition_skew unset gets the CLI's partition
+        spec = ExperimentSpec(synthetic_n=600, synthetic_features=6,
+                              synthetic_minority_fraction=0.1, num_orgs=5,
+                              clients_per_round=2, partition_mode="label-skew", seed=3)
+        cli_cfg = build_federation_config(spec, "random", spec.epochs, spec.batch_size)
+        lib_cfg = FederationConfig(policy=cli_cfg.policy, train=cli_cfg.train,
+                                   num_orgs=spec.num_orgs, smote=cli_cfg.smote,
+                                   master_seed=spec.seed, partition_mode="label-skew")
+        data = synthetic_dataset(spec)
+        cli_shards = init_round0(cli_cfg, data).shards
+        lib_shards = init_round0(lib_cfg, data).shards
+        assert len(lib_shards) == len(cli_shards) == 5
+        for a, b in zip(lib_shards, cli_shards):
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.labels, b.labels)
+
 
 class TestRunRound:
     def test_single_org_round_equals_local_train(self):
@@ -113,18 +130,19 @@ class TestRunRound:
         state.shards[1] = state.shards[0]
 
         seed0 = derive_seed(cfg.master_seed, "train", 0, 0)
-        orig_train_local = fed.FederationState.train_local
+        orig_train_round = fed.FederationState.train_round
 
-        def same_seed(self, round_index, org):
+        def same_seed(self, round_index, orgs):
             cfg_t = TrainConfig(learning_rate=0.1, epochs=2, batch_size=16,
                                 weight_decay=0.0, seed=seed0)
-            return modelmod.local_train(self.global_params, self.shards[org], cfg_t)
+            return {org: modelmod.local_train(self.global_params, self.shards[org], cfg_t)
+                    for org in orgs}
 
-        fed.FederationState.train_local = same_seed
+        fed.FederationState.train_round = same_seed
         try:
             run_round(state, 0)
         finally:
-            fed.FederationState.train_local = orig_train_local
+            fed.FederationState.train_round = orig_train_round
         txs = state.chain[-1].txs
         assert len(txs) == 2
         assert txs[0].model_digest == txs[1].model_digest
@@ -134,18 +152,15 @@ class TestRunRound:
         cfg = small_config(num_orgs=3, policy=SelectionPolicy("random", k=3, seed=0),
                            valuation=ValuationSettings(method="off"))
         state = init_round0(cfg, data)
-        honest = {
-            org: state.train_local(0, org) for org in range(3)
-        }
+        honest = state.train_round(0, range(3))
 
-        def corrupt(self, round_index, org):
-            if org == 2:
-                bad = honest[2].weights.copy()
-                bad[0] = np.nan
-                return ModelParams(honest[2].layer_dims, bad, honest[2].version)
-            return honest[org]
+        def corrupt(self, round_index, orgs):
+            bad = honest[2].weights.copy()
+            bad[0] = np.nan
+            return {org: ModelParams(honest[2].layer_dims, bad, honest[2].version)
+                    if org == 2 else honest[org] for org in orgs}
 
-        monkeypatch.setattr(fed.FederationState, "train_local", corrupt)
+        monkeypatch.setattr(fed.FederationState, "train_round", corrupt)
         run_round(state, 0)
         expected = modelmod.average([honest[0], honest[1]])
         assert np.array_equal(state.global_params.weights, expected.weights)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fedledger.model import (
     gradient,
     init_params,
     local_train,
+    local_train_many,
     loss,
     param_count,
     predict,
@@ -263,6 +265,101 @@ class TestLocalTrain:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+
+class TestLocalTrainMany:
+    """local_train_many against the Dataset-level oracle loop, shard by shard."""
+
+    @staticmethod
+    def shards(sizes, width=5, seed=0):
+        rng = np.random.default_rng(seed)
+        return [make_dataset(rng.normal(size=(n, width)), (rng.random(n) < 0.3).astype(int))
+                for n in sizes]
+
+    @staticmethod
+    def assert_bits_equal(got, expected):
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def check_against_oracle(self, params, shards, cfg, seeds):
+        before = params.weights.copy()
+        copies = [(s.features.copy(), s.labels.copy()) for s in shards]
+        trained = local_train_many(params, shards, cfg, seeds)
+        assert len(trained) == len(shards)
+        for shard, seed, result in zip(shards, seeds, trained):
+            self.assert_bits_equal(result.weights,
+                                   subset_sgd(params, shard, replace(cfg, seed=seed)))
+            assert result.version == params.version + 1
+            assert result.layer_dims == params.layer_dims
+        assert np.array_equal(params.weights, before)
+        for shard, (features, labels) in zip(shards, copies):
+            assert np.array_equal(shard.features, features)
+            assert np.array_equal(shard.labels, labels)
+        return trained
+
+    @pytest.mark.parametrize("sizes, batch", [
+        # one shard smaller than the batch, one a batch plus one row, one large
+        ([1, 31, 32, 33, 2601], 32),
+        # 6, 7, 9 and 13 batches an epoch: the shards start epochs and take
+        # short batches at different steps, so groups form and split
+        ([95, 100, 130, 131, 200], 16),
+        ([1, 7, 33, 60], 1),
+        # one full-batch step an epoch; nothing may be sized by batch_size
+        ([1, 40, 300], 10**12),
+    ])
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_bit_identical_to_subset_loop(self, sizes, batch, hidden, weight_decay, epochs):
+        shards = self.shards(sizes, seed=len(hidden) + epochs)
+        base = init_params((5, *hidden, 1), seed=epochs)
+        params = ModelParams(base.layer_dims, base.weights, version=4)
+        cfg = TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=batch,
+                          weight_decay=weight_decay, seed=99)
+        self.check_against_oracle(params, shards, cfg, list(range(11, 11 + len(sizes))))
+
+    def test_single_shard_is_local_train(self):
+        (shard,) = self.shards([70])
+        params = init_params((5, 16, 1), seed=8)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=21)
+        (trained,) = self.check_against_oracle(params, [shard], cfg, [21])
+        self.assert_bits_equal(trained.weights, local_train(params, shard, cfg).weights)
+
+    def test_identical_shards_and_seeds_give_identical_models(self):
+        (shard, other) = self.shards([45, 45])
+        params = init_params((5, 8, 4, 1), seed=5)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8)
+        a, b, c = self.check_against_oracle(params, [shard, shard, other], cfg, [6, 6, 6])
+        self.assert_bits_equal(a.weights, b.weights)
+        assert not np.array_equal(a.weights, c.weights)
+
+    def test_no_shards(self):
+        assert local_train_many(init_params((3, 1), seed=0), [], TrainConfig(), []) == []
+
+    def test_empty_shard_rejected(self):
+        empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        full = make_dataset(np.ones((4, 3)), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="shard 1: dataset is empty"):
+            local_train_many(init_params((3, 1), seed=0), [full, empty], TrainConfig(), [0, 1])
+
+    def test_width_mismatch_rejected(self):
+        good = make_dataset(np.ones((4, 3)), [0, 1, 0, 1])
+        narrow = make_dataset(np.ones((4, 2)), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="shard 1: feature width 2"):
+            local_train_many(init_params((3, 1), seed=0), [good, narrow], TrainConfig(), [0, 1])
+
+    def test_single_dataset_errors_name_no_shard(self):
+        empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        narrow = make_dataset(np.ones((4, 2)), [0, 1, 0, 1])
+        params = init_params((3, 1), seed=0)
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            local_train(params, empty, TrainConfig())
+        with pytest.raises(ValueError, match="^feature width 2 does not match model input width 3$"):
+            local_train(params, narrow, TrainConfig())
+
+    def test_seed_count_must_match_shards(self):
+        shard = make_dataset(np.ones((4, 3)), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="1 seeds for 2 shards"):
+            local_train_many(init_params((3, 1), seed=0), [shard, shard], TrainConfig(), [0])
 
 
 class TestEvaluate:
