@@ -51,7 +51,7 @@ submissions = {
                      TrainConfig(learning_rate=0.1, epochs=3, batch_size=32, seed=org))
     for org in range(4)
 }
-round_game = UtilityGame(0, w0, submissions, server_test)
+round_game = UtilityGame(w0, submissions, server_test)
 values = exact_shapley(round_game).values
 print("\nround contributions (loss improvement on the server test set):")
 for org, value in sorted(values.items()):

@@ -8,7 +8,7 @@ chain that pins every recorded field.
 
 from fedledger import export_chain, import_chain, validate_chain
 from fedledger.cli import ExperimentSpec, build_federation_config, synthetic_dataset
-from fedledger.federation import run_with_state
+from fedledger.federation import run
 
 spec = ExperimentSpec(
     synthetic_n=600, synthetic_features=8, synthetic_minority_fraction=0.1,
@@ -17,7 +17,7 @@ spec = ExperimentSpec(
     valuation="exact", accuracy_floor=0.0, seed=13, policies=("random",),
 )
 cfg = build_federation_config(spec, "random", spec.epochs, spec.batch_size)
-result, state = run_with_state(cfg, synthetic_dataset(spec))
+result, state = run(cfg, synthetic_dataset(spec))
 
 print(f"chain height: {len(state.chain)} (genesis + {len(result.reports)} rounds)")
 print(f"off-chain store holds {len(state.store)} blobs")

@@ -30,7 +30,7 @@ for policy in ("contribution", "random", "greedy"):
     for seed in range(3):
         spec = ExperimentSpec(**BASE, seed=seed, policies=(policy,))
         cfg = build_federation_config(spec, policy, spec.epochs, spec.batch_size)
-        result = run(cfg, synthetic_dataset(spec))
+        result, _ = run(cfg, synthetic_dataset(spec))
         final = result.reports[-1]
         rtts.append(result.rounds_to_threshold)
         finals.append(final.global_metrics.accuracy)

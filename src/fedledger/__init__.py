@@ -26,12 +26,9 @@ from .federation import (
     FederationConfig,
     RoundReport,
     RunResult,
-    ValidatorSettings,
-    ValuationSettings,
     init_round0,
     run,
     run_round,
-    run_with_state,
 )
 from .ledger import (
     Block,
@@ -66,6 +63,7 @@ from .selection import (
 )
 from .valuation import (
     AxiomReport,
+    CoalitionGame,
     FunctionGame,
     ShapleyResult,
     UtilityGame,

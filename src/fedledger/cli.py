@@ -26,13 +26,7 @@ import numpy as np
 
 from . import ledger as ledgermod
 from .data import CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, load_csv, standardize
-from .federation import (
-    FederationConfig,
-    RunResult,
-    ValidatorSettings,
-    ValuationSettings,
-    run_with_state,
-)
+from .federation import FederationAborted, FederationConfig, RunResult, run
 from .model import TrainConfig
 from .seeds import derive_seed
 from .selection import SelectionPolicy
@@ -299,16 +293,13 @@ def build_federation_config(
         num_orgs=spec.num_orgs,
         rounds=spec.rounds,
         smote=smote_cfg,
-        valuation=_checked(
-            "valuation / tmc_truncation_tol / tmc_max_permutations",
-            ValuationSettings,
-            method=spec.valuation,
-            truncation_tol=spec.tmc_truncation_tol,
-            max_permutations=spec.tmc_max_permutations,
-            convergence_tol=spec.tmc_convergence_tol,
-        ),
+        valuation=spec.valuation,
+        tmc_truncation_tol=spec.tmc_truncation_tol,
+        tmc_max_permutations=spec.tmc_max_permutations,
+        tmc_convergence_tol=spec.tmc_convergence_tol,
         accuracy_target=spec.accuracy_target,
-        validators=ValidatorSettings(spec.validators, spec.accuracy_floor),
+        validators=spec.validators,
+        accuracy_floor=spec.accuracy_floor,
         master_seed=spec.seed,
         hidden_dims=spec.hidden_dims,
         partition_mode=spec.partition_mode,
@@ -360,7 +351,7 @@ def execute_job(args: tuple[ExperimentSpec, str, int, int]) -> dict[str, str]:
     spec, policy, epochs, batch_size = args
     dataset = load_experiment_data(spec)
     cfg = build_federation_config(spec, policy, epochs, batch_size)
-    result, state = run_with_state(cfg, dataset)
+    result, state = run(cfg, dataset)
     return {
         "tag": f"{policy}_e{epochs}_b{batch_size}",
         "rounds_csv": render_round_csv(spec, result),
@@ -501,6 +492,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FederationAborted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -38,33 +38,12 @@ class FederationAborted(RuntimeError):
         super().__init__(message)
         self.reports = reports
 
-
-@dataclass(frozen=True)
-class ValuationSettings:
-    method: str = "tmc"  # "exact" | "tmc" | "off"
-    truncation_tol: float = 1e-4
-    max_permutations: int = 200
-    convergence_tol: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.method not in ("exact", "tmc", "off"):
-            raise ValueError(f"unknown valuation method {self.method!r}")
-        if self.truncation_tol < 0:
-            raise ValueError("truncation_tol must be non-negative")
-        if self.max_permutations < 1:
-            raise ValueError("max_permutations must be at least 1")
+    def __reduce__(self):
+        # rebuilt from both arguments, so it crosses a process pool intact
+        return type(self), (str(self), self.reports)
 
 
-@dataclass(frozen=True)
-class ValidatorSettings:
-    count: int = 3
-    accuracy_floor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.count < 1 or self.count % 2 == 0:
-            raise ValueError("the number of validators must be odd so majority is defined")
-        if not 0.0 <= self.accuracy_floor <= 1.0:
-            raise ValueError("accuracy_floor must lie in [0, 1]")
+VALUATION_METHODS = ("exact", "tmc", "off")
 
 
 @dataclass(frozen=True)
@@ -74,9 +53,14 @@ class FederationConfig:
     num_orgs: int = 30
     rounds: int = 100
     smote: SmoteConfig | None = None
-    valuation: ValuationSettings = ValuationSettings()
+    valuation: str = "tmc"
+    tmc_truncation_tol: float = 1e-4
+    tmc_max_permutations: int = 200
+    tmc_convergence_tol: float = 1e-3
     accuracy_target: float | None = None
-    validators: ValidatorSettings = ValidatorSettings()
+    # an odd count, so that a strict majority of validators is defined
+    validators: int = 3
+    accuracy_floor: float = 0.5
     master_seed: int = 0
     hidden_dims: tuple[int, ...] = (16,)
     partition_mode: str = "iid"
@@ -94,8 +78,19 @@ class FederationConfig:
             raise ValueError("rounds must be positive")
         if self.policy.k > self.num_orgs:
             raise ValueError("clients per round (policy.k) cannot exceed num_orgs")
+        if self.valuation not in VALUATION_METHODS:
+            raise ValueError(
+                f"valuation must be one of {VALUATION_METHODS}, got {self.valuation!r}")
+        if self.tmc_truncation_tol < 0:
+            raise ValueError("tmc_truncation_tol must be non-negative")
+        if self.tmc_max_permutations < 1:
+            raise ValueError("tmc_max_permutations must be at least 1")
         if self.accuracy_target is not None and not 0.0 <= self.accuracy_target < 1.0:
             raise ValueError("accuracy_target must lie in [0, 1)")
+        if self.validators < 1 or self.validators % 2 == 0:
+            raise ValueError("validators must be odd so majority is defined")
+        if not 0.0 <= self.accuracy_floor <= 1.0:
+            raise ValueError("accuracy_floor must lie in [0, 1]")
         if not 0 <= self.label_noise_orgs <= self.num_orgs:
             raise ValueError("label_noise_orgs must lie in [0, num_orgs]")
         if not 0.0 <= self.label_noise <= 1.0:
@@ -108,7 +103,7 @@ class FederationConfig:
             PartitionPlan(self.num_orgs, self.partition_mode, self.partition_skew)
         except ValueError as exc:
             raise ValueError(f"partition_mode / partition_skew: {exc}") from exc
-        if self.valuation.method == "exact" and self.policy.k > valmod.EXACT_MAX_PLAYERS:
+        if self.valuation == "exact" and self.policy.k > valmod.EXACT_MAX_PLAYERS:
             raise valmod.CapacityError(
                 f"valuation exact allows at most {valmod.EXACT_MAX_PLAYERS} clients "
                 f"per round (policy.k), got {self.policy.k}; use tmc")
@@ -182,11 +177,11 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
     ms = cfg.master_seed
     train, server_test = datamod.split(dataset, TRAIN_FRACTION, derive_seed(ms, "split"))
     validator_shards = datamod.stratified_parts(
-        server_test, cfg.validators.count, derive_seed(ms, "panel")
+        server_test, cfg.validators, derive_seed(ms, "panel")
     )
     if any(len(shard) == 0 for shard in validator_shards):
         raise datamod.DataError(
-            f"validators = {cfg.validators.count} leaves some validators no test rows: "
+            f"validators = {cfg.validators} leaves some validators no test rows: "
             f"the server test set has {len(server_test)} rows "
             f"({' + '.join(map(str, server_test.class_counts()))} by class)"
         )
@@ -216,11 +211,11 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
     dims = (train.schema_width, *cfg.hidden_dims, 1)
     w0 = modelmod.init_params(dims, derive_seed(ms, "init"))
 
-    validator_ids = tuple(range(cfg.validators.count))
+    validator_ids = tuple(range(cfg.validators))
     panel = ValidatorPanel(
         validator_ids,
         dict(zip(validator_ids, validator_shards)),
-        cfg.validators.accuracy_floor,
+        cfg.accuracy_floor,
     )
 
     store = ContentStore()
@@ -243,7 +238,7 @@ def _select(state: FederationState, t: int) -> tuple[set[int], dict[int, ModelPa
         scores = {org: state.contributions.get(org, 0.0) for org in orgs}
         return selmod.select_by_contribution(scores, cfg.policy.k, t, cfg.policy), {}
     candidates = state.train_round(t, orgs)
-    game = UtilityGame(t, state.global_params, candidates, state.server_test)
+    game = UtilityGame(state.global_params, candidates, state.server_test)
     return selmod.select_greedy(game, cfg.policy.k), candidates
 
 
@@ -308,8 +303,8 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
             candidate = state.global_params  # nothing verified: carry forward
         candidates[vid] = replace(candidate, version=t + 1)
 
-    winner_digest, new_global = ledgermod.majority_global(state.panel, candidates, state.store)
-    votes = {vid: ledgermod.params_digest(candidates[vid]) for vid in state.panel.validators}
+    winner_digest, new_global, votes = ledgermod.majority_global(
+        state.panel, candidates, state.store)
     winning_orgs = next(
         verified_by_validator[vid]
         for vid in state.panel.validators
@@ -317,20 +312,20 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
     )
 
     shapley = None
-    if cfg.valuation.method != "off" and winning_orgs:
+    if cfg.valuation != "off" and winning_orgs:
         game = UtilityGame(
-            t, state.global_params,
+            state.global_params,
             {org: submissions[org] for org in winning_orgs},
             state.server_test,
         )
-        if cfg.valuation.method == "exact":
+        if cfg.valuation == "exact":
             shapley = valmod.exact_shapley(game)
         else:
             shapley = valmod.tmc_shapley(
                 game,
-                truncation_tol=cfg.valuation.truncation_tol,
-                max_permutations=cfg.valuation.max_permutations,
-                convergence_tol=cfg.valuation.convergence_tol,
+                truncation_tol=cfg.tmc_truncation_tol,
+                max_permutations=cfg.tmc_max_permutations,
+                convergence_tol=cfg.tmc_convergence_tol,
                 seed=derive_seed(cfg.master_seed, "tmc", t),
             )
         for org, value in shapley.values.items():
@@ -377,7 +372,7 @@ def rounds_to_threshold(reports: list[RoundReport]) -> int | None:
     return None
 
 
-def run_with_state(cfg: FederationConfig, dataset: Dataset) -> tuple[RunResult, FederationState]:
+def run(cfg: FederationConfig, dataset: Dataset) -> tuple[RunResult, FederationState]:
     """Iterate rounds until the accuracy target is met or rounds run out.
 
     Returns the result plus the final state, whose chain and store back the
@@ -404,6 +399,3 @@ def run_with_state(cfg: FederationConfig, dataset: Dataset) -> tuple[RunResult, 
     )
     return result, state
 
-
-def run(cfg: FederationConfig, dataset: Dataset) -> RunResult:
-    return run_with_state(cfg, dataset)[0]

@@ -181,14 +181,15 @@ def majority_global(
     panel: ValidatorPanel,
     candidates: dict[int, ModelParams],
     store: ContentStore,
-) -> tuple[bytes, ModelParams]:
+) -> tuple[bytes, ModelParams, dict[int, bytes]]:
     """Pick the candidate aggregate held by a strict majority of validators.
 
     Every validator submits the model it aggregated from the updates it
     verified; identical aggregations hash identically, so honest validators
     converge on one digest. The winner's payload is stored off-chain;
     losing candidates are the round's faulty updates. No strict majority
-    raises ConsensusError.
+    raises ConsensusError. Returns the winning digest, its model and every
+    validator's vote (the digest of its candidate).
     """
     if set(candidates) != set(panel.validators):
         raise ValueError("need exactly one candidate per validator")
@@ -206,7 +207,7 @@ def majority_global(
         candidates[vid] for vid in panel.validators if votes[vid] == winner
     )
     store.put(serialize_params(winner_params))
-    return winner, winner_params
+    return winner, winner_params, votes
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,17 +34,6 @@ class CapacityError(ValueError):
     """Player count too large for an enumeration-based routine."""
 
 
-class CoalitionGame(Protocol):
-    """Anything with an ordered player tuple and a cached utility function."""
-
-    @property
-    def players(self) -> tuple[int, ...]: ...
-
-    def utility(self, coalition: Iterable[int]) -> float: ...
-
-    def utilities(self, coalitions: Iterable[Iterable[int]]) -> np.ndarray: ...
-
-
 def _bits(mask: int) -> list[int]:
     """Positions of the set bits of mask, lowest first."""
     out = []
@@ -55,12 +44,14 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-class _GameBase:
-    """Bitmask-keyed utility cache shared by the concrete game types.
+class CoalitionGame:
+    """A cooperative game over an ordered player tuple, with a utility cache.
 
-    Entries are write-once: utility is a pure function of the coalition, so
-    a cached value never changes. Misses are computed by _evaluate_masks,
-    which by default evaluates them one by one.
+    Coalitions are keyed by bitmask over the sorted players (bit i is the
+    i-th player) and the empty coalition is worth 0. Entries are write-once:
+    utility is a pure function of the coalition, so a cached value never
+    changes. A subclass calls _init_players and implements _evaluate_masks,
+    which computes the misses.
     """
 
     _players: tuple[int, ...]
@@ -115,14 +106,11 @@ class _GameBase:
             yield from map(self._cache.__getitem__, batch)
 
     def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
-        """(mask, utility) for each of at most _batch uncached masks."""
-        return [(mask, self._evaluate(mask)) for mask in masks]
-
-    def _evaluate(self, mask: int) -> float:
+        """(mask, utility) for each of at most _batch uncached, non-empty masks."""
         raise NotImplementedError
 
 
-class UtilityGame(_GameBase):
+class UtilityGame(CoalitionGame):
     """Loss-improvement game over one round's submitted local models.
 
     utility(S) = L(prior_global, server_test) - L(mean of S's models,
@@ -136,12 +124,10 @@ class UtilityGame(_GameBase):
 
     def __init__(
         self,
-        round_index: int,
         prior_global: ModelParams,
         submissions: dict[int, ModelParams],
         server_test: Dataset,
     ) -> None:
-        self.round_index = round_index
         self.prior_global = prior_global
         self.submissions = dict(submissions)
         self.server_test = server_test
@@ -182,33 +168,34 @@ class UtilityGame(_GameBase):
         return means
 
 
-class FunctionGame(_GameBase):
+class FunctionGame(CoalitionGame):
     """Game defined by an arbitrary characteristic function, for experiments."""
 
     def __init__(self, players: Iterable[int], fn: Callable[[frozenset], float]) -> None:
         self._fn = fn
         self._init_players(players)
 
-    def _evaluate(self, mask: int) -> float:
-        coalition = frozenset(
-            p for p in self._players if mask & self._bit[p]
-        )
-        return float(self._fn(coalition))
+    def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
+        """fn of each coalition, one call per mask, in order."""
+        players = self._players
+        return [(mask, float(self._fn(frozenset(players[i] for i in _bits(mask)))))
+                for mask in masks]
 
 
-class SumGame(_GameBase):
+class SumGame(CoalitionGame):
     """Pointwise sum of two games over the same players."""
 
     def __init__(self, a: CoalitionGame, b: CoalitionGame) -> None:
-        if tuple(a.players) != tuple(b.players):
+        if a.players != b.players:
             raise ValueError("summed games must share the same players")
         self._a = a
         self._b = b
         self._init_players(a.players)
 
-    def _evaluate(self, mask: int) -> float:
-        coalition = [p for p in self._players if mask & self._bit[p]]
-        return self._a.utility(coalition) + self._b.utility(coalition)
+    def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
+        # both games sort the same players, so a mask names one coalition in each
+        sums = self._a._mask_utilities(masks) + self._b._mask_utilities(masks)
+        return zip(masks, sums.tolist())
 
 
 @dataclass(frozen=True)
@@ -219,19 +206,14 @@ class ShapleyResult:
     stderr: dict[int, float] | None = None
 
 
-def _utility_table(game: _GameBase, n: int) -> np.ndarray:
-    """Utility of every coalition, indexed by player bitmask, from one call."""
-    return game._mask_utilities(range(1 << n))
-
-
-def exact_shapley(game: _GameBase) -> ShapleyResult:
+def exact_shapley(game: CoalitionGame) -> ShapleyResult:
     """Exact Shapley values by enumeration of all 2^N coalitions.
 
     v_i = (1/N) * sum over S not containing i of
           [U(S + i) - U(S)] / C(N-1, |S|),
     the classical permutation-average form, so the values always sum to the
-    utility of the grand coalition. The game must be one of this module's
-    games (a _GameBase): the table is read through its mask-level entry.
+    utility of the grand coalition. The table of all 2^N utilities is read
+    in one mask-level pass.
     """
     players = game.players
     n = len(players)
@@ -241,7 +223,7 @@ def exact_shapley(game: _GameBase) -> ShapleyResult:
         )
     if n == 0:
         return ShapleyResult({}, 0, "exact")
-    table = _utility_table(game, n)
+    table = game._mask_utilities(range(1 << n))  # indexed by coalition mask
     masks = np.arange(1 << n, dtype=np.uint64)
     sizes = np.bitwise_count(masks).astype(np.int64)
     inv_binom = np.array([1.0 / math.comb(n - 1, s) for s in range(n)])
@@ -350,10 +332,10 @@ class AxiomReport:
 
 
 def check_axioms(
-    game: _GameBase,
+    game: CoalitionGame,
     result: ShapleyResult,
     tol: float = 1e-9,
-    additivity_game: _GameBase | None = None,
+    additivity_game: CoalitionGame | None = None,
 ) -> AxiomReport:
     """Verify the Shapley axioms on an exact result by full coalition scans.
 
@@ -363,8 +345,7 @@ def check_axioms(
     solo utility (the classical zero-marginal dummy is the solo-utility-0
     special case; witnesses record which kind was found). Additivity: the
     values of the sum game must equal the per-player sums, checked against
-    a caller-supplied second game. Like exact_shapley, both games must be
-    this module's games (a _GameBase).
+    a caller-supplied second game.
     """
     players = game.players
     n = len(players)
@@ -372,7 +353,7 @@ def check_axioms(
         raise CapacityError(f"axiom scans are exponential; {n} players > 12")
     if result.method != "exact":
         raise ValueError("check_axioms requires an exact_shapley result")
-    table = _utility_table(game, n)
+    table = game._mask_utilities(range(1 << n))  # indexed by coalition mask
     values = result.values
 
     symmetric_pairs: list[tuple[int, int]] = []

@@ -228,8 +228,6 @@ def test_criterion_5_fedavg_equivalences():
     # (a) a single-org federation reproduces plain local SGD bit-for-bit
     from fedledger.federation import (
         FederationConfig,
-        ValidatorSettings,
-        ValuationSettings,
         init_round0,
         run_round,
     )
@@ -245,8 +243,9 @@ def test_criterion_5_fedavg_equivalences():
         train=TrainConfig(learning_rate=0.1, epochs=2, batch_size=16,
                           weight_decay=0.001, seed=0),
         num_orgs=1, rounds=3, smote=None,
-        valuation=ValuationSettings(method="off"),
-        validators=ValidatorSettings(count=3, accuracy_floor=0.0),
+        valuation="off",
+        validators=3,
+        accuracy_floor=0.0,
         master_seed=17, hidden_dims=(4,),
     )
     state = init_round0(cfg, data)
@@ -377,10 +376,8 @@ def test_criterion_7_ledger_integrity():
         learning_rate=0.1, epochs=1, batch_size=32, hidden_dims=(4,),
         valuation="exact", accuracy_floor=0.0, seed=9, policies=("random",),
     )
-    from fedledger.federation import run_with_state
-
     cfg = build_federation_config(spec, "random", 1, 32)
-    _, state = run_with_state(cfg, synthetic_dataset(spec))
+    _, state = run(cfg, synthetic_dataset(spec))
     chain = state.chain
     assert len(chain) == 11  # genesis + 10 rounds
     assert validate_chain(chain)
@@ -458,7 +455,7 @@ def paired_policy_runs():
         for policy in ("contribution", "random"):
             spec = ExperimentSpec(**COMPARISON, seed=seed, policies=(policy,))
             cfg = build_federation_config(spec, policy, spec.epochs, spec.batch_size)
-            result = run(cfg, synthetic_dataset(spec))
+            result, _ = run(cfg, synthetic_dataset(spec))
             final = result.reports[-1]
             per_policy[policy] = {
                 "rtt": result.rounds_to_threshold,
@@ -511,7 +508,7 @@ def test_criterion_10_epoch_and_batch_trends():
             policies=("random",),
         )
         cfg = build_federation_config(spec, "random", epochs, batch)
-        m = run(cfg, synthetic_dataset(spec)).reports[-1].global_metrics
+        m = run(cfg, synthetic_dataset(spec))[0].reports[-1].global_metrics
         return m.f1, m.accuracy
 
     seeds = (0, 1, 2)
@@ -547,7 +544,7 @@ def test_criterion_11_on_chain_economy():
             accuracy_floor=0.0, seed=4, policies=("random",),
         )
         cfg = build_federation_config(spec, "random", 1, 32)
-        reports = run(cfg, synthetic_dataset(spec)).reports
+        reports = run(cfg, synthetic_dataset(spec))[0].reports
         return (
             [r.bytes_on_chain for r in reports],
             [r.bytes_off_chain for r in reports],

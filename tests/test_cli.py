@@ -187,6 +187,9 @@ class TestConfigChecks:
         ("data = parquet", "data"),
         ("synthetic_minority_fraction = 0.7", "synthetic_minority_fraction"),
         ("data = csv\ncsv_path = nowhere.csv", "csv_path"),
+        ("tmc_truncation_tol = -1", "tmc_truncation_tol"),
+        ("tmc_max_permutations = 0", "tmc_max_permutations"),
+        ("accuracy_floor = 1.5", "accuracy_floor"),
     ])
     def test_run_refuses_before_writing(self, tmp_path, capsys, text, key):
         conf = tmp_path / "bad.conf"
@@ -442,4 +445,25 @@ class TestDataChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "header mismatch" in err and "two.csv" in err
+        assert not out.exists()
+
+
+class TestAbortedRun:
+    # one full-batch step per epoch leaves the updates near the accuracy
+    # floor, which each validator's shard then splits differently: three
+    # distinct aggregates, so round 0 fails consensus on both attempts
+    @pytest.mark.parametrize("policies, flags", [
+        ("random", ()),
+        ("random, contribution", ("--parallel",)),
+    ])
+    def test_exits_1_without_output(self, tmp_path, capsys, policies, flags):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"rounds = 3\npolicies = {policies}\n")
+        out = tmp_path / "res"
+        argv = ["run", "--config", str(conf), "--out", str(out),
+                "--epochs", "5", "--batch", "10000000", *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: round 0: consensus failed twice: ")
+        assert err.count("\n") == 1
         assert not out.exists()

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,9 @@ from fedledger.cli import ExperimentSpec, build_federation_config, synthetic_dat
 from fedledger.data import SmoteConfig
 from fedledger.federation import (
     FederationConfig,
-    ValidatorSettings,
-    ValuationSettings,
     init_round0,
     run,
     run_round,
-    run_with_state,
 )
 from fedledger.model import ModelParams, TrainConfig
 from fedledger.seeds import derive_seed
@@ -39,8 +38,9 @@ def small_config(**kwargs):
         num_orgs=4,
         rounds=3,
         smote=None,
-        valuation=ValuationSettings(method="exact"),
-        validators=ValidatorSettings(count=3, accuracy_floor=0.0),
+        valuation="exact",
+        validators=3,
+        accuracy_floor=0.0,
         master_seed=11,
         hidden_dims=(4,),
     )
@@ -125,7 +125,7 @@ class TestRunRound:
         # two orgs holding byte-identical data submit byte-identical models
         data = small_dataset(n=200)
         cfg = small_config(num_orgs=2, policy=SelectionPolicy("random", k=2, seed=0),
-                           valuation=ValuationSettings(method="off"))
+                           valuation="off")
         state = init_round0(cfg, data)
         state.shards[1] = state.shards[0]
 
@@ -150,7 +150,7 @@ class TestRunRound:
     def test_nan_submission_excluded_from_aggregate(self, monkeypatch):
         data = small_dataset()
         cfg = small_config(num_orgs=3, policy=SelectionPolicy("random", k=3, seed=0),
-                           valuation=ValuationSettings(method="off"))
+                           valuation="off")
         state = init_round0(cfg, data)
         honest = state.train_round(0, range(3))
 
@@ -202,22 +202,31 @@ class TestRunRound:
             run_round(state, 1)
         assert len(excinfo.value.reports) == 1  # round 0 retained
 
+    def test_abort_survives_pickling(self):
+        # worker processes hand the exception back to the parent pickled
+        state = init_round0(small_config(), small_dataset())
+        run_round(state, 0)
+        exc = fed.FederationAborted("round 1: consensus failed twice", state.reports)
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is fed.FederationAborted
+        assert str(copy) == str(exc)
+        assert copy.reports == state.reports
+
 
 class TestRun:
     def test_single_round_run(self):
-        result = run(small_config(rounds=1), small_dataset())
+        result, _ = run(small_config(rounds=1), small_dataset())
         assert len(result.reports) == 1
         assert result.rounds_to_threshold == 1
 
     def test_zero_accuracy_target_stops_after_first_round(self):
-        result = run(small_config(rounds=50, accuracy_target=0.0), small_dataset())
+        result, _ = run(small_config(rounds=50, accuracy_target=0.0), small_dataset())
         assert len(result.reports) == 1
 
     def test_full_determinism(self):
-        cfg = small_config(valuation=ValuationSettings(method="tmc",
-                                                       max_permutations=20))
-        a, state_a = run_with_state(cfg, small_dataset())
-        b, state_b = run_with_state(cfg, small_dataset())
+        cfg = small_config(valuation="tmc", tmc_max_permutations=20)
+        a, state_a = run(cfg, small_dataset())
+        b, state_b = run(cfg, small_dataset())
         assert ledgermod.export_chain(state_a.chain) == ledgermod.export_chain(state_b.chain)
         for ra, rb in zip(a.reports, b.reports):
             assert ra.global_metrics == rb.global_metrics
@@ -228,15 +237,15 @@ class TestRun:
 
     def test_final_digest_reproduces_final_metrics(self):
         cfg = small_config()
-        result, state = run_with_state(cfg, small_dataset())
+        result, state = run(cfg, small_dataset())
         payload = state.store.get(result.final_model_digest)
         reloaded = ledgermod.deserialize_params(payload)
         metrics = modelmod.evaluate(reloaded, state.server_test, cfg.threshold)
         assert metrics == result.reports[-1].global_metrics
 
     def test_chain_validates_and_contributions_accumulate(self):
-        cfg = small_config(valuation=ValuationSettings(method="exact"))
-        result, state = run_with_state(cfg, small_dataset())
+        cfg = small_config(valuation="exact")
+        result, state = run(cfg, small_dataset())
         assert ledgermod.validate_chain(state.chain)
         per_round_totals = {}
         for block in state.chain[1:]:
@@ -251,8 +260,8 @@ class TestRun:
         cfg_random = small_config(policy=SelectionPolicy("random", k=2, seed=0),
                                   rounds=1)
         data = small_dataset()
-        greedy_report = run(cfg_greedy, data).reports[0]
-        random_report = run(cfg_random, data).reports[0]
+        greedy_report = run(cfg_greedy, data)[0].reports[0]
+        random_report = run(cfg_random, data)[0].reports[0]
         assert len(greedy_report.selected) == 2
         # all 4 orgs submit candidates under greedy; only the 2 selected otherwise
         assert greedy_report.bytes_on_chain == 5 * ledgermod.TX_WIRE_BYTES
@@ -261,8 +270,8 @@ class TestRun:
 
     def test_on_chain_bytes_independent_of_model_width(self):
         data = small_dataset()
-        narrow = run(small_config(hidden_dims=(4,), rounds=2), data)
-        wide = run(small_config(hidden_dims=(40,), rounds=2), data)
+        narrow, _ = run(small_config(hidden_dims=(4,), rounds=2), data)
+        wide, _ = run(small_config(hidden_dims=(40,), rounds=2), data)
         for rn, rw in zip(narrow.reports, wide.reports):
             assert rn.bytes_on_chain == rw.bytes_on_chain
             assert rw.bytes_off_chain > 9 * rn.bytes_off_chain
@@ -272,7 +281,7 @@ class TestRun:
             policy=SelectionPolicy("contribution", k=2, exploration_period=2, seed=3),
             rounds=4,
         )
-        result = run(cfg, small_dataset())
+        result, _ = run(cfg, small_dataset())
         assert len(result.reports) == 4
         assert set(result.contributions)  # some orgs accrued scores
 
@@ -282,5 +291,5 @@ class TestRun:
         data = small_dataset(separation=4.0)
         state = init_round0(cfg, data)
         initial = modelmod.evaluate(state.global_params, state.server_test).accuracy
-        result = run(cfg, data)
+        result, _ = run(cfg, data)
         assert result.reports[-1].global_metrics.accuracy >= initial

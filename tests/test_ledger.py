@@ -159,7 +159,7 @@ class TestMajorityGlobal:
         store = ContentStore()
         panel = simple_panel()
         m = init_params((2, 1), seed=1)
-        digest, winner = majority_global(panel, {0: m, 1: m, 2: m}, store)
+        digest, winner, _ = majority_global(panel, {0: m, 1: m, 2: m}, store)
         assert digest == params_digest(m)
         assert np.array_equal(winner.weights, m.weights)
         assert digest in store
@@ -169,8 +169,9 @@ class TestMajorityGlobal:
         panel = simple_panel()
         a = init_params((2, 1), seed=1)
         b = init_params((2, 1), seed=2)
-        digest, winner = majority_global(panel, {0: a, 1: a, 2: b}, store)
+        digest, winner, votes = majority_global(panel, {0: a, 1: a, 2: b}, store)
         assert digest == params_digest(a)
+        assert votes == {0: digest, 1: digest, 2: params_digest(b)}
 
     def test_three_way_split_fails(self):
         store = ContentStore()

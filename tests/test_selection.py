@@ -156,7 +156,7 @@ def model_game(seed, twin_of_best=False, nan_org=None):
                 for org in submissions}
         best = max(solo, key=lambda org: (solo[org], -org))
         submissions[1] = ModelParams(dims, submissions[best].weights.copy())
-    return UtilityGame(0, prior, submissions, server_test)
+    return UtilityGame(prior, submissions, server_test)
 
 
 def scalar_utility(prior, submissions, server_test, coalition):

@@ -74,14 +74,14 @@ def small_model_game():
         1: logistic([0.8, -0.2], 0.1),
         2: logistic([-0.1, 0.4], -0.3),
     }
-    return UtilityGame(0, prior, submissions, server_test)
+    return UtilityGame(prior, submissions, server_test)
 
 
 class TestUtility:
     def test_no_progress_client_scores_zero(self, small_model_game):
         base = small_model_game
         submissions = {**base.submissions, 3: base.prior_global}
-        game = UtilityGame(0, base.prior_global, submissions, base.server_test)
+        game = UtilityGame(base.prior_global, submissions, base.server_test)
         assert game.utility([3]) == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_coalition_zero(self, small_model_game):
@@ -165,13 +165,13 @@ class TestExactShapley:
         base = small_model_game
         twin = ModelParams(base.submissions[1].layer_dims,
                            base.submissions[1].weights.copy())
-        game = UtilityGame(0, base.prior_global,
+        game = UtilityGame(base.prior_global,
                            {1: base.submissions[1], 2: twin, 3: base.submissions[2]},
                            base.server_test)
         res = exact_shapley(game)
         assert res.values[1] == pytest.approx(res.values[2], abs=1e-12)
         # relabeling the twins swaps assignments but not the value multiset
-        relabeled = UtilityGame(0, base.prior_global,
+        relabeled = UtilityGame(base.prior_global,
                                 {2: base.submissions[1], 1: twin,
                                  3: base.submissions[2]},
                                 base.server_test)
@@ -324,7 +324,7 @@ def model_game(hidden_dims, n_test, players, seed):
         p: ModelParams(dims, prior.weights + rng.normal(scale=0.4, size=size))
         for p in players
     }
-    return UtilityGame(0, prior, submissions, server_test)
+    return UtilityGame(prior, submissions, server_test)
 
 
 def per_coalition_oracle(game, coalition):
