@@ -291,11 +291,10 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
     # each validator independently verifies and aggregates the selected updates
     verified_by_validator: dict[int, list[int]] = {}
     candidates: dict[int, ModelParams] = {}
+    selected_txs = [tx_by_org[org] for org in sorted(selected)]
     for vid in state.panel.validators:
-        accepted = [
-            org for org in sorted(selected)
-            if ledgermod.verify_local_update(state.panel, vid, tx_by_org[org], state.store)
-        ]
+        outcomes = ledgermod.verify_local_updates(state.panel, vid, selected_txs, state.store)
+        accepted = [tx.org_id for tx, ok in zip(selected_txs, outcomes) if ok]
         verified_by_validator[vid] = accepted
         if accepted:
             candidate = modelmod.average([submissions[org] for org in accepted])
@@ -343,11 +342,9 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
     state.global_params = new_global
 
     global_metrics = modelmod.evaluate(new_global, state.server_test, cfg.threshold)
-    per_org = {
-        org: modelmod.evaluate(new_global, state.raw_shards[org], cfg.threshold)
-        for org in range(cfg.num_orgs)
-        if len(state.raw_shards[org])
-    }
+    holding = [org for org in range(cfg.num_orgs) if len(state.raw_shards[org])]
+    per_org = dict(zip(holding, modelmod.evaluate_many(
+        new_global, [state.raw_shards[org] for org in holding], cfg.threshold)))
     return RoundReport(
         round_index=t,
         selected=frozenset(selected),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -155,26 +156,67 @@ def verify_local_update(
 ) -> VerificationOutcome:
     """One validator's accept/reject on a submitted local model.
 
-    Accepts iff the payload resolves, deserializes to finite weights, and
-    scores at or above the panel's accuracy floor on this validator's shard.
+    Accepts iff the payload resolves, deserializes to finite weights of the
+    validator's feature width, and scores at or above the panel's accuracy
+    floor on this validator's shard. This is verify_local_updates() of one
+    transaction.
     """
-    try:
-        payload = store.get(tx.model_digest)
-    except (BlobNotFoundError, BlobCorruptionError) as exc:
-        return VerificationOutcome(False, f"payload unavailable: {exc}")
-    try:
-        params = deserialize_params(payload)
-    except ValueError as exc:
-        return VerificationOutcome(False, f"malformed payload: {exc}")
-    if not np.isfinite(params.weights).all():
-        return VerificationOutcome(False, "malformed payload: non-finite weights")
-    metrics = model.evaluate(params, panel.test_shards[validator_id])
-    if metrics.accuracy < panel.accuracy_floor:
-        return VerificationOutcome(
-            False,
-            f"accuracy {metrics.accuracy:.4f} below floor {panel.accuracy_floor:.4f}",
-        )
-    return VerificationOutcome(True)
+    return verify_local_updates(panel, validator_id, [tx], store)[0]
+
+
+def verify_local_updates(
+    panel: ValidatorPanel,
+    validator_id: int,
+    txs: Sequence[LocalUpdateTx],
+    store: ContentStore,
+) -> list[VerificationOutcome]:
+    """verify_local_update() of each transaction, in order.
+
+    Each payload is resolved, deserialized and checked for finite weights and
+    the shard's feature width on its own. The models that pass are scored
+    together: one stacked forward pass over the validator's shard per
+    architecture (layer_dims), whose accuracies are bit for bit
+    model.evaluate's; its memory grows with len(txs) * len(shard) * the
+    widest layer.
+    """
+    shard = panel.test_shards[validator_id]
+    outcomes: list[VerificationOutcome | None] = []
+    # layer_dims -> (positions in txs, weight vectors) of the models to score
+    scored: dict[tuple[int, ...], tuple[list[int], list[np.ndarray]]] = {}
+    for tx in txs:
+        try:
+            payload = store.get(tx.model_digest)
+        except (BlobNotFoundError, BlobCorruptionError) as exc:
+            outcomes.append(VerificationOutcome(False, f"payload unavailable: {exc}"))
+            continue
+        try:
+            params = deserialize_params(payload)
+        except ValueError as exc:
+            outcomes.append(VerificationOutcome(False, f"malformed payload: {exc}"))
+            continue
+        if not np.isfinite(params.weights).all():
+            outcomes.append(VerificationOutcome(False, "malformed payload: non-finite weights"))
+            continue
+        if params.input_width != shard.schema_width:
+            outcomes.append(VerificationOutcome(
+                False,
+                f"malformed payload: feature width {shard.schema_width} does not "
+                f"match model input width {params.input_width}",
+            ))
+            continue
+        positions, weights = scored.setdefault(params.layer_dims, ([], []))
+        positions.append(len(outcomes))
+        weights.append(params.weights)
+        outcomes.append(None)
+    floor = panel.accuracy_floor
+    for dims, (positions, weights) in scored.items():
+        accuracies = model.stacked_accuracy(dims, np.array(weights), shard)
+        for i, accuracy in zip(positions, accuracies.tolist()):
+            outcomes[i] = (
+                VerificationOutcome(False, f"accuracy {accuracy:.4f} below floor {floor:.4f}")
+                if accuracy < floor else VerificationOutcome(True)
+            )
+    return outcomes
 
 
 def majority_global(

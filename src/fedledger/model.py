@@ -133,9 +133,10 @@ def _forward(
 
     x is (n, din). With stacked layers from _layer_views, every model of the
     stack runs on the same x, or model i on its own rows x[i] when x is
-    (m, n, din): activations are (..., n, width) and probabilities (..., n).
-    A stacked matmul computes each model's slice with the same BLAS call as a
-    single model, so each slice is bit for bit what that model alone gives.
+    (m, n, din); one model's layers run on each x[j] of a stacked (g, n, din).
+    Activations are (..., n, width) and probabilities (..., n). A stacked
+    matmul computes each slice with the same BLAS call as a single model on
+    a single x, so each slice is bit for bit what that pair alone gives.
     The bias add and ReLU write into the product.
     """
     activations = [x]
@@ -178,9 +179,16 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
 def _bce(probs: np.ndarray, labels: np.ndarray) -> np.floating | np.ndarray:
     """Mean BCE over the last axis: a scalar for (n,) probabilities, one value
     per model for (..., n). Each row is averaged by the same pairwise sum as
-    a single (n,) vector."""
+    a single (n,) vector.
+
+    One log per row: the log of the probability given to the true label.
+    For finite probabilities this is bit for bit the two-log form
+    -mean(y*log(p) + (1-y)*log(1-p)): clamped away from 0 and 1, every log
+    is negative, and adding the other term's 0*log = -0.0 changes nothing.
+    """
     probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return -np.mean(labels * np.log(probs) + (1 - labels) * np.log(1.0 - probs), axis=-1)
+    log_true = np.log(np.where(labels == 1, probs, 1.0 - probs))
+    return -(log_true.sum(axis=-1) / labels.shape[-1])
 
 
 def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float:
@@ -196,13 +204,12 @@ def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float
     return float(bce)
 
 
-def stacked_loss(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
-    """loss() of many models of one architecture at once, one per row of `stack`.
+def _stacked_probs(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
+    """Probabilities (m, n) of the m models of `stack` on `data`, one stacked pass.
 
-    `stack` is (m, P): row i is the flat weight vector of model i. Entry i
-    of the result is bit for bit loss(ModelParams(layer_dims, stack[i]), data),
-    from one stacked forward pass; its memory grows with m * len(data) *
-    the widest layer, so callers bound m.
+    Row i is bit for bit predict_batch(ModelParams(layer_dims, stack[i]),
+    data.features); memory grows with m * len(data) * the widest layer, so
+    callers bound m.
     """
     dims = tuple(int(d) for d in layer_dims)
     if len(data) == 0:
@@ -220,7 +227,28 @@ def stacked_loss(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) ->
     # a stack of one runs unstacked: the same arithmetic, less per-call overhead
     flat = stack[0] if len(stack) == 1 else stack
     probs = _forward(_layer_views(dims, flat), data.features)[1]
-    return np.reshape(_bce(probs, data.labels), len(stack))
+    return probs.reshape(len(stack), len(data))
+
+
+def stacked_loss(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
+    """loss() of many models of one architecture at once, one per row of `stack`.
+
+    `stack` is (m, P): row i is the flat weight vector of model i. Entry i
+    of the result is bit for bit loss(ModelParams(layer_dims, stack[i]), data),
+    from one stacked forward pass; its memory grows with m * len(data) *
+    the widest layer, so callers bound m.
+    """
+    return _bce(_stacked_probs(layer_dims, stack, data), data.labels)
+
+
+def stacked_accuracy(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
+    """evaluate().accuracy of many models of one architecture at once.
+
+    Entry i is bit for bit evaluate(ModelParams(layer_dims, stack[i]),
+    data).accuracy, at its default threshold of 0.5, from one stacked forward
+    pass as in stacked_loss(); no loss is computed.
+    """
+    return _accuracy(_stacked_probs(layer_dims, stack, data) >= 0.5, data.labels.astype(bool))
 
 
 def _grad(
@@ -368,28 +396,77 @@ def local_train_many(
     return [ModelParams(dims, w, params.version + 1) for w in weights]
 
 
+def _accuracy(preds: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Share of matching entries over the last axis of boolean predictions and labels."""
+    return np.count_nonzero(preds == y, axis=-1) / preds.shape[-1]
+
+
+def _metrics(probs: np.ndarray, labels: np.ndarray, threshold: float) -> list[Metrics]:
+    """Metrics of each row of probs (g, n) against the same row of labels (g, n).
+
+    Fraud (label 1) is the positive class; precision and F1 fall back to 0
+    when their denominators vanish. Counts, accuracy and loss are taken over
+    the last axis, so row i is bit for bit what its (n,) vectors alone give.
+    """
+    preds = probs >= threshold
+    y = labels.astype(bool)
+    tp = np.count_nonzero(preds & y, axis=-1).tolist()
+    fp = np.count_nonzero(preds & ~y, axis=-1).tolist()
+    fn = np.count_nonzero(~preds & y, axis=-1).tolist()
+    out = []
+    rows = zip(_accuracy(preds, y).tolist(), _bce(probs, labels).tolist(), tp, fp, fn)
+    for accuracy, bce, tp_i, fp_i, fn_i in rows:
+        precision = tp_i / (tp_i + fp_i) if tp_i + fp_i else 0.0
+        recall = tp_i / (tp_i + fn_i) if tp_i + fn_i else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        out.append(Metrics(accuracy, bce, f1, precision))
+    return out
+
+
 def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metrics:
     """Thresholded classification metrics; fraud (label 1) is the positive class.
 
     Precision and F1 fall back to 0 when their denominators vanish. One
     forward pass serves both the thresholded metrics and the loss, which
-    equals loss(params, data).
+    equals loss(params, data). This is evaluate_many() of one dataset.
     """
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
+    return evaluate_many(params, [data], threshold)[0]
+
+
+def evaluate_many(
+    params: ModelParams, datasets: Sequence[Dataset], threshold: float = 0.5
+) -> list[Metrics]:
+    """evaluate() of one model on every dataset, entry i bit for bit
+    evaluate(params, datasets[i], threshold).
+
+    Datasets with equal row counts share one forward pass over their stacked
+    (g, n, width) features: each slice is the same BLAS call as that dataset
+    alone, as in _forward. A dataset alone at its row count runs unstacked.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    probs = predict_batch(params, data.features)
-    preds = probs >= threshold
-    y = data.labels.astype(bool)
-    tp = int(np.count_nonzero(preds & y))
-    fp = int(np.count_nonzero(preds & ~y))
-    fn = int(np.count_nonzero(~preds & y))
-    accuracy = float(np.count_nonzero(preds == y)) / len(data)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Metrics(accuracy, float(_bce(probs, data.labels)), f1, precision)
+    groups: dict[int, list[int]] = {}
+    for i, data in enumerate(datasets):
+        where = f"dataset {i}: " if len(datasets) > 1 else ""
+        if len(data) == 0:
+            raise ValueError(f"{where}dataset is empty")
+        if data.schema_width != params.input_width:
+            raise ValueError(
+                f"{where}feature width {data.schema_width} does not match "
+                f"model input width {params.input_width}"
+            )
+        groups.setdefault(len(data), []).append(i)
+    layers = _layers(params)
+    by_index: dict[int, Metrics] = {}
+    for n, members in groups.items():
+        if len(members) == 1:
+            x, y = datasets[members[0]].features, datasets[members[0]].labels
+        else:
+            x = np.stack([datasets[i].features for i in members])
+            y = np.stack([datasets[i].labels for i in members])
+        probs = _forward(layers, x)[1].reshape(len(members), n)
+        by_index.update(zip(members, _metrics(probs, y.reshape(len(members), n), threshold)))
+    return [by_index[i] for i in range(len(datasets))]
 
 
 def average(models: Sequence[ModelParams]) -> ModelParams:

@@ -34,16 +34,6 @@ class CapacityError(ValueError):
     """Player count too large for an enumeration-based routine."""
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class CoalitionGame:
     """A cooperative game over an ordered player tuple, with a utility cache.
 
@@ -156,15 +146,21 @@ class UtilityGame(CoalitionGame):
         fill one block of rows, one member position at a time.
         """
         weights = self._weights
+        # row i holds the bits of masks[i], lowest first, so that the nonzero
+        # columns of a row are its coalition's member positions in ascending order
+        width = (len(self._players) + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+        bits = np.unpackbits(packed.reshape(len(masks), width), axis=1, bitorder="little")
         means = np.zeros((len(masks), weights.shape[1]))
         start = 0
         for size, group in groupby(masks, key=int.bit_count):
-            members = np.array([_bits(mask) for mask in group])
-            block = means[start : start + len(members)]
+            count = len(list(group))
+            members = np.nonzero(bits[start : start + count])[1].reshape(count, size)
+            block = means[start : start + count]
             for position in members.T:
                 block += weights.take(position, axis=0)
             block /= size
-            start += len(members)
+            start += count
         return means
 
 
@@ -178,7 +174,8 @@ class FunctionGame(CoalitionGame):
     def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
         """fn of each coalition, one call per mask, in order."""
         players = self._players
-        return [(mask, float(self._fn(frozenset(players[i] for i in _bits(mask)))))
+        return [(mask, float(self._fn(
+                    frozenset(p for i, p in enumerate(players) if mask >> i & 1))))
                 for mask in masks]
 
 

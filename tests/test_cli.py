@@ -23,6 +23,7 @@ from fedledger.model import TrainConfig, evaluate, init_params, local_train
 from fedledger.valuation import EXACT_MAX_PLAYERS
 
 GOLDEN = Path(__file__).parent / "golden_rounds_toy.csv"
+GOLDEN_SUMMARY = Path(__file__).parent / "golden_summary_toy.csv"
 
 TOY = ExperimentSpec(
     synthetic_n=300,
@@ -268,6 +269,8 @@ class TestRunCommand:
         cmd_run(spec)
         got = (tmp_path / "res" / "rounds_random_e2_b16.csv").read_text()
         assert got == GOLDEN.read_text()
+        # the summary pins the per-org accuracy column too
+        assert (tmp_path / "res" / "summary.csv").read_text() == GOLDEN_SUMMARY.read_text()
 
     def test_greedy_policy_runs_end_to_end(self, tmp_path):
         spec = ExperimentSpec(**{

@@ -7,7 +7,7 @@ from fedledger import federation as fed
 from fedledger import ledger as ledgermod
 from fedledger import model as modelmod
 from fedledger.cli import ExperimentSpec, build_federation_config, synthetic_dataset
-from fedledger.data import SmoteConfig
+from fedledger.data import Dataset, SmoteConfig
 from fedledger.federation import (
     FederationConfig,
     init_round0,
@@ -166,6 +166,19 @@ class TestRunRound:
         assert np.array_equal(state.global_params.weights, expected.weights)
         # the rejected update is still recorded on-chain as a transaction
         assert len(state.chain[-1].txs) == 3
+
+    def test_per_org_metrics_equal_evaluate_per_shard(self):
+        state = init_round0(small_config(num_orgs=5), small_dataset())
+        raw = state.raw_shards
+        width = raw[0].schema_width
+        raw[1] = Dataset(np.empty((0, width)), np.empty(0, dtype=np.int64))
+        raw[3] = raw[3].subset(range(40))
+        sizes = [len(shard) for shard in raw]
+        assert sizes.count(sizes[0]) == 3 and len(set(sizes)) == 3
+        report = run_round(state, 0)
+        expected = {org: modelmod.evaluate(state.global_params, raw[org], 0.5)
+                    for org in (0, 2, 3, 4)}
+        assert report.per_org_metrics == expected  # org 1 holds nothing: skipped
 
     def test_round_order_enforced(self):
         data = small_dataset()

@@ -26,6 +26,7 @@ from fedledger.ledger import (
     serialize_params,
     validate_chain,
     verify_local_update,
+    verify_local_updates,
 )
 from fedledger.model import ModelParams, TrainConfig, init_params, local_train
 
@@ -152,6 +153,50 @@ class TestVerifyLocalUpdate:
         outcome = verify_local_update(simple_panel(), 0, tx, store)
         assert not outcome
         assert "unavailable" in outcome.reason
+
+    def test_wrong_input_width_rejected_as_malformed(self):
+        # a well-formed payload for 5 features, against 2-wide validator shards
+        store = ContentStore()
+        tx = self.submit(store, init_params((5, 4, 1), 1))
+        outcome = verify_local_update(simple_panel(), 0, tx, store)
+        assert not outcome
+        assert outcome.reason == (
+            "malformed payload: feature width 2 does not match model input width 5")
+
+    def test_batch_equals_one_by_one(self):
+        store = ContentStore()
+        panel = simple_panel(floor=0.5)
+        shard = balanced_shard(seed=0)
+        corrupt = self.submit(store, init_params((2, 1), seed=8), org=1)
+        store.blobs[corrupt.model_digest] = b"tampered"
+        nan_weights = np.zeros(3)
+        nan_weights[2] = np.nan
+        wide = init_params((2, 3, 1), seed=2)
+        txs = [
+            self.submit(store, trained_model(shard), org=0),  # accepted
+            corrupt,
+            LocalUpdateTx(0, 2, b"\x11" * 32, 100),  # missing blob
+            self.submit(store, trained_model(shard, flip_labels=True), org=3),  # below floor
+            self.submit(store, ModelParams((2, 1), nan_weights), org=4),
+            self.submit(store, init_params((5, 4, 1), 1), org=5),  # wrong width
+            self.submit(store, trained_model(shard, seed=1), org=6),  # accepted
+            self.submit(store, ModelParams(wide.layer_dims, wide.weights * 0.0), org=7),
+            self.submit(store, wide, org=8),  # a second architecture, its own stack
+        ]
+        for vid in panel.validators:
+            batch = verify_local_updates(panel, vid, txs, store)
+            singles = [verify_local_update(panel, vid, tx, store) for tx in txs]
+            assert batch == singles
+            reasons = [o.reason for o in batch]
+            assert batch[0] and batch[6]
+            assert reasons[1].startswith("payload unavailable: ") and "integrity" in reasons[1]
+            assert reasons[2].startswith("payload unavailable: ")
+            assert reasons[3].startswith("accuracy ")
+            assert reasons[3].endswith(" below floor 0.5000")
+            assert reasons[4] == "malformed payload: non-finite weights"
+            assert reasons[5] == (
+                "malformed payload: feature width 2 does not match model input width 5")
+        assert verify_local_updates(panel, 0, [], store) == []
 
 
 class TestMajorityGlobal:

@@ -1,16 +1,20 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from fedledger.data import Dataset
 from fedledger.model import (
+    PROB_FLOOR,
+    Metrics,
     ModelParams,
     TrainConfig,
+    _bce,
     _sigmoid,
     average,
     evaluate,
+    evaluate_many,
     gradient,
     init_params,
     local_train,
@@ -19,6 +23,7 @@ from fedledger.model import (
     param_count,
     predict,
     predict_batch,
+    stacked_accuracy,
 )
 
 
@@ -70,6 +75,33 @@ def subset_sgd(params, data, cfg):
             weights = weights - cfg.learning_rate * g
             current = ModelParams(params.layer_dims, weights, params.version)
     return weights
+
+
+def bits(values):
+    """uint64 view, so that equality is bit for bit (signed zeros, NaN payloads)."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def two_log_bce(probs, labels):
+    """The two-log BCE formula over the last axis; the oracle for _bce."""
+    probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return -np.mean(labels * np.log(probs) + (1 - labels) * np.log(1.0 - probs), axis=-1)
+
+
+def reference_metrics(params, data, threshold=0.5):
+    """Metrics of one model on one dataset from predict_batch and the two-log
+    BCE, one count at a time; the oracle for evaluate and evaluate_many."""
+    probs = predict_batch(params, data.features)
+    preds = probs >= threshold
+    y = data.labels.astype(bool)
+    tp = int(np.count_nonzero(preds & y))
+    fp = int(np.count_nonzero(preds & ~y))
+    fn = int(np.count_nonzero(~preds & y))
+    accuracy = float(np.count_nonzero(preds == y)) / len(data)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return Metrics(accuracy, float(two_log_bce(probs, data.labels)), f1, precision)
 
 
 class TestSigmoid:
@@ -397,6 +429,81 @@ class TestEvaluate:
         ds = make_dataset(rng.normal(size=(50, 4)) * 4.0, rng.integers(0, 2, size=50))
         params = init_params(dims, seed=3, scale=2.0)
         assert evaluate(params, ds).loss == loss(params, ds)
+
+
+class TestBce:
+    def test_bitwise_equal_to_two_log_form(self):
+        rng = np.random.default_rng(4)
+        edges = [0.0, 1.0, PROB_FLOOR, 1.0 - PROB_FLOOR, 1e-300, 1.0 - 1e-17, 0.5]
+        probs = np.concatenate([edges, edges, rng.random(50), rng.random(50) ** 40])
+        labels = np.concatenate([np.zeros(7), np.ones(7), rng.integers(0, 2, size=100)])
+        labels = labels.astype(np.int64)
+        np.testing.assert_array_equal(bits(_bce(probs, labels)),
+                                      bits(two_log_bce(probs, labels)))
+        # stacked: one value per row, each the same bits as that row alone
+        stack = np.stack([probs, probs[::-1], 1.0 - probs])
+        got = _bce(stack, labels)
+        assert got.shape == (3,)
+        np.testing.assert_array_equal(bits(got), bits(two_log_bce(stack, labels)))
+        np.testing.assert_array_equal(bits(got), bits([_bce(row, labels) for row in stack]))
+
+
+class TestEvaluateMany:
+    SIZES = (7, 12, 7, 1, 12, 7, 30)  # unequal, with repeats that share a pass
+
+    def datasets(self, seed, width=4):
+        rng = np.random.default_rng(seed)
+        return [make_dataset(rng.normal(size=(n, width)) * 3.0, rng.integers(0, 2, size=n))
+                for n in self.SIZES]
+
+    @pytest.mark.parametrize("dims", [(4, 1), (4, 3, 1), (4, 6, 2, 1)])
+    @pytest.mark.parametrize("threshold", [0.5, 0.3])
+    def test_bitwise_equal_to_evaluate_per_dataset(self, dims, threshold):
+        datasets = self.datasets(len(dims))
+        params = init_params(dims, seed=5, scale=1.5)
+        got = evaluate_many(params, datasets, threshold)
+        assert len(got) == len(datasets)
+        for metrics, data in zip(got, datasets):
+            expected = bits(astuple(reference_metrics(params, data, threshold)))
+            np.testing.assert_array_equal(bits(astuple(metrics)), expected)
+            np.testing.assert_array_equal(
+                bits(astuple(evaluate(params, data, threshold))), expected)
+
+    def test_no_datasets(self):
+        assert evaluate_many(init_params((4, 1), seed=0), []) == []
+
+    def test_errors_name_the_dataset(self):
+        params = init_params((4, 1), seed=0)
+        good = self.datasets(0)[0]
+        empty = make_dataset(np.empty((0, 4)), np.empty(0))
+        with pytest.raises(ValueError, match="^dataset 1: dataset is empty"):
+            evaluate_many(params, [good, empty])
+        narrow = make_dataset(np.ones((3, 2)), [0, 1, 0])
+        with pytest.raises(ValueError, match="^dataset 1: feature width 2 does not match"):
+            evaluate_many(params, [good, narrow])
+        with pytest.raises(ValueError, match="^dataset is empty"):
+            evaluate(params, empty)
+        with pytest.raises(ValueError, match="^feature width 2 does not match"):
+            evaluate(params, narrow)
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate_many(params, [good], threshold=1.0)
+
+
+class TestStackedAccuracy:
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("dims", [(4, 1), (4, 6, 2, 1)])
+    def test_equal_to_evaluate_per_model(self, count, dims):
+        rng = np.random.default_rng(count)
+        data = make_dataset(rng.normal(size=(23, 4)) * 3.0, rng.integers(0, 2, size=23))
+        stack = rng.uniform(-1.5, 1.5, size=(count, param_count(dims)))
+        got = stacked_accuracy(dims, stack, data)
+        expected = [reference_metrics(ModelParams(dims, w), data).accuracy for w in stack]
+        np.testing.assert_array_equal(bits(got), bits(expected))
+
+    def test_width_mismatch_rejected(self):
+        data = make_dataset(np.ones((3, 2)), [0, 1, 0])
+        with pytest.raises(ValueError, match="feature width 2 does not match"):
+            stacked_accuracy((4, 1), np.zeros((2, 5)), data)
 
 
 class TestShardAveraging:

@@ -370,6 +370,14 @@ class TestBatchedUtilities:
         np.testing.assert_array_equal(
             bits([game.utility(c) for c in coalitions]), bits(expected))
 
+    def test_masks_wider_than_64_bits(self):
+        players = tuple(range(0, 140, 2))  # 70 players: masks span nine bytes
+        game = model_game((3,), 5, players, seed=9)
+        coalitions = [[0], [138], [0, 138], [6, 128, 130, 136], list(players),
+                      players[::3], [126, 128], [2, 4]]
+        expected = [per_coalition_oracle(game, c) for c in coalitions]
+        np.testing.assert_array_equal(bits(game.utilities(coalitions)), bits(expected))
+
     def test_exact_shapley_equals_values_from_oracle_table(self):
         game = model_game((16,), 37, PLAYERS, seed=3)
         table = {frozenset(c): per_coalition_oracle(game, c) for c in ALL_COALITIONS}
