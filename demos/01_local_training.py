@@ -28,8 +28,8 @@ print(f"\nmodel: dims {params.layer_dims}, {params.weights.size} parameters")
 print(f"untrained accuracy: {evaluate(params, test).accuracy:.4f}")
 
 cfg = TrainConfig(learning_rate=0.05, epochs=10, batch_size=32,
-                  weight_decay=0.001, seed=3)
-trained = local_train(params, train, cfg)
+                  weight_decay=0.001)
+trained = local_train(params, train, cfg, seed=3)
 m = evaluate(trained, test)
 print(f"\nafter {cfg.epochs} epochs of SGD (lr={cfg.learning_rate}):")
 print(f"  accuracy  {m.accuracy:.4f}")
@@ -38,5 +38,5 @@ print(f"  F1        {m.f1:.4f}")
 print(f"  precision {m.precision:.4f}")
 
 # training is deterministic: same seed, same weights
-again = local_train(params, train, cfg)
+again = local_train(params, train, cfg, seed=3)
 print(f"\nbitwise reproducible: {np.array_equal(trained.weights, again.weights)}")

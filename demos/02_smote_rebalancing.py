@@ -24,7 +24,7 @@ count, ratio = imbalance_stats(shard)
 print(f"before: {count} fraud of {len(shard)} ({ratio:.2%})")
 print(f"fraud examples nearest to point 0: {knn_minority(shard, 0, k=3)}")
 
-balanced = smote(shard, SmoteConfig(k=3, target_ratio=1.0, seed=11))
+balanced = smote(shard, SmoteConfig(k=3, target_ratio=1.0), seed=11)
 count, ratio = imbalance_stats(balanced)
 print(f"after:  {count} fraud of {len(balanced)} ({ratio:.2%})")
 

@@ -44,11 +44,11 @@ spec = ExperimentSpec(synthetic_n=1500, synthetic_minority_fraction=0.05,
                       synthetic_separation=3.0, seed=2)
 data = synthetic_dataset(spec)
 train, server_test = split(data, 0.8, seed=0)
-shards = partition(train, PartitionPlan(num_orgs=4, mode="iid", seed=1))
+shards = partition(train, PartitionPlan(num_orgs=4, mode="iid"), seed=1)
 w0 = init_params((data.schema_width, 8, 1), seed=4)
 submissions = {
     org: local_train(w0, shards[org],
-                     TrainConfig(learning_rate=0.1, epochs=3, batch_size=32, seed=org))
+                     TrainConfig(learning_rate=0.1, epochs=3, batch_size=32), seed=org)
     for org in range(4)
 }
 round_game = UtilityGame(w0, submissions, server_test)

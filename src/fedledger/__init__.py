@@ -14,7 +14,6 @@ from .data import (
     Dataset,
     PartitionPlan,
     SmoteConfig,
-    Standardizer,
     imbalance_stats,
     knn_minority,
     load_csv,

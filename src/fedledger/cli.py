@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import typing
@@ -86,6 +87,9 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         """Refuse, before any job runs or writes, a value that a job would reject."""
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"bad value for {key!r}: {value!r} is not finite")
         if self.data not in ("synthetic", "csv"):
             raise ConfigError(f"bad value for 'data': {self.data!r} (synthetic or csv)")
         if self.data == "csv" and not Path(self.csv_path).is_file():
@@ -237,8 +241,7 @@ def synthetic_dataset(spec: ExperimentSpec) -> Dataset:
         spec.synthetic_separation,
         derive_seed(spec.seed, "synthetic"),
     )
-    standardized, scaler = standardize(features)
-    return Dataset(standardized, labels, scaler)
+    return Dataset(standardize(features), labels)
 
 
 def write_schema_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
@@ -272,14 +275,12 @@ def build_federation_config(
         kind=policy_kind,
         k=spec.clients_per_round,
         exploration_period=spec.exploration_period,
-        seed=derive_seed(spec.seed, "policy"),
     )
     train = TrainConfig(
         learning_rate=spec.learning_rate,
         epochs=epochs,
         batch_size=batch_size,
         weight_decay=spec.weight_decay,
-        seed=0,  # per-round seeds are derived inside the federation
     )
     smote_cfg = (
         _checked("smote_k / smote_target_ratio", SmoteConfig,

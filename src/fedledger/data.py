@@ -35,17 +35,6 @@ class StratificationError(DataError):
 
 
 @dataclass(frozen=True)
-class Standardizer:
-    """Per-column mean/std captured at load time, reusable on new data."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Fixed-width feature rows with binary labels, in stable order.
 
@@ -55,7 +44,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    standardizer: Standardizer | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -80,7 +68,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.standardizer)
+        return Dataset(self.features[idx], self.labels[idx])
 
     def minority_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == 1)
@@ -102,7 +90,6 @@ class PartitionPlan:
     num_orgs: int
     mode: str = "iid"
     skew: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_orgs < 1:
@@ -117,7 +104,6 @@ class PartitionPlan:
 class SmoteConfig:
     k: int = 5
     target_ratio: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -126,22 +112,18 @@ class SmoteConfig:
             raise ValueError("target_ratio must lie in (0, 1]")
 
 
-def standardize(features: np.ndarray) -> tuple[np.ndarray, Standardizer]:
+def standardize(features: np.ndarray) -> np.ndarray:
     """Center and scale each column; zero-variance columns are left centered."""
     feats = np.asarray(features, dtype=np.float64)
-    mean = feats.mean(axis=0)
     std = feats.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    scaler = Standardizer(mean, std)
-    return scaler.apply(feats), scaler
+    return (feats - feats.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
 
 
 def load_csv(path) -> Dataset:
     """Load a credit-card-schema CSV (Time,V1..V28,Amount,Class).
 
-    Features are standardized per-column using this file's own statistics;
-    the fitted Standardizer is kept on the returned Dataset. Row order is
-    preserved.
+    Features are standardized per-column using this file's own statistics.
+    Row order is preserved.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -180,9 +162,8 @@ def load_csv(path) -> Dataset:
             labels.append(int(label))
     if not rows:
         raise ParseError(f"{path}: no data rows after the header")
-    features = np.array(rows, dtype=np.float64)
-    standardized, scaler = standardize(features)
-    return Dataset(standardized, np.array(labels, dtype=np.int64), scaler)
+    return Dataset(standardize(np.array(rows, dtype=np.float64)),
+                   np.array(labels, dtype=np.int64))
 
 
 def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -214,12 +195,12 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     return data.subset(train_idx), data.subset(test_idx)
 
 
-def partition(data: Dataset, plan: PartitionPlan) -> list[Dataset]:
+def partition(data: Dataset, plan: PartitionPlan, seed: int) -> list[Dataset]:
     """Split a training set into disjoint, exhaustive per-organization shards."""
     n = len(data)
     if plan.num_orgs > n:
         raise DataError(f"cannot deal {n} training rows to {plan.num_orgs} organizations")
-    rng = np.random.default_rng(plan.seed)
+    rng = np.random.default_rng(seed)
     if plan.mode == "iid":
         order = rng.permutation(n)
         slices = _near_equal_slices(order, plan.num_orgs)
@@ -295,7 +276,7 @@ def interpolate(x_i: np.ndarray, x_j: np.ndarray, r: float) -> np.ndarray:
     return x_i + (x_j - x_i) * r
 
 
-def smote(data: Dataset, cfg: SmoteConfig) -> Dataset:
+def smote(data: Dataset, cfg: SmoteConfig, seed: int) -> Dataset:
     """Oversample the minority class until minority/majority >= target_ratio.
 
     Synthetic examples are drawn on the segment between a minority point and
@@ -315,7 +296,7 @@ def smote(data: Dataset, cfg: SmoteConfig) -> Dataset:
         return data
 
     neighbor_table = [knn_minority(data, int(i), cfg.k) for i in minority]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     synthetic = np.empty((needed, data.schema_width), dtype=np.float64)
     for s in range(needed):
         parent_pos = s % n_min
@@ -327,4 +308,4 @@ def smote(data: Dataset, cfg: SmoteConfig) -> Dataset:
         )
     features = np.vstack([data.features, synthetic])
     labels = np.concatenate([data.labels, np.ones(needed, dtype=np.int64)])
-    return Dataset(features, labels, data.standardizer)
+    return Dataset(features, labels)

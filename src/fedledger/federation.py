@@ -9,7 +9,7 @@ submissions, and seal the round in a new block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -83,6 +83,8 @@ class FederationConfig:
                 f"valuation must be one of {VALUATION_METHODS}, got {self.valuation!r}")
         if self.tmc_truncation_tol < 0:
             raise ValueError("tmc_truncation_tol must be non-negative")
+        if self.tmc_convergence_tol < 0:
+            raise ValueError("tmc_convergence_tol must be non-negative")
         if self.tmc_max_permutations < 1:
             raise ValueError("tmc_max_permutations must be at least 1")
         if self.accuracy_target is not None and not 0.0 <= self.accuracy_target < 1.0:
@@ -165,8 +167,7 @@ class FederationState:
 def _flip_labels(shard: Dataset, probability: float, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     flip = rng.random(len(shard)) < probability
-    return Dataset(shard.features, np.where(flip, 1 - shard.labels, shard.labels),
-                   shard.standardizer)
+    return Dataset(shard.features, np.where(flip, 1 - shard.labels, shard.labels))
 
 
 def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
@@ -185,9 +186,8 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
             f"the server test set has {len(server_test)} rows "
             f"({' + '.join(map(str, server_test.class_counts()))} by class)"
         )
-    plan = PartitionPlan(cfg.num_orgs, cfg.partition_mode, cfg.partition_skew,
-                         derive_seed(ms, "partition"))
-    shards = datamod.partition(train, plan)
+    plan = PartitionPlan(cfg.num_orgs, cfg.partition_mode, cfg.partition_skew)
+    shards = datamod.partition(train, plan, derive_seed(ms, "partition"))
     if cfg.label_noise_orgs and cfg.label_noise > 0.0:
         rng = np.random.default_rng(derive_seed(ms, "noisy-orgs"))
         noisy = rng.choice(cfg.num_orgs, size=cfg.label_noise_orgs, replace=False)
@@ -202,9 +202,7 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
             minority = int(np.count_nonzero(shard.labels == 1))
             # shards too minority-poor for k neighbors are left as-is
             if minority > cfg.smote.k:
-                shard = datamod.smote(
-                    shard, replace(cfg.smote, seed=derive_seed(ms, "smote", org))
-                )
+                shard = datamod.smote(shard, cfg.smote, derive_seed(ms, "smote", org))
             rebalanced.append(shard)
         shards = rebalanced
 
@@ -236,7 +234,8 @@ def _select(state: FederationState, t: int) -> tuple[set[int], dict[int, ModelPa
         ), {}
     if cfg.policy.kind == "contribution":
         scores = {org: state.contributions.get(org, 0.0) for org in orgs}
-        return selmod.select_by_contribution(scores, cfg.policy.k, t, cfg.policy), {}
+        return selmod.select_by_contribution(
+            scores, cfg.policy.k, t, cfg.policy, derive_seed(cfg.master_seed, "policy")), {}
     candidates = state.train_round(t, orgs)
     game = UtilityGame(state.global_params, candidates, state.server_test)
     return selmod.select_greedy(game, cfg.policy.k), candidates
@@ -297,10 +296,9 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         accepted = [tx.org_id for tx, ok in zip(selected_txs, outcomes) if ok]
         verified_by_validator[vid] = accepted
         if accepted:
-            candidate = modelmod.average([submissions[org] for org in accepted])
+            candidates[vid] = modelmod.average([submissions[org] for org in accepted])
         else:
-            candidate = state.global_params  # nothing verified: carry forward
-        candidates[vid] = replace(candidate, version=t + 1)
+            candidates[vid] = state.global_params  # nothing verified: carry forward
 
     winner_digest, new_global, votes = ledgermod.majority_global(
         state.panel, candidates, state.store)

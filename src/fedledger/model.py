@@ -25,13 +25,11 @@ def param_count(layer_dims: Sequence[int]) -> int:
 class ModelParams:
     """Flat real-valued parameters of an MLP with sigmoid output.
 
-    layer_dims runs input width -> hidden widths -> 1. version tracks the
-    federation round the parameters belong to.
+    layer_dims runs input width -> hidden widths -> 1.
     """
 
     layer_dims: tuple[int, ...]
     weights: np.ndarray
-    version: int = 0
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.layer_dims)
@@ -59,7 +57,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 32
     weight_decay: float = 0.001
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -85,7 +82,7 @@ def init_params(layer_dims: Sequence[int], seed: int, scale: float = 0.1) -> Mod
     dims = tuple(int(d) for d in layer_dims)
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-scale, scale, size=param_count(dims))
-    return ModelParams(dims, weights, version=0)
+    return ModelParams(dims, weights)
 
 
 def _layer_views(dims: tuple[int, ...], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -301,16 +298,15 @@ def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> 
     return _grad(params.layer_dims, params.weights, x, batch.labels, weight_decay)
 
 
-def local_train(params: ModelParams, data: Dataset, cfg: TrainConfig) -> ModelParams:
+def local_train(params: ModelParams, data: Dataset, cfg: TrainConfig, seed: int) -> ModelParams:
     """Mini-batch SGD: epochs x ceil(n/batch_size) steps w <- w - lr*grad.
 
     Batches come from a seeded shuffle each epoch; identical inputs and seed
-    give bitwise-identical outputs. The input params are left untouched and
-    the result's version is bumped by one. Each step is the same arithmetic
-    as gradient() on data.subset(batch indices). This is local_train_many()
-    of one shard.
+    give bitwise-identical outputs. The input params are left untouched.
+    Each step is the same arithmetic as gradient() on data.subset(batch
+    indices). This is local_train_many() of one shard.
     """
-    return local_train_many(params, [data], cfg, [cfg.seed])[0]
+    return local_train_many(params, [data], cfg, [seed])[0]
 
 
 def local_train_many(
@@ -321,15 +317,15 @@ def local_train_many(
 ) -> list[ModelParams]:
     """local_train() of `params` on every shard, the shards in lock-step.
 
-    Entry i is bit for bit local_train(params, shards[i], replace(cfg,
-    seed=seeds[i])): each shard draws its own seeded permutation when it
-    starts an epoch, so its batches are exactly those. At each step index,
-    the shards whose batch has the same row count take that step together,
-    through one stacked forward and backward pass of _grad; a shard alone at
-    its row count takes it unstacked. The groups are formed again only when a
-    shard starts an epoch, reaches a short last batch or is done. Beside the
-    concatenated rows this keeps one index per row, so memory grows with
-    neither epochs nor batch_size.
+    Entry i is bit for bit local_train(params, shards[i], cfg, seeds[i]):
+    each shard draws its own seeded permutation when it starts an epoch, so
+    its batches are exactly those. At each step index, the shards whose batch
+    has the same row count take that step together, through one stacked
+    forward and backward pass of _grad; a shard alone at its row count takes
+    it unstacked. The groups are formed again only when a shard starts an
+    epoch, reaches a short last batch or is done. Beside the concatenated
+    rows this keeps one index per row, so memory grows with neither epochs
+    nor batch_size.
 
     The Datasets checked their rows (finite features, 0/1 labels) when they
     were built, so this checks only that every shard is non-empty and matches
@@ -393,7 +389,7 @@ def local_train_many(
                 pos += batch
             weights[sel] = w  # a no-op for a view
         step += run
-    return [ModelParams(dims, w, params.version + 1) for w in weights]
+    return [ModelParams(dims, w) for w in weights]
 
 
 def _accuracy(preds: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -487,4 +483,4 @@ def average(models: Sequence[ModelParams]) -> ModelParams:
     for m in models:
         total += m.weights
     total /= len(models)
-    return ModelParams(dims, total, models[0].version)
+    return ModelParams(dims, total)

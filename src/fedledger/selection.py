@@ -24,7 +24,6 @@ class SelectionPolicy:
     kind: str
     k: int
     exploration_period: int = 5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
@@ -50,7 +49,8 @@ def select_greedy(game: CoalitionGame, k: int) -> set[int]:
 
     Requires candidate updates from every organization in the pool (that is
     what the utility game evaluates); ties go to the lower org_id, and a NaN
-    gain never wins. Each step asks the game for all its candidate
+    gain never wins, so a step where every gain is NaN takes the lowest
+    remaining org_id. Each step asks the game for all its candidate
     coalitions in one utilities() call.
     """
     pool = sorted(game.players)
@@ -61,7 +61,7 @@ def select_greedy(game: CoalitionGame, k: int) -> set[int]:
         base = game.utility(chosen)
         rest = [org for org in pool if org not in chosen]
         values = game.utilities([chosen + [org] for org in rest]).tolist()
-        best_org = None
+        best_org = rest[0]
         best_gain = -np.inf
         for org, value in zip(rest, values):
             gain = value - base
@@ -77,16 +77,18 @@ def select_by_contribution(
     k: int,
     round_index: int,
     policy: SelectionPolicy,
+    seed: int,
 ) -> set[int]:
     """Top-k organizations by accumulated contribution.
 
     Every exploration_period-th round (including round 0) falls back to
-    random selection so unseen organizations can accrue scores.
+    random selection, seeded by (seed, "explore", round_index), so unseen
+    organizations can accrue scores.
     """
     pool = sorted(scores)
     if k > len(pool):
         raise ValueError(f"cannot select k={k} from {len(pool)} organizations")
     if round_index % policy.exploration_period == 0:
-        return select_random(pool, k, derive_seed(policy.seed, "explore", round_index))
+        return select_random(pool, k, derive_seed(seed, "explore", round_index))
     ranked = sorted(pool, key=lambda org: (-scores[org], org))
     return set(ranked[:k])

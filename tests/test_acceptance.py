@@ -239,9 +239,9 @@ def test_criterion_5_fedavg_equivalences():
         synthetic_separation=3.0, seed=3,
     ))
     cfg = FederationConfig(
-        policy=SelectionPolicy("random", k=1, seed=0),
+        policy=SelectionPolicy("random", k=1),
         train=TrainConfig(learning_rate=0.1, epochs=2, batch_size=16,
-                          weight_decay=0.001, seed=0),
+                          weight_decay=0.001),
         num_orgs=1, rounds=3, smote=None,
         valuation="off",
         validators=3,
@@ -256,8 +256,8 @@ def test_criterion_5_fedavg_equivalences():
         w = local_train(
             w, shard,
             TrainConfig(learning_rate=0.1, epochs=2, batch_size=16,
-                        weight_decay=0.001,
-                        seed=derive_seed(cfg.master_seed, "train", t, 0)),
+                        weight_decay=0.001),
+            derive_seed(cfg.master_seed, "train", t, 0),
         )
     single_org_exact = np.array_equal(state.global_params.weights, w.weights)
 
@@ -274,9 +274,9 @@ def test_criterion_5_fedavg_equivalences():
         np.concatenate([s.labels for s in shards]),
     )
     step_cfg = lambda bs: TrainConfig(learning_rate=0.2, epochs=1, batch_size=bs,
-                                      weight_decay=0.0, seed=0)
-    averaged = modelmod.average([local_train(params, s, step_cfg(12)) for s in shards])
-    central = local_train(params, union, step_cfg(48))
+                                      weight_decay=0.0)
+    averaged = modelmod.average([local_train(params, s, step_cfg(12), 0) for s in shards])
+    central = local_train(params, union, step_cfg(48), 0)
     max_dev = float(np.max(np.abs(averaged.weights - central.weights)))
     report(
         5,
@@ -294,7 +294,7 @@ def test_criterion_6_smote_geometry():
         rng.normal(3.0, 1.0, size=(n_maj, 5)),
     ])
     ds = Dataset(feats, np.array([1] * n_min + [0] * n_maj))
-    out = smote(ds, SmoteConfig(k=k, target_ratio=1.0, seed=6))
+    out = smote(ds, SmoteConfig(k=k, target_ratio=1.0), 6)
     synth = out.features[len(ds):]
     n_synth = synth.shape[0]
     assert n_synth >= 1000

@@ -24,6 +24,7 @@ from fedledger.valuation import EXACT_MAX_PLAYERS
 
 GOLDEN = Path(__file__).parent / "golden_rounds_toy.csv"
 GOLDEN_SUMMARY = Path(__file__).parent / "golden_summary_toy.csv"
+GOLDEN_CHAIN = Path(__file__).parent / "golden_chain_contribution_toy.jsonl"
 
 TOY = ExperimentSpec(
     synthetic_n=300,
@@ -68,7 +69,8 @@ class TestGenerate:
         params = local_train(
             init_params((30, 1), seed=0), train,
             TrainConfig(learning_rate=0.5, epochs=20, batch_size=64,
-                        weight_decay=0.0, seed=1),
+                        weight_decay=0.0),
+            1,
         )
         assert evaluate(params, test).accuracy > 0.95
 
@@ -191,6 +193,14 @@ class TestConfigChecks:
         ("tmc_truncation_tol = -1", "tmc_truncation_tol"),
         ("tmc_max_permutations = 0", "tmc_max_permutations"),
         ("accuracy_floor = 1.5", "accuracy_floor"),
+        ("synthetic_separation = nan", "synthetic_separation"),
+        ("synthetic_separation = inf", "synthetic_separation"),
+        ("learning_rate = nan", "learning_rate"),
+        ("learning_rate = inf", "learning_rate"),
+        ("weight_decay = nan", "weight_decay"),
+        ("tmc_truncation_tol = nan", "tmc_truncation_tol"),
+        ("tmc_convergence_tol = nan", "tmc_convergence_tol"),
+        ("tmc_convergence_tol = -1", "tmc_convergence_tol"),
     ])
     def test_run_refuses_before_writing(self, tmp_path, capsys, text, key):
         conf = tmp_path / "bad.conf"
@@ -271,6 +281,21 @@ class TestRunCommand:
         assert got == GOLDEN.read_text()
         # the summary pins the per-org accuracy column too
         assert (tmp_path / "res" / "summary.csv").read_text() == GOLDEN_SUMMARY.read_text()
+
+    def test_golden_contribution_chain(self, tmp_path):
+        # rounds 0 and 2 explore, so the chain's transactions pin how the run
+        # derives the exploration seed from the master seed
+        spec = ExperimentSpec(**{
+            **TOY.__dict__,
+            "out": str(tmp_path / "res"),
+            "num_orgs": 6,
+            "rounds": 4,
+            "exploration_period": 2,
+            "policies": ("contribution",),
+        })
+        cmd_run(spec)
+        got = (tmp_path / "res" / "chain_contribution_e2_b16.jsonl").read_text()
+        assert got == GOLDEN_CHAIN.read_text()
 
     def test_greedy_policy_runs_end_to_end(self, tmp_path):
         spec = ExperimentSpec(**{
@@ -373,6 +398,16 @@ class TestMainEntry:
         assert code == 0
         assert (out / "rounds_random_e1_b8.csv").exists()
         assert not (out / "rounds_contribution_e1_b8.csv").exists()
+
+    # the overflowing learning rate is the point: every update is non-finite
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_greedy_survives_all_nan_gains(self, tmp_path):
+        conf = tmp_path / "nan.conf"
+        conf.write_text("learning_rate = 1e300\nsynthetic_n = 600\nrounds = 2\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(conf), "--out", str(out),
+                     "--policy", "greedy"]) == 0
+        assert len((out / "rounds_greedy_e10_b32.csv").read_text().splitlines()) == 2 + 2
 
 
 class TestSyntheticDataset:

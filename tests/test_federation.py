@@ -16,7 +16,7 @@ from fedledger.federation import (
 )
 from fedledger.model import ModelParams, TrainConfig
 from fedledger.seeds import derive_seed
-from fedledger.selection import SelectionPolicy
+from fedledger.selection import SelectionPolicy, select_random
 
 
 def small_dataset(seed=0, n=400, minority=0.1, separation=3.0):
@@ -32,9 +32,9 @@ def small_dataset(seed=0, n=400, minority=0.1, separation=3.0):
 
 def small_config(**kwargs):
     defaults = dict(
-        policy=SelectionPolicy("random", k=2, seed=1),
+        policy=SelectionPolicy("random", k=2),
         train=TrainConfig(learning_rate=0.1, epochs=2, batch_size=16,
-                          weight_decay=0.0, seed=0),
+                          weight_decay=0.0),
         num_orgs=4,
         rounds=3,
         smote=None,
@@ -51,7 +51,7 @@ def small_config(**kwargs):
 class TestInitRound0:
     def test_two_org_init(self):
         data = small_dataset()
-        cfg = small_config(num_orgs=2, policy=SelectionPolicy("random", k=1, seed=0))
+        cfg = small_config(num_orgs=2, policy=SelectionPolicy("random", k=1))
         state = init_round0(cfg, data)
         assert len(state.shards) == 2
         assert len(state.chain) == 1
@@ -108,15 +108,15 @@ class TestInitRound0:
 class TestRunRound:
     def test_single_org_round_equals_local_train(self):
         data = small_dataset()
-        cfg = small_config(num_orgs=1, policy=SelectionPolicy("random", k=1, seed=0))
+        cfg = small_config(num_orgs=1, policy=SelectionPolicy("random", k=1))
         state = init_round0(cfg, data)
         w0 = state.global_params
         report = run_round(state, 0)
         expected = modelmod.local_train(
             w0, state.shards[0],
             TrainConfig(learning_rate=0.1, epochs=2, batch_size=16,
-                        weight_decay=0.0,
-                        seed=derive_seed(cfg.master_seed, "train", 0, 0)),
+                        weight_decay=0.0),
+            derive_seed(cfg.master_seed, "train", 0, 0),
         )
         assert np.array_equal(state.global_params.weights, expected.weights)
         assert report.selected == frozenset({0})
@@ -124,7 +124,7 @@ class TestRunRound:
     def test_identical_shards_identical_digests(self):
         # two orgs holding byte-identical data submit byte-identical models
         data = small_dataset(n=200)
-        cfg = small_config(num_orgs=2, policy=SelectionPolicy("random", k=2, seed=0),
+        cfg = small_config(num_orgs=2, policy=SelectionPolicy("random", k=2),
                            valuation="off")
         state = init_round0(cfg, data)
         state.shards[1] = state.shards[0]
@@ -134,8 +134,9 @@ class TestRunRound:
 
         def same_seed(self, round_index, orgs):
             cfg_t = TrainConfig(learning_rate=0.1, epochs=2, batch_size=16,
-                                weight_decay=0.0, seed=seed0)
-            return {org: modelmod.local_train(self.global_params, self.shards[org], cfg_t)
+                                weight_decay=0.0)
+            return {org: modelmod.local_train(self.global_params, self.shards[org], cfg_t,
+                                              seed0)
                     for org in orgs}
 
         fed.FederationState.train_round = same_seed
@@ -149,7 +150,7 @@ class TestRunRound:
 
     def test_nan_submission_excluded_from_aggregate(self, monkeypatch):
         data = small_dataset()
-        cfg = small_config(num_orgs=3, policy=SelectionPolicy("random", k=3, seed=0),
+        cfg = small_config(num_orgs=3, policy=SelectionPolicy("random", k=3),
                            valuation="off")
         state = init_round0(cfg, data)
         honest = state.train_round(0, range(3))
@@ -157,7 +158,7 @@ class TestRunRound:
         def corrupt(self, round_index, orgs):
             bad = honest[2].weights.copy()
             bad[0] = np.nan
-            return {org: ModelParams(honest[2].layer_dims, bad, honest[2].version)
+            return {org: ModelParams(honest[2].layer_dims, bad)
                     if org == 2 else honest[org] for org in orgs}
 
         monkeypatch.setattr(fed.FederationState, "train_round", corrupt)
@@ -268,9 +269,9 @@ class TestRun:
             assert total == pytest.approx(per_round_totals.get(org, 0.0), abs=1e-12)
 
     def test_greedy_policy_charges_full_pool(self):
-        cfg_greedy = small_config(policy=SelectionPolicy("greedy", k=2, seed=0),
+        cfg_greedy = small_config(policy=SelectionPolicy("greedy", k=2),
                                   rounds=1)
-        cfg_random = small_config(policy=SelectionPolicy("random", k=2, seed=0),
+        cfg_random = small_config(policy=SelectionPolicy("random", k=2),
                                   rounds=1)
         data = small_dataset()
         greedy_report = run(cfg_greedy, data)[0].reports[0]
@@ -291,12 +292,26 @@ class TestRun:
 
     def test_contribution_policy_runs(self):
         cfg = small_config(
-            policy=SelectionPolicy("contribution", k=2, exploration_period=2, seed=3),
+            policy=SelectionPolicy("contribution", k=2, exploration_period=2),
             rounds=4,
         )
         result, _ = run(cfg, small_dataset())
         assert len(result.reports) == 4
         assert set(result.contributions)  # some orgs accrued scores
+
+    def test_exploration_follows_master_seed(self):
+        # round 0 explores with a seed derived from the master seed alone
+        data = small_dataset(n=600)
+        picks = set()
+        for master in range(1, 5):
+            cfg = small_config(policy=SelectionPolicy("contribution", k=3),
+                               num_orgs=6, rounds=1, master_seed=master)
+            selected = run_round(init_round0(cfg, data), 0).selected
+            policy_seed = derive_seed(master, "policy")
+            assert selected == select_random(
+                range(6), 3, derive_seed(policy_seed, "explore", 0))
+            picks.add(selected)
+        assert len(picks) > 1
 
     def test_training_improves_on_initial_model(self):
         # separable synthetic data: the final global model must beat w0

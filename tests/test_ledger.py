@@ -54,7 +54,8 @@ def trained_model(shard, flip_labels=False, seed=0):
         init_params((2, 1), seed),
         ds,
         TrainConfig(learning_rate=0.5, epochs=30, batch_size=5,
-                    weight_decay=0.0, seed=seed),
+                    weight_decay=0.0),
+        seed,
     )
 
 

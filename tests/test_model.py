@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -61,19 +61,19 @@ def masked_sigmoid(z):
     return out
 
 
-def subset_sgd(params, data, cfg):
+def subset_sgd(params, data, cfg, seed):
     """The Dataset-level SGD loop: subset, gradient() on a fresh ModelParams,
     w - lr*g. The oracle local_train must reproduce bit for bit."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     weights = params.weights.copy()
-    current = ModelParams(params.layer_dims, weights, params.version)
+    current = ModelParams(params.layer_dims, weights)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):
             batch = data.subset(order[start : start + cfg.batch_size])
             g = gradient(current, batch, cfg.weight_decay)
             weights = weights - cfg.learning_rate * g
-            current = ModelParams(params.layer_dims, weights, params.version)
+            current = ModelParams(params.layer_dims, weights)
     return weights
 
 
@@ -230,26 +230,25 @@ class TestLocalTrain:
         params = logistic(rng.normal(size=2), 0.0)
         ds = make_dataset(rng.normal(size=(8, 2)), rng.integers(0, 2, size=8))
         cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=8,
-                          weight_decay=0.001, seed=42)
-        trained = local_train(params, ds, cfg)
+                          weight_decay=0.001)
+        trained = local_train(params, ds, cfg, 42)
         expected = params.weights - 0.05 * gradient(params, ds, weight_decay=0.001)
         np.testing.assert_array_equal(trained.weights, expected)
-        assert trained.version == params.version + 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         params = init_params((3, 2, 1), seed=9)
         ds = make_dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, size=20))
-        cfg = TrainConfig(epochs=3, batch_size=4, seed=123)
-        a = local_train(params, ds, cfg)
-        b = local_train(params, ds, cfg)
+        cfg = TrainConfig(epochs=3, batch_size=4)
+        a = local_train(params, ds, cfg, 123)
+        b = local_train(params, ds, cfg, 123)
         assert np.array_equal(a.weights, b.weights)
 
     def test_input_params_unmodified(self):
         params = init_params((3, 1), seed=1)
         before = params.weights.copy()
         ds = make_dataset(np.eye(3), [1, 0, 1])
-        local_train(params, ds, TrainConfig(epochs=2, batch_size=2, seed=5))
+        local_train(params, ds, TrainConfig(epochs=2, batch_size=2), 5)
         assert np.array_equal(params.weights, before)
 
     def test_separable_data_reaches_full_accuracy(self):
@@ -263,8 +262,8 @@ class TestLocalTrain:
         ds = make_dataset(feats, labels)
         params = init_params((2, 1), seed=0)
         cfg = TrainConfig(learning_rate=0.5, epochs=50, batch_size=8,
-                          weight_decay=0.0, seed=7)
-        trained = local_train(params, ds, cfg)
+                          weight_decay=0.0)
+        trained = local_train(params, ds, cfg, 7)
         assert evaluate(trained, ds).accuracy == 1.0
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 2601])
@@ -273,26 +272,24 @@ class TestLocalTrain:
     def test_bit_identical_to_subset_loop(self, n, hidden, weight_decay):
         rng = np.random.default_rng(n)
         ds = make_dataset(rng.normal(size=(n, 5)), (rng.random(n) < 0.3).astype(int))
-        base = init_params((5, *hidden, 1), seed=n + len(hidden))
-        params = ModelParams(base.layer_dims, base.weights, version=4)
+        params = init_params((5, *hidden, 1), seed=n + len(hidden))
         before = params.weights.copy()
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=32,
-                          weight_decay=weight_decay, seed=11)
-        trained = local_train(params, ds, cfg)
-        assert np.array_equal(trained.weights, subset_sgd(params, ds, cfg))
+                          weight_decay=weight_decay)
+        trained = local_train(params, ds, cfg, 11)
+        assert np.array_equal(trained.weights, subset_sgd(params, ds, cfg, 11))
         assert np.array_equal(params.weights, before)
-        assert trained.version == 5
         assert trained.layer_dims == params.layer_dims
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty"):
-            local_train(init_params((3, 1), seed=0), empty, TrainConfig())
+            local_train(init_params((3, 1), seed=0), empty, TrainConfig(), 0)
 
     def test_width_mismatch_rejected(self):
         ds = make_dataset(np.ones((4, 2)), [0, 1, 0, 1])
         with pytest.raises(ValueError, match="width"):
-            local_train(init_params((3, 1), seed=0), ds, TrainConfig())
+            local_train(init_params((3, 1), seed=0), ds, TrainConfig(), 0)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
@@ -318,9 +315,7 @@ class TestLocalTrainMany:
         trained = local_train_many(params, shards, cfg, seeds)
         assert len(trained) == len(shards)
         for shard, seed, result in zip(shards, seeds, trained):
-            self.assert_bits_equal(result.weights,
-                                   subset_sgd(params, shard, replace(cfg, seed=seed)))
-            assert result.version == params.version + 1
+            self.assert_bits_equal(result.weights, subset_sgd(params, shard, cfg, seed))
             assert result.layer_dims == params.layer_dims
         assert np.array_equal(params.weights, before)
         for shard, (features, labels) in zip(shards, copies):
@@ -343,18 +338,17 @@ class TestLocalTrainMany:
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_bit_identical_to_subset_loop(self, sizes, batch, hidden, weight_decay, epochs):
         shards = self.shards(sizes, seed=len(hidden) + epochs)
-        base = init_params((5, *hidden, 1), seed=epochs)
-        params = ModelParams(base.layer_dims, base.weights, version=4)
+        params = init_params((5, *hidden, 1), seed=epochs)
         cfg = TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=batch,
-                          weight_decay=weight_decay, seed=99)
+                          weight_decay=weight_decay)
         self.check_against_oracle(params, shards, cfg, list(range(11, 11 + len(sizes))))
 
     def test_single_shard_is_local_train(self):
         (shard,) = self.shards([70])
         params = init_params((5, 16, 1), seed=8)
-        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=21)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16)
         (trained,) = self.check_against_oracle(params, [shard], cfg, [21])
-        self.assert_bits_equal(trained.weights, local_train(params, shard, cfg).weights)
+        self.assert_bits_equal(trained.weights, local_train(params, shard, cfg, 21).weights)
 
     def test_identical_shards_and_seeds_give_identical_models(self):
         (shard, other) = self.shards([45, 45])
@@ -384,9 +378,9 @@ class TestLocalTrainMany:
         narrow = make_dataset(np.ones((4, 2)), [0, 1, 0, 1])
         params = init_params((3, 1), seed=0)
         with pytest.raises(ValueError, match="^dataset is empty$"):
-            local_train(params, empty, TrainConfig())
+            local_train(params, empty, TrainConfig(), 0)
         with pytest.raises(ValueError, match="^feature width 2 does not match model input width 3$"):
-            local_train(params, narrow, TrainConfig())
+            local_train(params, narrow, TrainConfig(), 0)
 
     def test_seed_count_must_match_shards(self):
         shard = make_dataset(np.ones((4, 3)), [0, 1, 0, 1])
@@ -523,13 +517,14 @@ class TestShardAveraging:
             np.concatenate([s.labels for s in shards]),
         )
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=10,
-                          weight_decay=0.0, seed=0)
-        per_shard = [local_train(params, s, cfg) for s in shards]
+                          weight_decay=0.0)
+        per_shard = [local_train(params, s, cfg, 0) for s in shards]
         averaged = average(per_shard)
         central = local_train(
             params, union,
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=40,
-                        weight_decay=0.0, seed=0),
+                        weight_decay=0.0),
+            0,
         )
         np.testing.assert_allclose(averaged.weights, central.weights, atol=1e-12)
 

@@ -78,6 +78,10 @@ class TestSelectGreedy:
         )
         assert fn(got) == pytest.approx(fn(best), abs=1e-9)
 
+    def test_all_nan_gains_pick_lowest_ids(self):
+        game = FunctionGame(range(5), lambda s: math.nan if s else 0.0)
+        assert select_greedy(game, 3) == {0, 1, 2}
+
     def test_pool_smaller_than_k_rejected(self):
         with pytest.raises(ValueError):
             select_greedy(additive_game([1.0]), 2)
@@ -85,29 +89,33 @@ class TestSelectGreedy:
 
 class TestSelectByContribution:
     def test_top_k_by_score(self):
-        policy = SelectionPolicy("contribution", k=2, exploration_period=5, seed=0)
+        policy = SelectionPolicy("contribution", k=2, exploration_period=5)
         scores = {0: 0.5, 1: 0.3, 2: 0.2}
-        assert select_by_contribution(scores, 2, round_index=1, policy=policy) == {0, 1}
+        assert select_by_contribution(scores, 2, round_index=1, policy=policy,
+                                      seed=0) == {0, 1}
 
     def test_round_zero_explores(self):
-        policy = SelectionPolicy("contribution", k=2, exploration_period=5, seed=3)
+        policy = SelectionPolicy("contribution", k=2, exploration_period=5)
         scores = {org: float(org) for org in range(6)}
-        explored = select_by_contribution(scores, 2, round_index=0, policy=policy)
+        explored = select_by_contribution(scores, 2, round_index=0, policy=policy, seed=3)
         assert explored == select_random(range(6), 2, round_seed=_explore_seed(3, 0))
         # non-exploration round ranks by score instead
-        assert select_by_contribution(scores, 2, round_index=1, policy=policy) == {4, 5}
+        assert select_by_contribution(scores, 2, round_index=1, policy=policy,
+                                      seed=3) == {4, 5}
 
     def test_all_zero_scores_tie_break(self):
-        policy = SelectionPolicy("contribution", k=3, exploration_period=7, seed=0)
+        policy = SelectionPolicy("contribution", k=3, exploration_period=7)
         scores = {org: 0.0 for org in range(6)}
-        assert select_by_contribution(scores, 3, round_index=2, policy=policy) == {0, 1, 2}
+        assert select_by_contribution(scores, 3, round_index=2, policy=policy,
+                                      seed=0) == {0, 1, 2}
 
     def test_scaling_invariance(self):
-        policy = SelectionPolicy("contribution", k=2, exploration_period=9, seed=0)
+        policy = SelectionPolicy("contribution", k=2, exploration_period=9)
         scores = {0: 0.1, 1: 0.9, 2: 0.4, 3: 0.7}
-        base = select_by_contribution(scores, 2, round_index=3, policy=policy)
+        base = select_by_contribution(scores, 2, round_index=3, policy=policy, seed=0)
         scaled = {o: 1000.0 * v for o, v in scores.items()}
-        assert select_by_contribution(scaled, 2, round_index=3, policy=policy) == base
+        assert select_by_contribution(scaled, 2, round_index=3, policy=policy,
+                                      seed=0) == base
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -125,15 +133,15 @@ def _explore_seed(policy_seed, round_index):
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["random", "contribution"])
     def test_identical_inputs_identical_output(self, kind):
-        policy = SelectionPolicy(kind, k=2, exploration_period=4, seed=11)
+        policy = SelectionPolicy(kind, k=2, exploration_period=4)
         scores = {org: float(org % 3) for org in range(8)}
         for rnd in range(6):
             if kind == "random":
                 a = select_random(range(8), 2, round_seed=rnd)
                 b = select_random(range(8), 2, round_seed=rnd)
             else:
-                a = select_by_contribution(scores, 2, rnd, policy)
-                b = select_by_contribution(scores, 2, rnd, policy)
+                a = select_by_contribution(scores, 2, rnd, policy, 11)
+                b = select_by_contribution(scores, 2, rnd, policy, 11)
             assert a == b
             assert len(a) == 2
 

@@ -55,9 +55,9 @@ def random_game(n, seed):
     return FunctionGame(players, lambda s: values[frozenset(s)])
 
 
-def logistic(weights, bias, version=0):
+def logistic(weights, bias):
     d = len(weights)
-    return ModelParams((d, 1), np.array([*weights, bias], dtype=np.float64), version)
+    return ModelParams((d, 1), np.array([*weights, bias], dtype=np.float64))
 
 
 def make_dataset(features, labels):
