@@ -9,6 +9,7 @@ submissions, and seal the round in a new block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -81,6 +82,10 @@ class FederationConfig:
         if self.valuation not in VALUATION_METHODS:
             raise ValueError(
                 f"valuation must be one of {VALUATION_METHODS}, got {self.valuation!r}")
+        for key in ("tmc_truncation_tol", "tmc_convergence_tol"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.tmc_truncation_tol < 0:
             raise ValueError("tmc_truncation_tol must be non-negative")
         if self.tmc_convergence_tol < 0:

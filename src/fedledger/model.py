@@ -7,6 +7,7 @@ are pure with value semantics on the parameters; nothing here keeps state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,6 +60,10 @@ class TrainConfig:
     weight_decay: float = 0.001
 
     def __post_init__(self) -> None:
+        for key in ("learning_rate", "weight_decay"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:

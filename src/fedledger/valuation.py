@@ -29,6 +29,10 @@ EXACT_MAX_PLAYERS = 20
 # activations (coalitions x server_test rows x widest layer): 2 MiB of float64
 BATCH_ACTIVATIONS = 1 << 18
 
+# tmc_shapley stops once the running means have stayed within convergence_tol
+# for this many consecutive permutations
+STABLE_WALKS = 10
+
 
 class CapacityError(ValueError):
     """Player count too large for an enumeration-based routine."""
@@ -246,11 +250,22 @@ def tmc_shapley(
     contributions along each one; a walk is truncated (remaining marginals
     recorded as 0) once the prefix utility is within truncation_tol of the
     grand-coalition utility. Stops early when the largest change in any
-    running mean stays below convergence_tol for 10 consecutive
+    running mean stays below convergence_tol for STABLE_WALKS consecutive
     permutations. Deterministic given the seed.
+
+    Walks are drawn in batches that the stopping rule could not end early:
+    STABLE_WALKS + 1 first, since the first walk cannot extend the streak,
+    then as many as the streak lacks. A batch advances together (see
+    _walk_marginals) and is folded in walk order, so the result, the
+    evaluation count and the coalitions evaluated are those of walking the
+    permutations one at a time.
     """
-    if truncation_tol < 0:
-        raise ValueError("truncation_tol must be non-negative")
+    if not 0 <= truncation_tol < math.inf:
+        raise ValueError(
+            f"truncation_tol must be non-negative and finite, got {truncation_tol!r}")
+    if not 0 <= convergence_tol < math.inf:
+        raise ValueError(
+            f"convergence_tol must be non-negative and finite, got {convergence_tol!r}")
     if max_permutations < 1:
         raise ValueError("max_permutations must be at least 1")
     players = game.players
@@ -270,35 +285,23 @@ def tmc_shapley(
     prev_means = np.zeros(n)
     done = 0
     stable_streak = 0
-    for _ in range(max_permutations):
-        order = rng.permutation(n)
-        marginals = np.zeros(n)
-        prefix: list[int] = []
-        prefix_value = 0.0
-        truncated = False
-        for idx in order:
-            if not truncated and abs(full_value - prefix_value) < truncation_tol:
-                truncated = True
-            if truncated:
-                continue
-            prefix.append(players[idx])
-            new_value = game.utility(prefix)
-            evaluations += 1
-            marginals[idx] = new_value - prefix_value
-            prefix_value = new_value
-        done += 1
-        sums += marginals
-        sumsq += marginals * marginals
-        means = sums / done
-        if done > 1:
-            if np.max(np.abs(means - prev_means)) < convergence_tol:
-                stable_streak += 1
-            else:
-                stable_streak = 0
-            if stable_streak >= 10:
-                prev_means = means
-                break
-        prev_means = means
+    while done < max_permutations and stable_streak < STABLE_WALKS:
+        lacking = STABLE_WALKS + 1 if done == 0 else STABLE_WALKS - stable_streak
+        batch = min(lacking, max_permutations - done)
+        orders = np.array([rng.permutation(n) for _ in range(batch)])
+        walks, steps = _walk_marginals(game, orders, full_value, truncation_tol)
+        evaluations += steps
+        for marginals in walks:
+            done += 1
+            sums += marginals
+            sumsq += marginals * marginals
+            means = sums / done
+            if done > 1:
+                if np.max(np.abs(means - prev_means)) < convergence_tol:
+                    stable_streak += 1
+                else:
+                    stable_streak = 0
+            prev_means = means
 
     means = sums / done
     if done > 1:
@@ -312,6 +315,37 @@ def tmc_shapley(
         "tmc",
         stderr={p: float(stderr_arr[i]) for i, p in enumerate(players)},
     )
+
+
+def _walk_marginals(
+    game: CoalitionGame, orders: np.ndarray, full_value: float, truncation_tol: float
+) -> tuple[np.ndarray, int]:
+    """Marginals of TMC walks along the rows of `orders`, and the prefixes evaluated.
+
+    The walks advance one position at a time. A walk whose prefix utility is
+    within truncation_tol of full_value stops there (its later marginals stay
+    0); the next prefix of every other walk is read in one _mask_utilities
+    call, so one stacked pass serves a step of the whole batch. Row w holds
+    walk w's marginal per player index, bit for bit those of walking it alone.
+    """
+    count, n = orders.shape
+    marginals = np.zeros((count, n))
+    masks = [0] * count
+    values = [0.0] * count
+    live = range(count)
+    steps = 0
+    for column in orders.T.tolist():
+        live = [w for w in live if not abs(full_value - values[w]) < truncation_tol]
+        if not live:
+            break
+        for w in live:
+            masks[w] |= 1 << column[w]
+        steps += len(live)
+        new_values = game._mask_utilities([masks[w] for w in live]).tolist()
+        for w, value in zip(live, new_values):
+            marginals[w, column[w]] = value - values[w]
+            values[w] = value
+    return marginals, steps
 
 
 @dataclass(frozen=True)

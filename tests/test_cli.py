@@ -25,6 +25,7 @@ from fedledger.valuation import EXACT_MAX_PLAYERS
 GOLDEN = Path(__file__).parent / "golden_rounds_toy.csv"
 GOLDEN_SUMMARY = Path(__file__).parent / "golden_summary_toy.csv"
 GOLDEN_CHAIN = Path(__file__).parent / "golden_chain_contribution_toy.jsonl"
+GOLDEN_TMC_CHAIN = Path(__file__).parent / "golden_chain_tmc_default.jsonl"
 
 TOY = ExperimentSpec(
     synthetic_n=300,
@@ -296,6 +297,14 @@ class TestRunCommand:
         cmd_run(spec)
         got = (tmp_path / "res" / "chain_contribution_e2_b16.jsonl").read_text()
         assert got == GOLDEN_CHAIN.read_text()
+
+    def test_golden_tmc_chain_at_shipped_scale(self, tmp_path):
+        # shipped defaults: 30 orgs, k = 10, TMC over 10 players per round,
+        # and rounds 1-4 rank by the TMC contributions of the rounds before
+        spec = ExperimentSpec(rounds=6, out=str(tmp_path / "res"))
+        cmd_run(spec)
+        got = (tmp_path / "res" / "chain_contribution_e10_b32.jsonl").read_bytes()
+        assert got == GOLDEN_TMC_CHAIN.read_bytes()
 
     def test_greedy_policy_runs_end_to_end(self, tmp_path):
         spec = ExperimentSpec(**{

@@ -48,6 +48,22 @@ def small_config(**kwargs):
     return FederationConfig(**defaults)
 
 
+class TestFederationConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("tmc_truncation_tol", float("nan")),
+        ("tmc_truncation_tol", float("inf")),
+        ("tmc_convergence_tol", float("nan")),
+        ("tmc_convergence_tol", float("inf")),
+    ])
+    def test_non_finite_tmc_tolerances_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            small_config(valuation="tmc", **{key: value})
+
+    def test_negative_convergence_tol_rejected(self):
+        with pytest.raises(ValueError, match="tmc_convergence_tol"):
+            small_config(valuation="tmc", tmc_convergence_tol=-1.0)
+
+
 class TestInitRound0:
     def test_two_org_init(self):
         data = small_dataset()

@@ -295,6 +295,16 @@ class TestLocalTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("weight_decay", math.nan),
+        ("weight_decay", math.inf),
+    ])
+    def test_non_finite_rates_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            TrainConfig(**{key: value})
+
 
 class TestLocalTrainMany:
     """local_train_many against the Dataset-level oracle loop, shard by shard."""

@@ -219,6 +219,169 @@ class TestTmcShapley:
         assert all(s >= 0.0 for s in res.stderr.values())
 
 
+def sequential_tmc(game, truncation_tol, max_permutations, convergence_tol, seed):
+    """TMC walking one permutation at a time, one utility() call per step.
+
+    The walk loop tmc_shapley ran before its walks advanced in lock-step,
+    kept verbatim as the oracle.
+    """
+    players = game.players
+    n = len(players)
+    full_value = game.utility(players)
+    evaluations = 1
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(n)
+    sumsq = np.zeros(n)
+    prev_means = np.zeros(n)
+    done = 0
+    stable_streak = 0
+    for _ in range(max_permutations):
+        order = rng.permutation(n)
+        marginals = np.zeros(n)
+        prefix: list[int] = []
+        prefix_value = 0.0
+        truncated = False
+        for idx in order:
+            if not truncated and abs(full_value - prefix_value) < truncation_tol:
+                truncated = True
+            if truncated:
+                continue
+            prefix.append(players[idx])
+            new_value = game.utility(prefix)
+            evaluations += 1
+            marginals[idx] = new_value - prefix_value
+            prefix_value = new_value
+        done += 1
+        sums += marginals
+        sumsq += marginals * marginals
+        means = sums / done
+        if done > 1:
+            if np.max(np.abs(means - prev_means)) < convergence_tol:
+                stable_streak += 1
+            else:
+                stable_streak = 0
+            if stable_streak >= 10:
+                prev_means = means
+                break
+        prev_means = means
+
+    means = sums / done
+    if done > 1:
+        variance = np.maximum(sumsq - done * means * means, 0.0) / (done - 1)
+        stderr_arr = np.sqrt(variance / done)
+    else:
+        stderr_arr = np.zeros(n)
+    return ShapleyResult(
+        {p: float(means[i]) for i, p in enumerate(players)},
+        evaluations,
+        "tmc",
+        stderr={p: float(stderr_arr[i]) for i, p in enumerate(players)},
+    )
+
+
+def saturating_game(n, seed):
+    """Seeded game whose coalitions of at least n/2 players are worth the grand
+    coalition, so that truncation_tol > 0 cuts walks part way."""
+    rng = np.random.default_rng(seed)
+    full = float(rng.uniform(-1.0, 1.0))
+    values = {}
+    for r in range(1, n + 1):
+        for combo in itertools.combinations(range(n), r):
+            values[frozenset(combo)] = float(rng.uniform(-1.0, 1.0)) if 2 * r < n else full
+    return FunctionGame(range(n), lambda s: values[frozenset(s)])
+
+
+def nan_game(n, seed):
+    """random_game, except that coalitions holding players 0 and 1 are NaN."""
+    base = random_game(n, seed)._fn
+    return FunctionGame(range(n), lambda s: math.nan if {0, 1} <= s else base(s))
+
+
+def assert_matches_sequential(make_game, truncation_tol, max_permutations,
+                              convergence_tol, seed):
+    """Same values and stderr bit for bit, same count, and the same coalitions
+    evaluated: no walk went past where the sequential loop stopped."""
+    oracle_game, game = make_game(), make_game()
+    want = sequential_tmc(oracle_game, truncation_tol, max_permutations,
+                          convergence_tol, seed)
+    got = tmc_shapley(game, truncation_tol, max_permutations, convergence_tol, seed)
+    players = game.players
+    for field in ("values", "stderr"):
+        assert np.array_equal(bits([getattr(got, field)[p] for p in players]),
+                              bits([getattr(want, field)[p] for p in players])), field
+    assert got.num_evaluations == want.num_evaluations
+    assert set(game._cache) == set(oracle_game._cache)
+
+
+class TestTmcLockStep:
+    """tmc_shapley's lock-step walks against the sequential walk loop."""
+
+    @pytest.mark.parametrize("max_permutations", [1, 10, 11, 12, 37])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_sequential_oracle(self, n, max_permutations):
+        seed = 100 * n + max_permutations
+        for make in (random_game, saturating_game):
+            for truncation_tol in (0.0, 1e-4, 10.0):
+                for convergence_tol in (0.0, 1e-3, 1.0):
+                    assert_matches_sequential(
+                        lambda: make(n, seed), truncation_tol, max_permutations,
+                        convergence_tol, seed)
+
+    @pytest.mark.parametrize("truncation_tol", [0.0, 1e-4])
+    @pytest.mark.parametrize("convergence_tol", [0.0, 1.0])
+    def test_nan_utilities(self, truncation_tol, convergence_tol):
+        assert_matches_sequential(lambda: nan_game(6, 4), truncation_tol, 37,
+                                  convergence_tol, 2)
+
+    def test_small_model_game(self, small_model_game):
+        g = small_model_game
+        for truncation_tol in (0.0, 1e-4):
+            assert_matches_sequential(
+                lambda: UtilityGame(g.prior_global, g.submissions, g.server_test),
+                truncation_tol, 37, 1e-3, 1)
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_model_game(self, batch):
+        # batch=3 splits a step's prefixes over several stacked passes
+        def make():
+            game = model_game((4,), 20, range(8), seed=6)
+            if batch is not None:
+                game._batch = batch
+            return game
+        for truncation_tol in (0.0, 1e-3):
+            assert_matches_sequential(make, truncation_tol, 37, 1e-3, 9)
+
+    def test_one_evaluation_pass_per_walk_step(self):
+        # 37 walks of 5 players, never stopping early: batches of 11, 10, 10
+        # and 6 walks, each needing at most 5 passes, where the sequential
+        # loop needs up to one pass per prefix
+        class Counting(FunctionGame):
+            passes = 0
+
+            def _evaluate_masks(self, masks):
+                self.passes += 1
+                return super()._evaluate_masks(masks)
+
+        game = Counting(range(5), random_game(5, 3)._fn)
+        res = tmc_shapley(game, truncation_tol=0.0, max_permutations=37,
+                          convergence_tol=0.0, seed=1)
+        assert res.num_evaluations == 1 + 37 * 5
+        assert game.passes <= 1 + 4 * 5
+
+    @pytest.mark.parametrize("kwargs", [
+        {"truncation_tol": math.nan},
+        {"truncation_tol": math.inf},
+        {"truncation_tol": -1.0},
+        {"convergence_tol": math.nan},
+        {"convergence_tol": math.inf},
+        {"convergence_tol": -1.0},
+    ])
+    def test_bad_tolerances_rejected(self, kwargs):
+        (key,) = kwargs
+        with pytest.raises(ValueError, match=f"{key} must be non-negative and finite"):
+            tmc_shapley(random_game(3, 0), **kwargs)
+
+
 class TestCheckAxioms:
     def test_symmetric_pair(self):
         values = {frozenset(): 0.0, frozenset({1}): 1.0, frozenset({2}): 1.0,
