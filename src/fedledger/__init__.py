@@ -51,7 +51,6 @@ from .model import (
     init_params,
     local_train,
     loss,
-    predict,
     predict_batch,
 )
 from .selection import (

@@ -1,8 +1,9 @@
 """Small MLP binary classifier over a flat parameter vector.
 
 The flat layout ((W, b) per layer, row-major) makes model averaging and
-content-addressed hashing elsewhere in the package trivial. All operations
-are pure with value semantics on the parameters; nothing here keeps state.
+content-addressed hashing elsewhere in the package trivial. All public
+operations are pure with value semantics on the parameters; nothing here
+keeps state between calls.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     pos = z >= 0
     e = np.exp(np.where(pos, -z, z))
     denom = 1.0 + e
-    return np.where(pos, 1.0 / denom, e / denom)
+    return np.where(pos, 1.0, e) / denom
 
 
 def _forward(
@@ -156,8 +157,8 @@ def _forward(
 
 def _as_matrix(params: ModelParams, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
+    if x.ndim != 2:
+        raise ValueError(f"features must be a (rows, width) matrix, got shape {x.shape}")
     if x.shape[1] != params.input_width:
         raise ValueError(
             f"feature width {x.shape[1]} does not match model input "
@@ -166,15 +167,8 @@ def _as_matrix(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def predict(params: ModelParams, features: np.ndarray) -> float:
-    """Probability of the positive (fraud) class for one feature vector."""
-    x = _as_matrix(params, features)
-    if x.shape[0] != 1:
-        raise ValueError("predict takes a single feature vector; see predict_batch")
-    return float(_forward(_layers(params), x)[1][0])
-
-
 def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Probability of the positive (fraud) class for each row of a (rows, width) matrix."""
     return _forward(_layers(params), _as_matrix(params, features))[1]
 
 
@@ -253,39 +247,65 @@ def stacked_accuracy(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset
     return _accuracy(_stacked_probs(layer_dims, stack, data) >= 0.5, data.labels.astype(bool))
 
 
-def _grad(
-    dims: tuple[int, ...],
-    flat: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    weight_decay: float,
-) -> np.ndarray:
-    """Backpropagation over one non-empty batch of checked raw arrays.
+class _Step:
+    """The one backpropagation kernel: the gradient of a lock-step group of
+    models, from views and buffers built once and reused by every step.
 
-    The one gradient kernel, called by gradient() and local_train_many() after
-    they check their inputs. `flat` is one vector (P,) with x (n, din) and y
-    (n,), or a stack (m, P) with x (m, n, din) and y (m, n): model i on its
-    own batch x[i]. Each slice of a stacked result is bit for bit that model's
-    gradient alone, as in _forward. Returns new arrays; `flat` is only read.
+    The kernel holds the group's weight block `w`: one vector (P,) with
+    batches x (rows, din) and y (rows,) when `lead` is (), or a stack (m, P)
+    with x (m, rows, din) and y (m, rows) when `lead` is (m,), model i on its
+    own batch x[i]. A call fills and returns the gradient buffer, which the
+    next call overwrites; it only reads `w`. Every product is written with
+    out= into a buffer of shape (*lead, rows, width), and the bias gradients
+    are summed straight into their views of the gradient. The arithmetic is
+    that of a plain forward and backward pass, so each slice of a stacked
+    gradient is bit for bit that model's gradient alone, as in _forward.
     """
-    n = x.shape[-2]
-    layers = _layer_views(dims, flat)
-    activations, probs = _forward(layers, x)
 
-    grad = np.zeros_like(flat)
-    # these views alias `grad`, so writing into them fills the flat vectors
-    grad_layers = _layer_views(dims, grad)
-    delta = np.expand_dims((probs - y) / n, -1)
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        gw, gb = grad_layers[li]
-        gw[...] = activations[li].swapaxes(-1, -2) @ delta
-        gb[...] = delta.sum(axis=-2, keepdims=True)
-        if li > 0:
-            delta = (delta @ w.swapaxes(-1, -2)) * (activations[li] > 0)
-    if weight_decay:
-        grad += weight_decay * flat
-    return grad
+    def __init__(self, dims: tuple[int, ...], lead: tuple[int, ...], rows: int,
+                 weight_decay: float):
+        self.w = np.empty((*lead, param_count(dims)))
+        self.weight_decay = weight_decay
+        self.layers = _layer_views(dims, self.w)
+        self.weights_t = [w.swapaxes(-1, -2) for w, _ in self.layers]
+        self.grad = np.empty_like(self.w)
+        # these views alias `grad`, so writing into them fills the flat vectors
+        grad_layers = _layer_views(dims, self.grad)
+        self.weight_grads = [gw for gw, _ in grad_layers]
+        self.bias_grads = [gb[:, 0] if lead else gb for _, gb in grad_layers]
+        self.hidden = [np.empty((*lead, rows, width)) for width in dims[1:-1]]
+        self.hidden_t = [a.swapaxes(-1, -2) for a in self.hidden]
+        self.logits = np.empty((*lead, rows, 1))
+        # deltas[li] is the loss gradient at layer li's output
+        self.deltas = [np.empty((*lead, rows, width)) for width in dims[1:]]
+        self.decay = np.empty_like(self.w) if weight_decay else None
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        a = x
+        for (w, b), out in zip(self.layers, self.hidden):
+            np.matmul(a, w, out=out)
+            out += b
+            np.maximum(out, 0.0, out=out)
+            a = out
+        w_out, b_out = self.layers[-1]
+        z = np.matmul(a, w_out, out=self.logits)
+        z += b_out
+        delta = self.deltas[-1]
+        np.subtract(_sigmoid(z[..., 0]), y, out=delta[..., 0])
+        delta /= x.shape[-2]
+        inputs_t = [x.swapaxes(-1, -2), *self.hidden_t]
+        for li in range(len(self.layers) - 1, -1, -1):
+            np.matmul(inputs_t[li], delta, out=self.weight_grads[li])
+            np.add.reduce(delta, axis=-2, out=self.bias_grads[li])
+            if li > 0:
+                below = self.deltas[li - 1]
+                np.matmul(delta, self.weights_t[li], out=below)
+                below *= self.hidden[li - 1] > 0
+                delta = below
+        if self.weight_decay:
+            np.multiply(self.weight_decay, self.w, out=self.decay)
+            self.grad += self.decay
+        return self.grad
 
 
 def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> np.ndarray:
@@ -300,7 +320,9 @@ def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> 
     if len(batch) == 0:
         raise ValueError("batch is empty")
     x = _as_matrix(params, batch.features)
-    return _grad(params.layer_dims, params.weights, x, batch.labels, weight_decay)
+    kernel = _Step(params.layer_dims, (), len(batch), weight_decay)
+    kernel.w[...] = params.weights
+    return kernel(x, batch.labels)
 
 
 def local_train(params: ModelParams, data: Dataset, cfg: TrainConfig, seed: int) -> ModelParams:
@@ -326,11 +348,13 @@ def local_train_many(
     each shard draws its own seeded permutation when it starts an epoch, so
     its batches are exactly those. At each step index, the shards whose batch
     has the same row count take that step together, through one stacked
-    forward and backward pass of _grad; a shard alone at its row count takes
-    it unstacked. The groups are formed again only when a shard starts an
-    epoch, reaches a short last batch or is done. Beside the concatenated
-    rows this keeps one index per row, so memory grows with neither epochs
-    nor batch_size.
+    forward and backward pass; a shard alone at its row count takes it
+    unstacked. The groups are formed again only when a shard starts an
+    epoch, reaches a short last batch or is done. A group runs its steps in
+    place, in the _Step kernel kept for its shape (shards, rows), which is
+    built the first time that shape forms. Beside the concatenated rows this
+    keeps one index per row and those kernels, whose buffers hold shards x
+    rows x the widest layer per shape; memory does not grow with epochs.
 
     The Datasets checked their rows (finite features, 0/1 labels) when they
     were built, so this checks only that every shard is non-empty and matches
@@ -361,6 +385,8 @@ def local_train_many(
     # order[starts[i] : starts[i] + sizes[i]] is shard i's current epoch, as rows of x
     order = np.empty(len(x), dtype=np.intp)
     weights = np.tile(params.weights, (len(shards), 1))
+    # (stack shape, row count) -> the kernel that steps groups of that shape
+    kernels: dict[tuple[tuple[int, ...], int], _Step] = {}
     step, end = 0, cfg.epochs * max(per_epoch)
     while step < end:
         # row count -> (the shards, where each one's batch starts in `order`).
@@ -382,17 +408,21 @@ def local_train_many(
         # of steps in turn
         for count, (members, offsets) in groups.items():
             if len(members) == 1:  # a shard alone at its row count steps unstacked
-                sel, pos = members[0], np.arange(offsets[0], offsets[0] + count)
+                sel, lead, pos = members[0], (), np.arange(offsets[0], offsets[0] + count)
             else:
-                sel, pos = members, np.add.outer(offsets, np.arange(count))
-            w = weights[sel]  # a view of one shard's row, or a copy of the group's
+                sel, lead, pos = members, (len(members),), np.add.outer(offsets, np.arange(count))
+            if (lead, count) not in kernels:
+                kernels[lead, count] = _Step(dims, lead, count, cfg.weight_decay)
+            kernel = kernels[lead, count]
+            w = kernel.w
+            w[...] = weights[sel]
             for _ in range(run):
                 idx = order[pos]
-                g = _grad(dims, w, x.take(idx, axis=0), y.take(idx), cfg.weight_decay)
+                g = kernel(x.take(idx, axis=0), y.take(idx))
                 g *= cfg.learning_rate
                 w -= g
                 pos += batch
-            weights[sel] = w  # a no-op for a view
+            weights[sel] = w
         step += run
     return [ModelParams(dims, w) for w in weights]
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from fedledger.cli import (
     cmd_run,
     cmd_validate,
     config_hash,
+    execute_job,
     main,
     parse_config_file,
     resolve_spec,
@@ -26,6 +28,19 @@ GOLDEN = Path(__file__).parent / "golden_rounds_toy.csv"
 GOLDEN_SUMMARY = Path(__file__).parent / "golden_summary_toy.csv"
 GOLDEN_CHAIN = Path(__file__).parent / "golden_chain_contribution_toy.jsonl"
 GOLDEN_TMC_CHAIN = Path(__file__).parent / "golden_chain_tmc_default.jsonl"
+
+# The four benchmark workloads (benchmarks/run.py), restated here: rounds and
+# config overrides, and the SHA-256 of each one's exported chain at seed 1.
+BENCHMARK_CHAINS = {
+    "default-tmc": (100, {},
+                    "66cd45e3511447d6be2a9fc720df85d7ebb76f0ad9e1ab507280ed351426160c"),
+    "exact-shapley": (40, {"policies": ("random",), "valuation": "exact"},
+                      "54e935538de9933b03c1edab67ff22c101781b92a23ea6c525c0af71c7c8cc56"),
+    "greedy-pool": (40, {"policies": ("greedy",)},
+                    "efa2d8226a98a41a6a7e0bf50d0d43a53a5b04f43ce4145fb3c21b0170dd4624"),
+    "large-shards": (7, {"synthetic_n": 50000, "policies": ("random",), "valuation": "off"},
+                     "ff00fae2072aa75bfc665d8feef42dbf578a6fa81729cf5e2ad154e3ca442e62"),
+}
 
 TOY = ExperimentSpec(
     synthetic_n=300,
@@ -305,6 +320,17 @@ class TestRunCommand:
         cmd_run(spec)
         got = (tmp_path / "res" / "chain_contribution_e10_b32.jsonl").read_bytes()
         assert got == GOLDEN_TMC_CHAIN.read_bytes()
+
+    def test_benchmark_workload_chains_pinned(self):
+        # large-shards is the only byte-compare of a run with SMOTE and with
+        # lock-step SGD groups that keep their shape for many steps
+        got, expected = {}, {}
+        for name, (rounds, overrides, digest) in BENCHMARK_CHAINS.items():
+            spec = resolve_spec(env={}, overrides={**overrides, "rounds": rounds, "seed": 1})
+            job = execute_job((spec, spec.policies[0], spec.epochs, spec.batch_size))
+            got[name] = hashlib.sha256(job["chain_jsonl"].encode("utf-8")).hexdigest()
+            expected[name] = digest
+        assert got == expected
 
     def test_greedy_policy_runs_end_to_end(self, tmp_path):
         spec = ExperimentSpec(**{

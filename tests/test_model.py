@@ -11,7 +11,10 @@ from fedledger.model import (
     ModelParams,
     TrainConfig,
     _bce,
+    _forward,
+    _layer_views,
     _sigmoid,
+    _Step,
     average,
     evaluate,
     evaluate_many,
@@ -21,7 +24,6 @@ from fedledger.model import (
     local_train_many,
     loss,
     param_count,
-    predict,
     predict_batch,
     stacked_accuracy,
 )
@@ -77,6 +79,40 @@ def subset_sgd(params, data, cfg, seed):
     return weights
 
 
+def parent_grad(dims, flat, x, y, weight_decay):
+    """Backpropagation as it was before the _Step kernel, kept verbatim as its
+    oracle: fresh views, a zeroed gradient and products copied into it on
+    every call."""
+    n = x.shape[-2]
+    layers = _layer_views(dims, flat)
+    activations, probs = _forward(layers, x)
+
+    grad = np.zeros_like(flat)
+    # these views alias `grad`, so writing into them fills the flat vectors
+    grad_layers = _layer_views(dims, grad)
+    delta = np.expand_dims((probs - y) / n, -1)
+    for li in range(len(layers) - 1, -1, -1):
+        w, _ = layers[li]
+        gw, gb = grad_layers[li]
+        gw[...] = activations[li].swapaxes(-1, -2) @ delta
+        gb[...] = delta.sum(axis=-2, keepdims=True)
+        if li > 0:
+            delta = (delta @ w.swapaxes(-1, -2)) * (activations[li] > 0)
+    if weight_decay:
+        grad += weight_decay * flat
+    return grad
+
+
+def parent_steps(dims, w, batches, learning_rate, weight_decay):
+    """The SGD loop around parent_grad, on a copy of the weight block w."""
+    w = w.copy()
+    for x, y in batches:
+        g = parent_grad(dims, w, x, y, weight_decay)
+        g *= learning_rate
+        w -= g
+    return w
+
+
 def bits(values):
     """uint64 view, so that equality is bit for bit (signed zeros, NaN payloads)."""
     return np.asarray(values, dtype=np.float64).view(np.uint64)
@@ -120,29 +156,38 @@ class TestSigmoid:
 
 
 class TestPredict:
+    """predict_batch on single rows, and a batch against its rows one at a time."""
+
     def test_zero_weights_give_half(self):
         params = ModelParams((3, 4, 1), np.zeros(param_count((3, 4, 1))))
-        assert predict(params, np.array([1.0, -2.0, 3.0])) == 0.5
+        probs = predict_batch(params, np.array([[1.0, -2.0, 3.0]]))
+        assert probs.shape == (1,)
+        assert probs[0] == 0.5
 
     def test_saturated_logit(self):
         params = logistic([10.0, 10.0], 0.0)
-        assert predict(params, np.array([1.0, 1.0])) > 0.99
+        assert predict_batch(params, np.array([[1.0, 1.0]]))[0] > 0.99
 
     def test_cancellation(self):
         params = logistic([1.0, -1.0, 0.0], 0.0)
-        assert predict(params, np.array([1.0, 1.0, 1.0])) == 0.5
+        assert predict_batch(params, np.array([[1.0, 1.0, 1.0]]))[0] == 0.5
 
     def test_width_mismatch_rejected(self):
         params = logistic([1.0, 2.0], 0.0)
-        with pytest.raises(ValueError):
-            predict(params, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="feature width 3 does not match"):
+            predict_batch(params, np.array([[1.0, 2.0, 3.0]]))
+
+    def test_single_vector_rejected(self):
+        params = logistic([1.0, 2.0], 0.0)
+        with pytest.raises(ValueError, match=r"\(rows, width\) matrix, got shape \(2,\)"):
+            predict_batch(params, np.array([1.0, 2.0]))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(7)
         params = ModelParams((5, 3, 1), rng.normal(size=param_count((5, 3, 1))))
         feats = rng.normal(size=(10, 5))
         batch = predict_batch(params, feats)
-        singles = [predict(params, feats[i]) for i in range(10)]
+        singles = [predict_batch(params, feats[i : i + 1])[0] for i in range(10)]
         # batched and row-wise matmuls may round differently in the last bit
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
@@ -396,6 +441,46 @@ class TestLocalTrainMany:
         shard = make_dataset(np.ones((4, 3)), [0, 1, 0, 1])
         with pytest.raises(ValueError, match="1 seeds for 2 shards"):
             local_train_many(init_params((3, 1), seed=0), [shard, shard], TrainConfig(), [0])
+
+
+class TestStepKernel:
+    """The _Step kernel against parent_grad, bit for bit."""
+
+    @pytest.mark.parametrize("members", [None, 2, 10, 30])  # None: unstacked
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
+    @pytest.mark.parametrize("rows", [1, 21, 32])
+    def test_steps_bit_identical_to_parent_loop(self, members, hidden, weight_decay, rows):
+        # four steps on new batches, so every buffer is reused with new values
+        dims = (5, *hidden, 1)
+        lead = () if members is None else (members,)
+        rng = np.random.default_rng(rows + len(hidden))
+        start = rng.uniform(-0.8, 0.8, size=(*lead, param_count(dims)))
+        batches = [(rng.normal(size=(*lead, rows, 5)) * 2.0,
+                    (rng.random((*lead, rows)) < 0.3).astype(np.int64)) for _ in range(4)]
+        kernel = _Step(dims, lead, rows, weight_decay)
+        kernel.w[...] = start
+        for x, y in batches:
+            g = kernel(x, y)
+            g *= 0.05
+            kernel.w -= g
+        expected = parent_steps(dims, start, batches, 0.05, weight_decay)
+        np.testing.assert_array_equal(bits(kernel.w), bits(expected))
+
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
+    def test_gradient_bit_identical_to_parent(self, hidden, weight_decay):
+        dims = (5, *hidden, 1)
+        rng = np.random.default_rng(len(hidden))
+        weights = rng.uniform(-0.8, 0.8, size=param_count(dims))
+        with_nan = weights.copy()
+        with_nan[3] = np.nan
+        for w in (weights, with_nan):
+            for rows in (1, 21, 32):
+                batch = make_dataset(rng.normal(size=(rows, 5)), rng.integers(0, 2, size=rows))
+                got = gradient(ModelParams(dims, w), batch, weight_decay)
+                expected = parent_grad(dims, w, batch.features, batch.labels, weight_decay)
+                np.testing.assert_array_equal(bits(got), bits(expected))
 
 
 class TestEvaluate:
