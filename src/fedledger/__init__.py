@@ -35,11 +35,11 @@ from .ledger import (
     LocalUpdateTx,
     ValidatorPanel,
     append_block,
+    cross_verify,
     export_chain,
     import_chain,
     majority_global,
     validate_chain,
-    verify_local_update,
 )
 from .model import (
     Metrics,
@@ -65,7 +65,6 @@ from .valuation import (
     FunctionGame,
     ShapleyResult,
     UtilityGame,
-    accumulate_contributions,
     check_axioms,
     exact_shapley,
     tmc_shapley,

@@ -415,6 +415,9 @@ def cmd_validate(path) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not chain:  # every export starts with a genesis block
+        print(f"error: {path}: no blocks", file=sys.stderr)
+        return 2
     verdict = ledgermod.validate_chain(chain)
     if verdict:
         print(f"valid chain of {len(chain)} block(s)")

@@ -147,12 +147,15 @@ def load_csv(path) -> Dataset:
             values = []
             for col_no, cell in enumerate(row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)  # "1e400" parses, to inf
+                    if not math.isfinite(value):
+                        raise ValueError
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {row_no}, column {CREDIT_CARD_COLUMNS[col_no]}: "
-                        f"not numeric: {cell!r}"
+                        f"not a finite number: {cell!r}"
                     ) from None
+                values.append(value)
             label = values[-1]
             if label not in (0.0, 1.0):
                 raise ParseError(

@@ -3,8 +3,9 @@
 Each round: select organizations, train locally in parallel-safe fashion
 (every source of randomness is derived from the master seed, so execution
 order cannot change results), submit updates through the content store,
-cross-verify and aggregate via the validator panel, value the verified
-submissions, and seal the round in a new block.
+let the validator panel cross-verify and aggregate what it fetches back
+from the store, value the updates the winning candidate averaged, and
+seal the round in a new block.
 """
 
 from __future__ import annotations
@@ -281,45 +282,22 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
 
     # local training and submission; greedy charges its full candidate pool
     submissions = pretrained or state.train_round(t, sorted(selected))
-    submitting = sorted(submissions)
     txs = []
     bytes_off_chain = 0
-    for org in submitting:
+    for org in sorted(submissions):
         payload = ledgermod.serialize_params(submissions[org])
-        digest = state.store.put(payload)
-        txs.append(LocalUpdateTx(t, org, digest, len(payload)))
+        txs.append(LocalUpdateTx(t, org, state.store.put(payload), len(payload)))
         bytes_off_chain += len(payload)
     bytes_on_chain = (len(txs) + 1) * ledgermod.TX_WIRE_BYTES
-    tx_by_org = {tx.org_id: tx for tx in txs}
 
-    # each validator independently verifies and aggregates the selected updates
-    verified_by_validator: dict[int, list[int]] = {}
-    candidates: dict[int, ModelParams] = {}
-    selected_txs = [tx_by_org[org] for org in sorted(selected)]
-    for vid in state.panel.validators:
-        outcomes = ledgermod.verify_local_updates(state.panel, vid, selected_txs, state.store)
-        accepted = [tx.org_id for tx, ok in zip(selected_txs, outcomes) if ok]
-        verified_by_validator[vid] = accepted
-        if accepted:
-            candidates[vid] = modelmod.average([submissions[org] for org in accepted])
-        else:
-            candidates[vid] = state.global_params  # nothing verified: carry forward
-
-    winner_digest, new_global, votes = ledgermod.majority_global(
-        state.panel, candidates, state.store)
-    winning_orgs = next(
-        verified_by_validator[vid]
-        for vid in state.panel.validators
-        if votes[vid] == winner_digest
-    )
+    # from here on, every model is one a validator fetched from the store
+    winner_digest, new_global, votes, accepted = ledgermod.cross_verify(
+        state.panel, [tx for tx in txs if tx.org_id in selected], state.store,
+        state.global_params)
 
     shapley = None
-    if cfg.valuation != "off" and winning_orgs:
-        game = UtilityGame(
-            state.global_params,
-            {org: submissions[org] for org in winning_orgs},
-            state.server_test,
-        )
+    if cfg.valuation != "off" and accepted:
+        game = UtilityGame(state.global_params, accepted, state.server_test)
         if cfg.valuation == "exact":
             shapley = valmod.exact_shapley(game)
         else:

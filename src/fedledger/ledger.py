@@ -2,18 +2,19 @@
 
 Model payloads live off-chain in a SHA-256 blob store; the chain records
 only fixed-size transaction records carrying 256-bit digests, so on-chain
-growth is independent of model size. Validators cross-verify submitted
-local models on held-out shards and vote on independently aggregated
-candidates; the strict-majority candidate becomes the round's global
-model. Blocks are hash-chained over a canonical JSON serialization, so
-any single-byte tamper is detectable at its height.
+growth is independent of model size. Validators fetch the submitted
+local models from the store, cross-verify them on held-out shards and vote
+on the candidates each aggregates from the models it accepted; the
+strict-majority candidate becomes the round's global model. Blocks are
+hash-chained over a canonical JSON serialization, so any single-byte
+tamper is detectable at its height.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -126,6 +127,8 @@ class LocalUpdateTx:
 class VerificationOutcome:
     ok: bool
     reason: str = ""
+    # the model an accepted payload deserialized to; None when rejected
+    params: ModelParams | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -148,41 +151,27 @@ class ValidatorPanel:
             raise ValueError("accuracy_floor must lie in [0, 1]")
 
 
-def verify_local_update(
-    panel: ValidatorPanel,
-    validator_id: int,
-    tx: LocalUpdateTx,
-    store: ContentStore,
-) -> VerificationOutcome:
-    """One validator's accept/reject on a submitted local model.
-
-    Accepts iff the payload resolves, deserializes to finite weights of the
-    validator's feature width, and scores at or above the panel's accuracy
-    floor on this validator's shard. This is verify_local_updates() of one
-    transaction.
-    """
-    return verify_local_updates(panel, validator_id, [tx], store)[0]
-
-
 def verify_local_updates(
     panel: ValidatorPanel,
     validator_id: int,
     txs: Sequence[LocalUpdateTx],
     store: ContentStore,
 ) -> list[VerificationOutcome]:
-    """verify_local_update() of each transaction, in order.
+    """One validator's accept/reject on each submitted local model, in order.
 
-    Each payload is resolved, deserialized and checked for finite weights and
-    the shard's feature width on its own. The models that pass are scored
-    together: one stacked forward pass over the validator's shard per
-    architecture (layer_dims), whose accuracies are bit for bit
-    model.evaluate's; its memory grows with len(txs) * len(shard) * the
-    widest layer.
+    A payload is accepted iff it resolves, deserializes to finite weights of
+    the validator's feature width, and scores at or above the panel's
+    accuracy floor on this validator's shard; an accepted outcome carries the
+    model it deserialized to. The first three checks run on each payload on
+    its own. The models that pass them are scored together: one stacked
+    forward pass over the shard per architecture (layer_dims), whose
+    accuracies are bit for bit model.evaluate's; its memory grows with
+    len(txs) * len(shard) * the widest layer.
     """
     shard = panel.test_shards[validator_id]
     outcomes: list[VerificationOutcome | None] = []
-    # layer_dims -> (positions in txs, weight vectors) of the models to score
-    scored: dict[tuple[int, ...], tuple[list[int], list[np.ndarray]]] = {}
+    # layer_dims -> (positions in txs, models) of the models to score
+    scored: dict[tuple[int, ...], tuple[list[int], list[ModelParams]]] = {}
     for tx in txs:
         try:
             payload = store.get(tx.model_digest)
@@ -204,19 +193,47 @@ def verify_local_updates(
                 f"match model input width {params.input_width}",
             ))
             continue
-        positions, weights = scored.setdefault(params.layer_dims, ([], []))
+        positions, models = scored.setdefault(params.layer_dims, ([], []))
         positions.append(len(outcomes))
-        weights.append(params.weights)
+        models.append(params)
         outcomes.append(None)
     floor = panel.accuracy_floor
-    for dims, (positions, weights) in scored.items():
-        accuracies = model.stacked_accuracy(dims, np.array(weights), shard)
-        for i, accuracy in zip(positions, accuracies.tolist()):
+    for dims, (positions, models) in scored.items():
+        accuracies = model.stacked_accuracy(dims, np.array([m.weights for m in models]), shard)
+        for i, params, accuracy in zip(positions, models, accuracies.tolist()):
             outcomes[i] = (
                 VerificationOutcome(False, f"accuracy {accuracy:.4f} below floor {floor:.4f}")
-                if accuracy < floor else VerificationOutcome(True)
+                if accuracy < floor else VerificationOutcome(True, params=params)
             )
     return outcomes
+
+
+def cross_verify(
+    panel: ValidatorPanel,
+    txs: Sequence[LocalUpdateTx],
+    store: ContentStore,
+    prior: ModelParams,
+) -> tuple[bytes, ModelParams, dict[int, bytes], dict[int, ModelParams]]:
+    """One round's validation, from the store alone.
+
+    Each validator verifies the transactions (one per organization) against
+    its own shard and averages the models it accepted, in the order of txs,
+    or carries `prior` forward when it accepted none; majority_global then
+    picks the round's global model. Returns the winning digest, that model,
+    every validator's vote, and {org_id: model} of the updates accepted by
+    the first validator that voted for the winner. No strict majority raises
+    ConsensusError.
+    """
+    accepted: dict[int, dict[int, ModelParams]] = {}
+    candidates: dict[int, ModelParams] = {}
+    for vid in panel.validators:
+        outcomes = verify_local_updates(panel, vid, txs, store)
+        models = {tx.org_id: o.params for tx, o in zip(txs, outcomes) if o}
+        accepted[vid] = models
+        candidates[vid] = model.average(list(models.values())) if models else prior
+    winner, new_global, votes = majority_global(panel, candidates, store)
+    first = next(vid for vid in panel.validators if votes[vid] == winner)
+    return winner, new_global, votes, accepted[first]
 
 
 def majority_global(

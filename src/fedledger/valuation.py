@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -73,12 +73,7 @@ class CoalitionGame:
         return mask
 
     def utility(self, coalition: Iterable[int]) -> float:
-        mask = self.mask_of(coalition)
-        cached = self._cache.get(mask)
-        if cached is None:
-            self._cache.update(self._evaluate_masks([mask]))
-            cached = self._cache[mask]
-        return cached
+        return float(self._mask_utilities([self.mask_of(coalition)])[0])
 
     def utilities(self, coalitions: Iterable[Iterable[int]]) -> np.ndarray:
         """utility() of each coalition, in order, as one float64 array.
@@ -450,15 +445,3 @@ def check_axioms(
         additivity_holds,
         additivity_residual,
     )
-
-
-def accumulate_contributions(history: Sequence[ShapleyResult]) -> dict[int, float]:
-    """Per-organization running total of Shapley values across rounds.
-
-    Organizations absent from a round contribute nothing for that round.
-    """
-    totals: dict[int, float] = {}
-    for result in history:
-        for org, value in result.values.items():
-            totals[org] = totals.get(org, 0.0) + value
-    return totals

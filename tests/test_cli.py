@@ -20,7 +20,7 @@ from fedledger.cli import (
     synthesize_raw,
     synthetic_dataset,
 )
-from fedledger.data import load_csv, split
+from fedledger.data import CREDIT_CARD_COLUMNS, load_csv, split
 from fedledger.model import TrainConfig, evaluate, init_params, local_train
 from fedledger.valuation import EXACT_MAX_PLAYERS
 
@@ -380,10 +380,15 @@ class TestValidateCommand:
         assert cmd_validate(chain_path) == 1
         assert "height 1" in capsys.readouterr().out
 
-    def test_empty_file_valid(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_empty_or_blank_file_rejected(self, tmp_path, capsys, text):
+        # every export starts with a genesis block, so no blocks is no chain
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        assert cmd_validate(path) == 0
+        path.write_text(text)
+        assert cmd_validate(path) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: no blocks\n"
+        assert captured.out == ""
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -518,6 +523,18 @@ class TestDataChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "header mismatch" in err and "two.csv" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_csv_with_non_finite_cell(self, tmp_path, capsys, cell):
+        csv = tmp_path / "bad.csv"
+        row = ["0.0"] * 30 + ["0"]
+        row[3] = cell
+        csv.write_text(",".join(CREDIT_CARD_COLUMNS) + "\n" + ",".join(row) + "\n")
+        code, out = self.run_main(tmp_path, f"data = csv\ncsv_path = {csv}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv}: row 2, column V3: not a finite number: {cell!r}\n"
         assert not out.exists()
 
 

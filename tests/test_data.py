@@ -83,6 +83,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="column V2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        # 1e400 parses to inf; a non-finite feature must not reach Dataset
+        path = tmp_path / "nonfinite.csv"
+        rows = [["0.0"] * 31, ["0.0"] * 31]
+        rows[1][5] = cell
+        with open(path, "w") as fh:
+            fh.write(",".join(CREDIT_CARD_COLUMNS) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        with pytest.raises(ParseError, match=f"row 3, column V5: not a finite number: '{cell}'"):
+            load_csv(path)
+
     def test_quoted_cells_and_header(self, tmp_path):
         # the public fraud file quotes its header and Class column
         path = tmp_path / "quoted.csv"

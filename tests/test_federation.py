@@ -274,15 +274,53 @@ class TestRun:
         assert metrics == result.reports[-1].global_metrics
 
     def test_chain_validates_and_contributions_accumulate(self):
-        cfg = small_config(valuation="exact")
+        # 2 of 4 orgs a round, so orgs sit out some rounds; the running totals
+        # are checked from the empty history on, after every round
+        cfg = small_config(valuation="exact", rounds=4)
+        state = init_round0(cfg, small_dataset())
+        assert state.contributions == {}
+        totals = {}
+        for t in range(cfg.rounds):
+            run_round(state, t)
+            for org, value in state.chain[-1].contributions.items():
+                totals[org] = totals.get(org, 0.0) + value
+            # exact: same keys, and each value the same float sum in round order
+            assert set(state.contributions) == set(totals)
+            assert state.contributions == totals
+        assert any(len(block.contributions) < cfg.num_orgs for block in state.chain[1:])
         result, state = run(cfg, small_dataset())
         assert ledgermod.validate_chain(state.chain)
-        per_round_totals = {}
-        for block in state.chain[1:]:
-            for org, v in block.contributions.items():
-                per_round_totals[org] = per_round_totals.get(org, 0.0) + v
-        for org, total in result.contributions.items():
-            assert total == pytest.approx(per_round_totals.get(org, 0.0), abs=1e-12)
+        assert result.contributions == totals
+        off, _ = run(small_config(valuation="off"), small_dataset())
+        assert off.contributions == {}
+
+    @pytest.mark.parametrize("kind", ["random", "greedy"])
+    @pytest.mark.parametrize("floor", [0.5, 0.9])
+    def test_blocks_replay_from_the_store(self, kind, floor):
+        # every vote, every global model and every valued set of a block is
+        # rebuilt from the selected transactions' payloads in the store alone
+        cfg = small_config(policy=SelectionPolicy(kind, k=3), num_orgs=6,
+                           accuracy_floor=floor, label_noise_orgs=2, label_noise=0.9)
+        result, state = run(cfg, small_dataset())
+        store = state.store
+        for prev, block, report in zip(state.chain, state.chain[1:], result.reports):
+            prior = ledgermod.deserialize_params(store.get(prev.global_model_digest))
+            selected = [tx for tx in block.txs if tx.org_id in report.selected]
+            assert [tx.org_id for tx in selected] == sorted(report.selected)
+            if kind == "greedy":  # the whole pool stores, only the selected are verified
+                assert len(block.txs) == cfg.num_orgs > len(selected)
+            accepted = {}
+            for vid in state.panel.validators:
+                outcomes = ledgermod.verify_local_updates(state.panel, vid, selected, store)
+                orgs = [tx.org_id for tx, ok in zip(selected, outcomes) if ok]
+                models = [ledgermod.deserialize_params(store.get(tx.model_digest))
+                          for tx, ok in zip(selected, outcomes) if ok]
+                candidate = modelmod.average(models) if models else prior
+                assert ledgermod.params_digest(candidate) == block.votes[vid]
+                accepted.setdefault(block.votes[vid], orgs)
+            tally = list(block.votes.values())
+            assert tally.count(block.global_model_digest) * 2 > len(tally)
+            assert set(block.contributions) == set(accepted[block.global_model_digest])
 
     def test_greedy_policy_charges_full_pool(self):
         cfg_greedy = small_config(policy=SelectionPolicy("greedy", k=2),

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fedledger import ledger as ledgermod
 from fedledger.data import Dataset
 from fedledger.ledger import (
     TX_WIRE_BYTES,
@@ -17,6 +18,7 @@ from fedledger.ledger import (
     ValidatorPanel,
     append_block,
     compute_block_hash,
+    cross_verify,
     deserialize_params,
     export_chain,
     import_chain,
@@ -25,10 +27,9 @@ from fedledger.ledger import (
     params_digest,
     serialize_params,
     validate_chain,
-    verify_local_update,
     verify_local_updates,
 )
-from fedledger.model import ModelParams, TrainConfig, init_params, local_train
+from fedledger.model import ModelParams, TrainConfig, average, init_params, local_train
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -57,6 +58,12 @@ def trained_model(shard, flip_labels=False, seed=0):
                     weight_decay=0.0),
         seed,
     )
+
+
+def submit(store, params, org=0):
+    payload = serialize_params(params)
+    digest = store.put(payload)
+    return LocalUpdateTx(0, org, digest, len(payload))
 
 
 def simple_panel(floor=0.5):
@@ -117,49 +124,44 @@ class TestModelSerialization:
 
 
 class TestVerifyLocalUpdate:
-    def submit(self, store, params, org=0):
-        payload = serialize_params(params)
-        digest = store.put(payload)
-        return LocalUpdateTx(0, org, digest, len(payload))
-
     def test_nan_weights_rejected(self):
         store = ContentStore()
         weights = np.zeros(3)
         weights[1] = np.nan
-        tx = self.submit(store, ModelParams((2, 1), weights))
-        outcome = verify_local_update(simple_panel(), 0, tx, store)
+        tx = submit(store, ModelParams((2, 1), weights))
+        outcome = verify_local_updates(simple_panel(), 0, [tx], store)[0]
         assert not outcome
         assert "non-finite" in outcome.reason
 
     def test_zero_floor_accepts_any_finite_model(self):
         store = ContentStore()
-        tx = self.submit(store, init_params((2, 1), seed=3))
-        assert verify_local_update(simple_panel(floor=0.0), 0, tx, store)
+        tx = submit(store, init_params((2, 1), seed=3))
+        assert verify_local_updates(simple_panel(floor=0.0), 0, [tx], store)[0]
 
     def test_poisoned_model_rejected(self):
         # label-flipped training on a separable shard lands below a 0.5 floor
         store = ContentStore()
         panel = simple_panel(floor=0.5)
         poisoned = trained_model(balanced_shard(seed=0), flip_labels=True)
-        tx = self.submit(store, poisoned)
-        outcome = verify_local_update(panel, 0, tx, store)
+        tx = submit(store, poisoned)
+        outcome = verify_local_updates(panel, 0, [tx], store)[0]
         assert not outcome
         assert "below floor" in outcome.reason
-        honest = trained_model(balanced_shard(seed=0))
-        assert verify_local_update(panel, 0, self.submit(store, honest, org=1), store)
+        honest = submit(store, trained_model(balanced_shard(seed=0)), org=1)
+        assert verify_local_updates(panel, 0, [honest], store)[0]
 
     def test_missing_payload_is_reported(self):
         store = ContentStore()
         tx = LocalUpdateTx(0, 0, b"\x11" * 32, 100)
-        outcome = verify_local_update(simple_panel(), 0, tx, store)
+        outcome = verify_local_updates(simple_panel(), 0, [tx], store)[0]
         assert not outcome
         assert "unavailable" in outcome.reason
 
     def test_wrong_input_width_rejected_as_malformed(self):
         # a well-formed payload for 5 features, against 2-wide validator shards
         store = ContentStore()
-        tx = self.submit(store, init_params((5, 4, 1), 1))
-        outcome = verify_local_update(simple_panel(), 0, tx, store)
+        tx = submit(store, init_params((5, 4, 1), 1))
+        outcome = verify_local_updates(simple_panel(), 0, [tx], store)[0]
         assert not outcome
         assert outcome.reason == (
             "malformed payload: feature width 2 does not match model input width 5")
@@ -168,25 +170,25 @@ class TestVerifyLocalUpdate:
         store = ContentStore()
         panel = simple_panel(floor=0.5)
         shard = balanced_shard(seed=0)
-        corrupt = self.submit(store, init_params((2, 1), seed=8), org=1)
+        corrupt = submit(store, init_params((2, 1), seed=8), org=1)
         store.blobs[corrupt.model_digest] = b"tampered"
         nan_weights = np.zeros(3)
         nan_weights[2] = np.nan
         wide = init_params((2, 3, 1), seed=2)
         txs = [
-            self.submit(store, trained_model(shard), org=0),  # accepted
+            submit(store, trained_model(shard), org=0),  # accepted
             corrupt,
             LocalUpdateTx(0, 2, b"\x11" * 32, 100),  # missing blob
-            self.submit(store, trained_model(shard, flip_labels=True), org=3),  # below floor
-            self.submit(store, ModelParams((2, 1), nan_weights), org=4),
-            self.submit(store, init_params((5, 4, 1), 1), org=5),  # wrong width
-            self.submit(store, trained_model(shard, seed=1), org=6),  # accepted
-            self.submit(store, ModelParams(wide.layer_dims, wide.weights * 0.0), org=7),
-            self.submit(store, wide, org=8),  # a second architecture, its own stack
+            submit(store, trained_model(shard, flip_labels=True), org=3),  # below floor
+            submit(store, ModelParams((2, 1), nan_weights), org=4),
+            submit(store, init_params((5, 4, 1), 1), org=5),  # wrong width
+            submit(store, trained_model(shard, seed=1), org=6),  # accepted
+            submit(store, ModelParams(wide.layer_dims, wide.weights * 0.0), org=7),
+            submit(store, wide, org=8),  # a second architecture, its own stack
         ]
         for vid in panel.validators:
             batch = verify_local_updates(panel, vid, txs, store)
-            singles = [verify_local_update(panel, vid, tx, store) for tx in txs]
+            singles = [verify_local_updates(panel, vid, [tx], store)[0] for tx in txs]
             assert batch == singles
             reasons = [o.reason for o in batch]
             assert batch[0] and batch[6]
@@ -229,6 +231,103 @@ class TestMajorityGlobal:
     def test_candidate_per_validator_required(self):
         with pytest.raises(ValueError):
             majority_global(simple_panel(), {0: init_params((2, 1), 0)}, ContentStore())
+
+
+class TestCrossVerify:
+    """Validation from the store: verify, average or carry forward, vote."""
+
+    @staticmethod
+    def panel(flipped=()):
+        # a flipped validator holds its shard with every label inverted
+        shards = {}
+        for v in range(3):
+            shard = balanced_shard(seed=v)
+            if v in flipped:
+                shard = Dataset(shard.features, 1 - shard.labels)
+            shards[v] = shard
+        return ValidatorPanel((0, 1, 2), shards, accuracy_floor=0.5)
+
+    def test_outcomes_carry_the_stored_model(self):
+        store = ContentStore()
+        shard = balanced_shard(seed=0)
+        nan_weights = np.zeros(3)
+        nan_weights[0] = np.nan
+        txs = [
+            submit(store, trained_model(shard), org=0),
+            submit(store, trained_model(shard, flip_labels=True), org=1),
+            submit(store, ModelParams((2, 1), nan_weights), org=2),
+            LocalUpdateTx(0, 3, b"\x11" * 32, 100),
+            submit(store, trained_model(shard, seed=1), org=4),
+        ]
+        outcomes = verify_local_updates(simple_panel(), 0, txs, store)
+        assert [bool(o) for o in outcomes] == [True, False, False, False, True]
+        for tx, outcome in zip(txs, outcomes):
+            if outcome:
+                assert serialize_params(outcome.params) == store.get(tx.model_digest)
+            else:
+                assert outcome.params is None
+        assert "params" not in repr(outcomes[0])
+
+    def test_prior_carried_forward_when_all_rejected(self):
+        store = ContentStore()
+        shard = balanced_shard(seed=0)
+        nan_weights = np.zeros(3)
+        nan_weights[1] = np.nan
+        txs = [
+            submit(store, trained_model(shard, flip_labels=True), org=0),
+            submit(store, ModelParams((2, 1), nan_weights), org=1),
+        ]
+        prior = init_params((2, 1), seed=5)
+        digest, new_global, votes, accepted = cross_verify(self.panel(), txs, store, prior)
+        assert digest == params_digest(prior)
+        assert new_global.weights.tobytes() == prior.weights.tobytes()
+        assert votes == {0: digest, 1: digest, 2: digest}
+        assert accepted == {}
+        assert digest in store
+
+    def test_returns_the_winners_accepted_set(self):
+        # a zero model scores exactly 0.5 everywhere; the honest model fails
+        # validator 0's flipped shard, so validator 0 accepts only org 3
+        store = ContentStore()
+        honest = trained_model(balanced_shard(seed=1))
+        zero = ModelParams((2, 1), np.zeros(3))
+        txs = [submit(store, zero, org=3), submit(store, honest, org=7)]
+        prior = init_params((2, 1), seed=5)
+        digest, new_global, votes, accepted = cross_verify(
+            self.panel(flipped=(0,)), txs, store, prior)
+        expected = average([zero, honest])
+        assert digest == params_digest(expected)
+        assert new_global.weights.tobytes() == expected.weights.tobytes()
+        assert votes == {0: params_digest(zero), 1: digest, 2: digest}
+        assert sorted(accepted) == [3, 7]
+        assert accepted[7].weights.tobytes() == honest.weights.tobytes()
+        assert store.get(digest) == serialize_params(expected)
+
+    def test_consensus_error_propagates(self, monkeypatch):
+        # three validators, three accepted sets: {3, 7}, {3, 9} and {7}
+        store = ContentStore()
+        honest = trained_model(balanced_shard(seed=1))
+        inverted = trained_model(balanced_shard(seed=1), flip_labels=True)
+        zero = ModelParams((2, 1), np.zeros(3))
+        skewed = balanced_shard(seed=2, n=40).subset(range(30))  # 20 negatives, 10 positives
+        panel = ValidatorPanel(
+            (0, 1, 2),
+            {**self.panel(flipped=(1,)).test_shards, 2: skewed},
+            accuracy_floor=0.5,
+        )
+        txs = [submit(store, zero, org=3), submit(store, honest, org=7),
+               submit(store, inverted, org=9)]
+        calls = []
+        real = ledgermod.majority_global
+
+        def counted(panel, candidates, store):
+            calls.append(sorted(candidates))
+            return real(panel, candidates, store)
+
+        monkeypatch.setattr(ledgermod, "majority_global", counted)
+        with pytest.raises(ConsensusError, match="3 distinct candidates"):
+            cross_verify(panel, txs, store, init_params((2, 1), seed=5))
+        assert calls == [[0, 1, 2]]  # called through the module, as tests patch it
 
 
 def build_chain(n_blocks, seed=0):

@@ -13,7 +13,6 @@ from fedledger.valuation import (
     ShapleyResult,
     SumGame,
     UtilityGame,
-    accumulate_contributions,
     check_axioms,
     exact_shapley,
     tmc_shapley,
@@ -440,33 +439,6 @@ class TestSumGame:
     def test_mismatched_players_rejected(self):
         with pytest.raises(ValueError):
             SumGame(additive_game([1.0]), additive_game([1.0, 2.0]))
-
-
-class TestAccumulateContributions:
-    def test_empty_history(self):
-        assert accumulate_contributions([]) == {}
-
-    def test_two_rounds(self):
-        history = [
-            ShapleyResult({0: 1.0, 1: 0.0}, 4, "exact"),
-            ShapleyResult({0: 0.0, 1: 1.0}, 4, "exact"),
-        ]
-        assert accumulate_contributions(history) == {0: 1.0, 1: 1.0}
-
-    def test_sum_oracle_over_seeded_rounds(self):
-        rng = np.random.default_rng(30)
-        history = []
-        expected = {}
-        for _ in range(5):
-            orgs = sorted(rng.choice(10, size=4, replace=False))
-            values = {int(o): float(rng.normal()) for o in orgs}
-            history.append(ShapleyResult(values, 16, "exact"))
-            for o, v in values.items():
-                expected[o] = expected.get(o, 0.0) + v
-        got = accumulate_contributions(history)
-        assert set(got) == set(expected)
-        for o in expected:
-            assert got[o] == pytest.approx(expected[o], abs=1e-12)
 
 
 def bits(values):
