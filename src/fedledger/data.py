@@ -165,8 +165,14 @@ def load_csv(path) -> Dataset:
             labels.append(int(label))
     if not rows:
         raise ParseError(f"{path}: no data rows after the header")
-    return Dataset(standardize(np.array(rows, dtype=np.float64)),
-                   np.array(labels, dtype=np.int64))
+    features = np.array(rows, dtype=np.float64)
+    # finite cells can still overflow their column's mean or variance
+    with np.errstate(over="ignore", invalid="ignore"):
+        scalable = np.isfinite(features.mean(axis=0)) & np.isfinite(features.std(axis=0))
+    if not scalable.all():
+        column = CREDIT_CARD_COLUMNS[int(np.argmin(scalable))]
+        raise ParseError(f"{path}: column {column}: values too large to standardize")
+    return Dataset(standardize(features), np.array(labels, dtype=np.int64))
 
 
 def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -251,24 +251,26 @@ class _Step:
     """The one backpropagation kernel: the gradient of a lock-step group of
     models, from views and buffers built once and reused by every step.
 
-    The kernel holds the group's weight block `w`: one vector (P,) with
-    batches x (rows, din) and y (rows,) when `lead` is (), or a stack (m, P)
-    with x (m, rows, din) and y (m, rows) when `lead` is (m,), model i on its
-    own batch x[i]. A call fills and returns the gradient buffer, which the
-    next call overwrites; it only reads `w`. Every product is written with
-    out= into a buffer of shape (*lead, rows, width), and the bias gradients
-    are summed straight into their views of the gradient. The arithmetic is
-    that of a plain forward and backward pass, so each slice of a stacked
-    gradient is bit for bit that model's gradient alone, as in _forward.
+    Its layer views alias the weight block `w` it is given, which the caller
+    steps in place: one vector (P,) with batches x (rows, din) and y (rows,),
+    or a C-contiguous stack (m, P) with x (m, rows, din) and y (m, rows),
+    model i on its own batch x[i]; local_train_many() passes slices of its
+    weight block, gradient() a copy. A call fills and returns the gradient
+    buffer, which the next call overwrites; it only reads `w`. Every product
+    is written with out= into a buffer of shape (*lead, rows, width), and
+    the bias gradients are summed straight into their views of the gradient.
+    The arithmetic is that of a plain forward and backward pass, so each
+    slice of a stacked gradient is bit for bit that model's gradient alone,
+    as in _forward.
     """
 
-    def __init__(self, dims: tuple[int, ...], lead: tuple[int, ...], rows: int,
-                 weight_decay: float):
-        self.w = np.empty((*lead, param_count(dims)))
+    def __init__(self, dims: tuple[int, ...], w: np.ndarray, rows: int, weight_decay: float):
+        lead = w.shape[:-1]
+        self.w = w
         self.weight_decay = weight_decay
-        self.layers = _layer_views(dims, self.w)
-        self.weights_t = [w.swapaxes(-1, -2) for w, _ in self.layers]
-        self.grad = np.empty_like(self.w)
+        self.layers = _layer_views(dims, w)
+        self.weights_t = [lw.swapaxes(-1, -2) for lw, _ in self.layers]
+        self.grad = np.empty_like(w)
         # these views alias `grad`, so writing into them fills the flat vectors
         grad_layers = _layer_views(dims, self.grad)
         self.weight_grads = [gw for gw, _ in grad_layers]
@@ -278,7 +280,7 @@ class _Step:
         self.logits = np.empty((*lead, rows, 1))
         # deltas[li] is the loss gradient at layer li's output
         self.deltas = [np.empty((*lead, rows, width)) for width in dims[1:]]
-        self.decay = np.empty_like(self.w) if weight_decay else None
+        self.decay = np.empty_like(w) if weight_decay else None
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         a = x
@@ -320,8 +322,7 @@ def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> 
     if len(batch) == 0:
         raise ValueError("batch is empty")
     x = _as_matrix(params, batch.features)
-    kernel = _Step(params.layer_dims, (), len(batch), weight_decay)
-    kernel.w[...] = params.weights
+    kernel = _Step(params.layer_dims, params.weights.copy(), len(batch), weight_decay)
     return kernel(x, batch.labels)
 
 
@@ -345,21 +346,25 @@ def local_train_many(
     """local_train() of `params` on every shard, the shards in lock-step.
 
     Entry i is bit for bit local_train(params, shards[i], cfg, seeds[i]):
-    each shard draws its own seeded permutation when it starts an epoch, so
-    its batches are exactly those. At each step index, the shards whose batch
-    has the same row count take that step together, through one stacked
-    forward and backward pass; a shard alone at its row count takes it
-    unstacked. The groups are formed again only when a shard starts an
-    epoch, reaches a short last batch or is done. A group runs its steps in
-    place, in the _Step kernel kept for its shape (shards, rows), which is
-    built the first time that shape forms. Beside the concatenated rows this
-    keeps one index per row and those kernels, whose buffers hold shards x
-    rows x the widest layer per shape; memory does not grow with epochs.
+    shard i draws all its epochs' permutations up front from its own seeded
+    generator, the same draws as one permutation per epoch. The schedule is
+    planned once: the shards are laid out by row count, hence by batches per
+    epoch, in the concatenated rows and in one weight block, and the steps
+    fall into segments that end where some shard's batch changes size (at
+    its short last batch, the epoch start after it, and its end), at most
+    2 x epochs x shards + 1 of them. At a segment's first step, each maximal
+    run of adjacent shards with the same row count is a group: it takes the
+    segment's steps in one stacked forward and backward pass (a shard alone
+    steps unstacked) through the _Step kernel kept for its (first, end,
+    rows), built on its slice of the weight block, which the steps update in
+    place. Equal-sized shards that are not adjacent step as separate groups.
 
-    The Datasets checked their rows (finite features, 0/1 labels) when they
-    were built, so this checks only that every shard is non-empty and matches
-    the model's input width, once, and then runs every step on rows indexed
-    straight from one concatenated array.
+    Beside the concatenated rows, this keeps `order`, epochs x rows indices
+    (about 2 MB for ten shards of 2,600 rows over 10 epochs), and the
+    kernels' buffers, shards x rows x the widest layer each; nothing grows
+    with steps x shards. The Datasets checked their rows (finite features,
+    0/1 labels) when they were built, so this checks only that every shard
+    is non-empty and matches the model's input width, once.
     """
     if len(seeds) != len(shards):
         raise ValueError(f"{len(seeds)} seeds for {len(shards)} shards")
@@ -375,56 +380,51 @@ def local_train_many(
             )
     if not shards:
         return []
-    x = np.concatenate([shard.features for shard in shards])
-    y = np.concatenate([shard.labels for shard in shards])
-    batch = cfg.batch_size
-    sizes = [len(shard) for shard in shards]
-    starts = np.cumsum([0, *sizes[:-1]]).tolist()
-    per_epoch = [-(-n // batch) for n in sizes]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    # order[starts[i] : starts[i] + sizes[i]] is shard i's current epoch, as rows of x
-    order = np.empty(len(x), dtype=np.intp)
+    layout = np.argsort([len(shard) for shard in shards], kind="stable")
+    x = np.concatenate([shards[i].features for i in layout])
+    y = np.concatenate([shards[i].labels for i in layout])
+    n = np.array([len(shards[i]) for i in layout])
+    epochs = cfg.epochs
+    # no wider than the largest shard: the same batches, and positions stay within int64
+    batch = min(cfg.batch_size, int(n[-1]))
+    per_epoch = -(-n // batch)
+    ends = epochs * per_epoch  # ascending, as the layout is
+    # order[begins[j] + e * n[j] + p] is row p of shard j's epoch e, as a row of x
+    begins = np.cumsum(epochs * n) - epochs * n
+    order = np.empty(epochs * len(x), dtype=np.intp)
+    for i, first, count, at in zip(layout.tolist(), np.cumsum(n) - n, n, begins):
+        epoch_rows = order[at : at + epochs * count].reshape(epochs, count)
+        epoch_rows[...] = np.arange(first, first + count)
+        np.random.default_rng(seeds[i]).permuted(epoch_rows, axis=1, out=epoch_rows)
+    epoch_starts = np.outer(np.arange(1, epochs + 1), per_epoch[n % batch != 0]).ravel()
+    events = sorted({0, *ends.tolist(), *(epoch_starts - 1).tolist(), *epoch_starts.tolist()})
     weights = np.tile(params.weights, (len(shards), 1))
-    # (stack shape, row count) -> the kernel that steps groups of that shape
-    kernels: dict[tuple[tuple[int, ...], int], _Step] = {}
-    step, end = 0, cfg.epochs * max(per_epoch)
-    while step < end:
-        # row count -> (the shards, where each one's batch starts in `order`).
-        # The groups hold for `run` steps: until a shard reaches a short last
-        # batch, starts an epoch or is done.
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        run = end - step
-        for i, (n, k, start) in enumerate(zip(sizes, per_epoch, starts)):
-            if step >= cfg.epochs * k:
-                continue
-            first = step % k * batch
-            if first == 0:
-                np.add(rngs[i].permutation(n), start, out=order[start : start + n])
-            run = min(run, max((n - first) // batch, 1))
-            members, offsets = groups.setdefault(min(batch, n - first), ([], []))
-            members.append(i)
-            offsets.append(start + first)
-        # shards never share a step's arithmetic, so each group takes its run
-        # of steps in turn
-        for count, (members, offsets) in groups.items():
-            if len(members) == 1:  # a shard alone at its row count steps unstacked
-                sel, lead, pos = members[0], (), np.arange(offsets[0], offsets[0] + count)
-            else:
-                sel, lead, pos = members, (len(members),), np.add.outer(offsets, np.arange(count))
-            if (lead, count) not in kernels:
-                kernels[lead, count] = _Step(dims, lead, count, cfg.weight_decay)
-            kernel = kernels[lead, count]
+    # cursor[j] is where shard j's next batch starts in `order`; a step moves
+    # it by the batch's rows, so a short last batch moves it to the next epoch
+    cursor = begins.copy()
+    # (first shard, end shard, rows) -> the kernel that steps that group
+    kernels: dict[tuple[int, int, int], _Step] = {}
+    for step, stop in zip(events, events[1:]):
+        lo = int(np.searchsorted(ends, step, side="right"))  # the shards before lo are done
+        rows = np.minimum(n[lo:] - step % per_epoch[lo:] * batch, batch)
+        cuts = [lo, *((rows[1:] != rows[:-1]).nonzero()[0] + lo + 1).tolist(), len(n)]
+        # shards never share a step's arithmetic, so the groups step in turn
+        for a, b in zip(cuts, cuts[1:]):
+            count = int(rows[a - lo])
+            sel = a if b - a == 1 else slice(a, b)  # a shard alone steps unstacked
+            if (a, b, count) not in kernels:
+                kernels[a, b, count] = _Step(dims, weights[sel], count, cfg.weight_decay)
+            kernel = kernels[a, b, count]
+            pos = cursor[sel, None] + np.arange(count)
             w = kernel.w
-            w[...] = weights[sel]
-            for _ in range(run):
+            for _ in range(stop - step):
                 idx = order[pos]
                 g = kernel(x.take(idx, axis=0), y.take(idx))
                 g *= cfg.learning_rate
                 w -= g
                 pos += batch
-            weights[sel] = w
-        step += run
-    return [ModelParams(dims, w) for w in weights]
+            cursor[a:b] += (stop - step) * count
+    return [ModelParams(dims, weights[j]) for j in np.argsort(layout).tolist()]
 
 
 def _accuracy(preds: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -538,6 +538,20 @@ class TestDataChecks:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("cells", [["1e308", "1e308"], ["1e200", "-1e200", "0"]])
+    def test_csv_column_too_large_to_standardize(self, tmp_path, capsys, cells):
+        csv = tmp_path / "huge.csv"
+        rows = [["0.0"] * 30 + [str(i % 2)] for i in range(len(cells))]
+        for row, cell in zip(rows, cells):
+            row[2] = cell
+        csv.write_text("\n".join(",".join(r) for r in [CREDIT_CARD_COLUMNS, *rows]) + "\n")
+        code, out = self.run_main(tmp_path, f"data = csv\ncsv_path = {csv}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv}: column V2: values too large to standardize\n"
+        assert not out.exists()
+
+
 class TestAbortedRun:
     # one full-batch step per epoch leaves the updates near the accuracy
     # floor, which each validator's shard then splits differently: three

@@ -95,6 +95,21 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=f"row 3, column V5: not a finite number: '{cell}'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cells", [
+        ["1e308", "1e308"],  # finite cells whose sum overflows the mean
+        ["1e200", "-1e200", "0"],  # a zero mean, but the variance overflows
+    ])
+    def test_column_too_large_to_standardize(self, tmp_path, cells):
+        path = tmp_path / "huge.csv"
+        rows = [["0.0"] * 30 + [str(i % 2)] for i in range(len(cells))]
+        for row, cell in zip(rows, cells):
+            row[2] = cell
+        with open(path, "w") as fh:
+            fh.write(",".join(CREDIT_CARD_COLUMNS) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        with pytest.raises(ParseError, match=f"^{path}: column V2: values too large to standardize$"):
+            load_csv(path)
+
     def test_quoted_cells_and_header(self, tmp_path):
         # the public fraud file quotes its header and Class column
         path = tmp_path / "quoted.csv"

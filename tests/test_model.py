@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -385,8 +386,10 @@ class TestLocalTrainMany:
         # short batches at different steps, so groups form and split
         ([95, 100, 130, 131, 200], 16),
         ([1, 7, 33, 60], 1),
-        # one full-batch step an epoch; nothing may be sized by batch_size
+        # one full-batch step an epoch; nothing may be sized by batch_size,
+        # and a batch beyond int64 must not overflow position arithmetic
         ([1, 40, 300], 10**12),
+        ([1, 40, 300], 10**30),
     ])
     @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
@@ -397,6 +400,67 @@ class TestLocalTrainMany:
         cfg = TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=batch,
                           weight_decay=weight_decay)
         self.check_against_oracle(params, shards, cfg, list(range(11, 11 + len(sizes))))
+
+    @pytest.mark.parametrize("hidden", [(), (8, 4)])
+    def test_shuffled_input_order_permutes_outputs(self, hidden):
+        sizes = [20, 53, 1, 54, 64, 33, 53, 200]
+        shards = self.shards(sizes, seed=3)
+        seeds = list(range(31, 31 + len(sizes)))
+        params = init_params((5, *hidden, 1), seed=4)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, weight_decay=0.001)
+        trained = self.check_against_oracle(params, shards, cfg, seeds)
+        perm = np.random.default_rng(9).permutation(len(sizes)).tolist()
+        shuffled = self.check_against_oracle(
+            params, [shards[i] for i in perm], cfg, [seeds[i] for i in perm])
+        for got, i in zip(shuffled, perm):
+            self.assert_bits_equal(got.weights, trained[i].weights)
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_equal_sized_shards_that_are_not_adjacent(self, epochs):
+        # 2, 3 and 4 batches an epoch, two shards each: at step 2 the shards
+        # of 2 and 4 batches take full batches while those of 3 take their
+        # short ones, between them in the layout
+        shards = self.shards([61, 20, 41, 60, 21, 40], seed=epochs)
+        params = init_params((5, 16, 1), seed=2)
+        cfg = TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=16, weight_decay=0.001)
+        self.check_against_oracle(params, shards, cfg, [5, 6, 7, 8, 9, 10])
+
+    @pytest.mark.parametrize("hidden", [(), (16,)])
+    def test_multiple_of_the_batch_runs_across_epoch_starts(self, hidden):
+        # 16, 48 and 64 rows are whole batches, so those shards' segments
+        # span epoch starts; 50 rows end each epoch on a short batch
+        shards = self.shards([48, 16, 50, 64], seed=len(hidden))
+        params = init_params((5, *hidden, 1), seed=6)
+        cfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=16)
+        self.check_against_oracle(params, shards, cfg, [41, 42, 43, 44])
+
+    def test_kernel_calls_per_default_shaped_round(self, monkeypatch):
+        # 53 and 54 rows at batch 32: one full-batch step of all ten shards,
+        # then one short-batch step per size, every epoch
+        calls = []
+        step = _Step.__call__
+        def counted(kernel, x, y):
+            calls.append(x.shape[:-1])
+            return step(kernel, x, y)
+        monkeypatch.setattr(_Step, "__call__", counted)
+        sizes = [54, 53, 53, 54, 53, 53, 53, 54, 53, 53]
+        cfg = TrainConfig(epochs=10, batch_size=32)
+        local_train_many(init_params((5, 16, 1), seed=0), self.shards(sizes), cfg, list(range(10)))
+        assert sorted(calls) == sorted([(10, 32), (7, 21), (3, 22)] * 10)
+
+    def test_memory_does_not_grow_with_steps_times_shards(self):
+        # 10,000 steps of 30 shards: a (steps x shards) table of 8-byte
+        # entries would take 2.4 MB
+        shards = self.shards([5000] + [1] * 29, width=3)
+        params = init_params((3, 4, 1), seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=1)
+        tracemalloc.start()
+        try:
+            local_train_many(params, shards, cfg, list(range(30)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_single_shard_is_local_train(self):
         (shard,) = self.shards([70])
@@ -458,8 +522,7 @@ class TestStepKernel:
         start = rng.uniform(-0.8, 0.8, size=(*lead, param_count(dims)))
         batches = [(rng.normal(size=(*lead, rows, 5)) * 2.0,
                     (rng.random((*lead, rows)) < 0.3).astype(np.int64)) for _ in range(4)]
-        kernel = _Step(dims, lead, rows, weight_decay)
-        kernel.w[...] = start
+        kernel = _Step(dims, start.copy(), rows, weight_decay)
         for x, y in batches:
             g = kernel(x, y)
             g *= 0.05
