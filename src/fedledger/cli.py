@@ -487,13 +487,12 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "generate":
-        path = cmd_generate(spec, out_path=args.out)
-        print(f"wrote {path}")
-        return 0
     try:
-        written = cmd_run(spec, parallel=args.parallel)
-    except DataError as exc:
+        if args.command == "generate":
+            written = [cmd_generate(spec, out_path=args.out)]
+        else:
+            written = cmd_run(spec, parallel=args.parallel)
+    except (DataError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FederationAborted as exc:

@@ -45,7 +45,8 @@ class CoalitionGame:
     i-th player) and the empty coalition is worth 0. Entries are write-once:
     utility is a pure function of the coalition, so a cached value never
     changes. A subclass calls _init_players and implements _evaluate_masks,
-    which computes the misses.
+    which computes the misses; it may override _table, the utilities of all
+    2^n coalitions that exact_shapley and check_axioms read.
     """
 
     _players: tuple[int, ...]
@@ -98,6 +99,10 @@ class CoalitionGame:
         """(mask, utility) for each of at most _batch uncached, non-empty masks."""
         raise NotImplementedError
 
+    def _table(self) -> np.ndarray:
+        """The utility of every coalition, indexed by mask: 2^n floats."""
+        return self._mask_utilities(range(1 << len(self._players)))
+
 
 class UtilityGame(CoalitionGame):
     """Loss-improvement game over one round's submitted local models.
@@ -107,8 +112,10 @@ class UtilityGame(CoalitionGame):
 
     Coalitions are evaluated in batches through model.stacked_loss, up to
     BATCH_ACTIVATIONS hidden activations at a time; utility() is a batch of
-    one. Every value is bit for bit base_loss - model.loss(model.average(
-    members), server_test) with the members in sorted org_id order.
+    one. The full table (_table) builds each coalition's mean from a smaller
+    coalition's sum with one add, bypassing the cache. Every value is bit for
+    bit base_loss - model.loss(model.average(members), server_test) with the
+    members in sorted org_id order.
     """
 
     def __init__(
@@ -162,6 +169,40 @@ class UtilityGame(CoalitionGame):
             start += count
         return means
 
+    def _table(self) -> np.ndarray:
+        """Every coalition's utility, indexed by mask, from subset sums.
+
+        The sums over the lowest `low` players are tabled once, each from a
+        smaller mask's sum plus one weight row. Each aligned chunk of 2^low
+        masks copies that table, adds its higher members in ascending order
+        and divides each row by its count: a mean summed as model.average
+        sums, from +0.0 in ascending player order. One stacked pass per chunk
+        values it; the empty coalition gets no row and stays 0.0.
+        """
+        n = len(self._players)
+        weights = self._weights
+        low = min(n, self._batch.bit_length() - 1)
+        size = 1 << low
+        sums = np.zeros((size, weights.shape[1]))
+        for i in range(low):
+            np.add(sums[: 1 << i], weights[i], out=sums[1 << i : 2 << i])
+        low_counts = np.bitwise_count(np.arange(size))
+        table = np.zeros(1 << n)
+        block = np.empty_like(sums)
+        for start in range(0, 1 << n, size):
+            np.copyto(block, sums)
+            for i in range(low, n):
+                if start >> i & 1:
+                    block += weights[i]
+            first = 1 if start == 0 else 0  # skip the empty coalition
+            if first == size:
+                continue
+            means = block[first:]
+            means /= (low_counts[first:] + start.bit_count())[:, None]
+            losses = model.stacked_loss(self._dims, means, self.server_test)
+            table[start + first : start + size] = self._base_loss - losses
+        return table
+
 
 class FunctionGame(CoalitionGame):
     """Game defined by an arbitrary characteristic function, for experiments."""
@@ -208,8 +249,9 @@ def exact_shapley(game: CoalitionGame) -> ShapleyResult:
     v_i = (1/N) * sum over S not containing i of
           [U(S + i) - U(S)] / C(N-1, |S|),
     the classical permutation-average form, so the values always sum to the
-    utility of the grand coalition. The table of all 2^N utilities is read
-    in one mask-level pass.
+    utility of the grand coalition. The table of all 2^N utilities comes
+    from game._table(): one read of the cache for most games, subset sums
+    for a UtilityGame.
     """
     players = game.players
     n = len(players)
@@ -219,7 +261,7 @@ def exact_shapley(game: CoalitionGame) -> ShapleyResult:
         )
     if n == 0:
         return ShapleyResult({}, 0, "exact")
-    table = game._mask_utilities(range(1 << n))  # indexed by coalition mask
+    table = game._table()  # indexed by coalition mask
     masks = np.arange(1 << n, dtype=np.uint64)
     sizes = np.bitwise_count(masks).astype(np.int64)
     inv_binom = np.array([1.0 / math.comb(n - 1, s) for s in range(n)])
@@ -371,7 +413,8 @@ def check_axioms(
     solo utility (the classical zero-marginal dummy is the solo-utility-0
     special case; witnesses record which kind was found). Additivity: the
     values of the sum game must equal the per-player sums, checked against
-    a caller-supplied second game.
+    a caller-supplied second game. The scans read the table of all 2^N
+    utilities from game._table(), as exact_shapley does.
     """
     players = game.players
     n = len(players)
@@ -379,7 +422,7 @@ def check_axioms(
         raise CapacityError(f"axiom scans are exponential; {n} players > 12")
     if result.method != "exact":
         raise ValueError("check_axioms requires an exact_shapley result")
-    table = game._mask_utilities(range(1 << n))  # indexed by coalition mask
+    table = game._table()  # indexed by coalition mask
     values = result.values
 
     symmetric_pairs: list[tuple[int, int]] = []

@@ -450,6 +450,33 @@ class TestMainEntry:
         assert len((out / "rounds_greedy_e10_b32.csv").read_text().splitlines()) == 2 + 2
 
 
+class TestUnwritableOut:
+    """An --out under a regular file cannot be created: exit 2, `error: …`."""
+
+    def test_run(self, tmp_path, capsys):
+        conf = tmp_path / "toy.conf"
+        conf.write_text("synthetic_n = 300\nnum_orgs = 3\nclients_per_round = 2\n"
+                        "rounds = 1\nepochs = 1\naccuracy_floor = 0.0\n")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["run", "--config", str(conf), "--out", str(blocker / "res")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(blocker) in captured.err
+        assert captured.out == ""
+
+    def test_generate(self, tmp_path, capsys):
+        conf = tmp_path / "toy.conf"
+        conf.write_text("synthetic_n = 120\n")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["generate", "--config", str(conf), "--out", str(blocker / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(blocker) in captured.err
+        assert captured.out == "" and blocker.read_text() == ""
+
+
 class TestSyntheticDataset:
     def test_standardized_and_labeled(self):
         ds = synthetic_dataset(ExperimentSpec(synthetic_n=500, seed=1))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,10 +447,9 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-def model_game(hidden_dims, n_test, players, seed):
+def model_game(hidden_dims, n_test, players, seed, width=6):
     """UtilityGame over seeded submissions scattered around a seeded prior."""
     rng = np.random.default_rng(seed)
-    width = 6
     dims = (width, *hidden_dims, 1)
     server_test = Dataset(rng.normal(size=(n_test, width)),
                           (rng.random(n_test) < 0.3).astype(np.int64))
@@ -559,3 +559,83 @@ class TestAverageOrder:
         models = [ModelParams(dims, v) for v in vectors]
         got = average(models).weights
         np.testing.assert_array_equal(bits(got), bits(np.stack(vectors).mean(axis=0)))
+
+
+def spread_game(hidden_dims, players, seed):
+    """model_game with submissions as in TestAverageOrder: signed zeros, and
+    magnitudes from 1e-9 to 1e9 in one vector."""
+    base = model_game(hidden_dims, 37, players, seed)
+    rng = np.random.default_rng(seed)
+    count, size = len(players), base.prior_global.weights.size
+    vectors = rng.normal(size=(count, size)) * 10.0 ** rng.integers(-9, 9, (count, size))
+    vectors[:, 0] = -0.0
+    vectors[0, 1] = -0.0
+    vectors[:, 2] = [(-1.0) ** i * 3.0 for i in range(count)]
+    dims = base.prior_global.layer_dims
+    return UtilityGame(base.prior_global,
+                       {p: ModelParams(dims, v) for p, v in zip(players, vectors)},
+                       base.server_test)
+
+
+class TestCoalitionTable:
+    """UtilityGame._table(), the subset-sum table exact_shapley reads."""
+
+    @pytest.mark.parametrize("hidden_dims", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("batch", [1, 3, 40])  # L = min(n, 0), min(n, 1), min(n, 5)
+    @pytest.mark.parametrize("players", [(2, 5, 11), (2, 5, 7, 11, 13, 17, 23)])
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_bitwise_equal_to_batched_and_oracle(
+        self, monkeypatch, hidden_dims, batch, players, spread
+    ):
+        widest = max((*hidden_dims, 1))
+        monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", batch * 37 * widest)
+
+        def build():
+            if spread:
+                return spread_game(hidden_dims, players, seed=len(players))
+            return model_game(hidden_dims, 37, players, seed=len(players))
+
+        game = build()
+        assert game._batch == batch
+        n = len(players)
+        table = game._table()
+        assert table.dtype == np.float64 and table.shape == (1 << n,)
+        assert game._cache == {0: 0.0}  # the table bypasses the cache
+        np.testing.assert_array_equal(
+            bits(table), bits(build()._mask_utilities(range(1 << n))))
+        expected = [per_coalition_oracle(game, [p for i, p in enumerate(players) if m >> i & 1])
+                    for m in range(1 << n)]
+        np.testing.assert_array_equal(bits(table), bits(expected))
+
+    def test_one_stacked_pass_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", 40 * 37 * 16)
+        game = model_game((16,), 37, tuple(range(0, 30, 3)), seed=4)
+        assert game._batch == 40
+        rows = []
+        stacked_loss = valuation.model.stacked_loss
+
+        def counting(dims, stack, data):
+            rows.append(len(stack))
+            return stacked_loss(dims, stack, data)
+
+        def refused(self, masks):
+            raise AssertionError("the exact table must not evaluate masks in batches")
+
+        monkeypatch.setattr(valuation.model, "stacked_loss", counting)
+        monkeypatch.setattr(UtilityGame, "_evaluate_masks", refused)
+        assert exact_shapley(game).num_evaluations == 1024
+        # 2^10 masks in chunks of 2^5; the empty coalition gets no row
+        assert rows == [31] + [32] * 31
+
+    def test_peak_memory_below_a_quarter_of_the_means(self):
+        game = model_game((16,), 37, tuple(range(14)), seed=6, width=4)
+        assert game._dims == (4, 16, 1)
+        means_bytes = (1 << 14) * game._weights.shape[1] * 8
+        tracemalloc.start()
+        try:
+            table = game._table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (1 << 14,)
+        assert peak < means_bytes / 4
