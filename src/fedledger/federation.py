@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -119,13 +120,32 @@ class FederationConfig:
 
 @dataclass(frozen=True)
 class RoundReport:
+    """What one sealed round did and how its new global model scores.
+
+    per_org_metrics, the global model's metrics on each organization's raw
+    shard (organizations holding no rows are skipped), is computed on first
+    read and then kept; a run reads only its final round's. It is computed
+    from the round's own global model, the raw shards as they were when the
+    round ran, and the threshold, so a later read, or one from a pickled
+    copy, gives what the round itself would have. Those three inputs take
+    no part in == or repr.
+    """
+
     round_index: int
     selected: frozenset[int]
     global_metrics: Metrics
-    per_org_metrics: dict[int, Metrics]
     shapley: ShapleyResult | None
     bytes_on_chain: int
     bytes_off_chain: int
+    global_params: ModelParams = field(compare=False, repr=False)
+    raw_shards: tuple[Dataset, ...] = field(compare=False, repr=False)
+    threshold: float = field(compare=False, repr=False)
+
+    @cached_property
+    def per_org_metrics(self) -> dict[int, Metrics]:
+        holding = [org for org, shard in enumerate(self.raw_shards) if len(shard)]
+        return dict(zip(holding, modelmod.evaluate_many(
+            self.global_params, [self.raw_shards[org] for org in holding], self.threshold)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +162,11 @@ class FederationState:
 
     `shards` is what organizations train on (after any SMOTE rebalancing);
     `raw_shards` is the data they actually hold, used for the org-level
-    accuracy metric.
+    metrics: each round's report keeps a snapshot of the list, so replacing
+    a shard changes no earlier round's per_org_metrics. `global_loss` is
+    `global_params`' loss on `server_test`, the `global_metrics.loss` of the
+    round that produced it (init_round0 computes the first); the valuation
+    games take it as their base loss instead of recomputing it.
     """
 
     cfg: FederationConfig
@@ -153,6 +177,7 @@ class FederationState:
     store: ContentStore
     chain: list[Block]
     global_params: ModelParams
+    global_loss: float
     contributions: dict[int, float] = field(default_factory=dict)
     reports: list[RoundReport] = field(default_factory=list)
 
@@ -227,7 +252,8 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
         0, ledgermod.ZERO_DIGEST, (), store.put(ledgermod.serialize_params(w0)), {}, {}
     )
     chain = ledgermod.append_block([], genesis)
-    return FederationState(cfg, shards, raw_shards, server_test, panel, store, chain, w0)
+    return FederationState(cfg, shards, raw_shards, server_test, panel, store, chain, w0,
+                           modelmod.loss(w0, server_test))
 
 
 def _select(state: FederationState, t: int) -> tuple[set[int], dict[int, ModelParams]]:
@@ -243,7 +269,8 @@ def _select(state: FederationState, t: int) -> tuple[set[int], dict[int, ModelPa
         return selmod.select_by_contribution(
             scores, cfg.policy.k, t, cfg.policy, derive_seed(cfg.master_seed, "policy")), {}
     candidates = state.train_round(t, orgs)
-    game = UtilityGame(state.global_params, candidates, state.server_test)
+    game = UtilityGame(state.global_params, candidates, state.server_test,
+                       _base_loss=state.global_loss)
     return selmod.select_greedy(game, cfg.policy.k), candidates
 
 
@@ -297,7 +324,8 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
 
     shapley = None
     if cfg.valuation != "off" and accepted:
-        game = UtilityGame(state.global_params, accepted, state.server_test)
+        game = UtilityGame(state.global_params, accepted, state.server_test,
+                           _base_loss=state.global_loss)
         if cfg.valuation == "exact":
             shapley = valmod.exact_shapley(game)
         else:
@@ -320,20 +348,18 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         contributions=shapley.values if shapley else {},
     )
     state.chain = ledgermod.append_block(state.chain, block)
-    state.global_params = new_global
-
     global_metrics = modelmod.evaluate(new_global, state.server_test, cfg.threshold)
-    holding = [org for org in range(cfg.num_orgs) if len(state.raw_shards[org])]
-    per_org = dict(zip(holding, modelmod.evaluate_many(
-        new_global, [state.raw_shards[org] for org in holding], cfg.threshold)))
+    state.global_params, state.global_loss = new_global, global_metrics.loss
     return RoundReport(
         round_index=t,
         selected=frozenset(selected),
         global_metrics=global_metrics,
-        per_org_metrics=per_org,
         shapley=shapley,
         bytes_on_chain=bytes_on_chain,
         bytes_off_chain=bytes_off_chain,
+        global_params=new_global,
+        raw_shards=tuple(state.raw_shards),
+        threshold=cfg.threshold,
     )
 
 

@@ -156,55 +156,78 @@ def verify_local_updates(
     validator_id: int,
     txs: Sequence[LocalUpdateTx],
     store: ContentStore,
+    layer_dims: Sequence[int],
 ) -> list[VerificationOutcome]:
     """One validator's accept/reject on each submitted local model, in order.
 
     A payload is accepted iff it resolves, deserializes to finite weights of
-    the validator's feature width, and scores at or above the panel's
-    accuracy floor on this validator's shard; an accepted outcome carries the
-    model it deserialized to. The first three checks run on each payload on
-    its own. The models that pass them are scored together: one stacked
-    forward pass over the shard per architecture (layer_dims), whose
-    accuracies are bit for bit model.evaluate's; its memory grows with
-    len(txs) * len(shard) * the widest layer.
+    the validator's feature width and of the global model's architecture
+    `layer_dims`, and scores at or above the panel's accuracy floor on this
+    validator's shard; an accepted outcome carries the model it deserialized
+    to. The other checks run on each payload on its own. The models that
+    pass them are scored together in one stacked forward pass over the
+    shard, whose accuracies are bit for bit model.evaluate's; its memory
+    grows with len(txs) * len(shard) * the widest layer.
+    """
+    return _verify(panel, validator_id, txs, store, tuple(layer_dims), {})
+
+
+def _decode(payload: bytes) -> ModelParams | str:
+    """The finite model a payload encodes, or why it is malformed."""
+    try:
+        params = deserialize_params(payload)
+    except ValueError as exc:
+        return f"malformed payload: {exc}"
+    if not np.isfinite(params.weights).all():
+        return "malformed payload: non-finite weights"
+    return params
+
+
+def _verify(
+    panel: ValidatorPanel,
+    validator_id: int,
+    txs: Sequence[LocalUpdateTx],
+    store: ContentStore,
+    layer_dims: tuple[int, ...],
+    decoded: dict[bytes, ModelParams | str],
+) -> list[VerificationOutcome]:
+    """verify_local_updates(), reading each payload's decoding from `decoded`
+    by digest and adding the ones it decodes, so that validators sharing one
+    dict decode each payload once. Every payload is still fetched through
+    store.get, whose integrity check makes a digest name one payload.
     """
     shard = panel.test_shards[validator_id]
-    outcomes: list[VerificationOutcome | None] = []
-    # layer_dims -> (positions in txs, models) of the models to score
-    scored: dict[tuple[int, ...], tuple[list[int], list[ModelParams]]] = {}
+    outcomes: list[VerificationOutcome] = []
+    scored: list[int] = []  # positions of the outcomes still to be scored
     for tx in txs:
         try:
             payload = store.get(tx.model_digest)
         except (BlobNotFoundError, BlobCorruptionError) as exc:
             outcomes.append(VerificationOutcome(False, f"payload unavailable: {exc}"))
             continue
-        try:
-            params = deserialize_params(payload)
-        except ValueError as exc:
-            outcomes.append(VerificationOutcome(False, f"malformed payload: {exc}"))
+        params = decoded.get(tx.model_digest)
+        if params is None:
+            params = decoded[tx.model_digest] = _decode(payload)
+        if isinstance(params, str):
+            reason = params
+        elif params.input_width != shard.schema_width:
+            reason = (f"malformed payload: feature width {shard.schema_width} does not "
+                      f"match model input width {params.input_width}")
+        elif params.layer_dims != layer_dims:
+            reason = (f"malformed payload: layer_dims {params.layer_dims} do not match "
+                      f"the global model's {layer_dims}")
+        else:
+            scored.append(len(outcomes))
+            outcomes.append(VerificationOutcome(True, params=params))
             continue
-        if not np.isfinite(params.weights).all():
-            outcomes.append(VerificationOutcome(False, "malformed payload: non-finite weights"))
-            continue
-        if params.input_width != shard.schema_width:
-            outcomes.append(VerificationOutcome(
-                False,
-                f"malformed payload: feature width {shard.schema_width} does not "
-                f"match model input width {params.input_width}",
-            ))
-            continue
-        positions, models = scored.setdefault(params.layer_dims, ([], []))
-        positions.append(len(outcomes))
-        models.append(params)
-        outcomes.append(None)
-    floor = panel.accuracy_floor
-    for dims, (positions, models) in scored.items():
-        accuracies = model.stacked_accuracy(dims, np.array([m.weights for m in models]), shard)
-        for i, params, accuracy in zip(positions, models, accuracies.tolist()):
-            outcomes[i] = (
-                VerificationOutcome(False, f"accuracy {accuracy:.4f} below floor {floor:.4f}")
-                if accuracy < floor else VerificationOutcome(True, params=params)
-            )
+        outcomes.append(VerificationOutcome(False, reason))
+    if scored:
+        stack = np.array([outcomes[i].params.weights for i in scored])
+        floor = panel.accuracy_floor
+        for i, accuracy in zip(scored, model.stacked_accuracy(layer_dims, stack, shard).tolist()):
+            if accuracy < floor:
+                outcomes[i] = VerificationOutcome(
+                    False, f"accuracy {accuracy:.4f} below floor {floor:.4f}")
     return outcomes
 
 
@@ -217,17 +240,20 @@ def cross_verify(
     """One round's validation, from the store alone.
 
     Each validator verifies the transactions (one per organization) against
-    its own shard and averages the models it accepted, in the order of txs,
-    or carries `prior` forward when it accepted none; majority_global then
-    picks the round's global model. Returns the winning digest, that model,
-    every validator's vote, and {org_id: model} of the updates accepted by
-    the first validator that voted for the winner. No strict majority raises
-    ConsensusError.
+    its own shard and the architecture of `prior`, and averages the models
+    it accepted, in the order of txs, or carries `prior` forward when it
+    accepted none; majority_global then picks the round's global model.
+    Each validator fetches every payload from the store, but each distinct
+    payload is decoded once per call. Returns the winning digest, that
+    model, every validator's vote, and {org_id: model} of the updates
+    accepted by the first validator that voted for the winner. No strict
+    majority raises ConsensusError.
     """
     accepted: dict[int, dict[int, ModelParams]] = {}
     candidates: dict[int, ModelParams] = {}
+    decoded: dict[bytes, ModelParams | str] = {}
     for vid in panel.validators:
-        outcomes = verify_local_updates(panel, vid, txs, store)
+        outcomes = _verify(panel, vid, txs, store, prior.layer_dims, decoded)
         models = {tx.org_id: o.params for tx, o in zip(txs, outcomes) if o}
         accepted[vid] = models
         candidates[vid] = model.average(list(models.values())) if models else prior

@@ -116,6 +116,9 @@ class UtilityGame(CoalitionGame):
     coalition's sum with one add, bypassing the cache. Every value is bit for
     bit base_loss - model.loss(model.average(members), server_test) with the
     members in sorted org_id order.
+
+    base_loss is model.loss(prior_global, server_test); a caller that
+    already holds that value passes it as _base_loss and saves the pass.
     """
 
     def __init__(
@@ -123,12 +126,15 @@ class UtilityGame(CoalitionGame):
         prior_global: ModelParams,
         submissions: dict[int, ModelParams],
         server_test: Dataset,
+        *,
+        _base_loss: float | None = None,
     ) -> None:
         self.prior_global = prior_global
         self.submissions = dict(submissions)
         self.server_test = server_test
         self._init_players(self.submissions)
-        self._base_loss = model.loss(prior_global, server_test)
+        self._base_loss = (
+            model.loss(prior_global, server_test) if _base_loss is None else _base_loss)
         models = [self.submissions[p] for p in self._players]
         self._dims = models[0].layer_dims if models else prior_global.layer_dims
         if any(m.layer_dims != self._dims for m in models):

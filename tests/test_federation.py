@@ -6,6 +6,7 @@ import pytest
 from fedledger import federation as fed
 from fedledger import ledger as ledgermod
 from fedledger import model as modelmod
+from fedledger import valuation as valmod
 from fedledger.cli import ExperimentSpec, build_federation_config, synthetic_dataset
 from fedledger.data import Dataset, SmoteConfig
 from fedledger.federation import (
@@ -197,6 +198,35 @@ class TestRunRound:
                     for org in (0, 2, 3, 4)}
         assert report.per_org_metrics == expected  # org 1 holds nothing: skipped
 
+    def test_per_org_metrics_are_the_rounds_own(self, monkeypatch):
+        # computed on first read, after later rounds ran and the shards changed,
+        # from each round's own global model and raw shards
+        state = init_round0(small_config(num_orgs=5, rounds=3), small_dataset())
+        real = modelmod.evaluate_many
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(modelmod, "evaluate_many", counted)
+        width = state.raw_shards[0].schema_width
+        empty = Dataset(np.empty((0, width)), np.empty(0, dtype=np.int64))
+        seen = []
+        for t in range(3):
+            raw = list(state.raw_shards)
+            run_round(state, t)
+            assert len(calls) == t + 1  # the global model's evaluate only
+            seen.append((state.global_params, raw))
+            state.raw_shards[t] = state.raw_shards[t].subset(range(20 + t))
+        state.raw_shards[4] = empty
+        for report, (params, raw) in zip(state.reports, seen):
+            assert report.global_params is params
+            expected = dict(zip(range(5), real(params, raw, 0.5)))
+            assert report.per_org_metrics == expected
+        assert [len(report.per_org_metrics) for report in state.reports] == [5, 5, 5]
+        assert len(calls) == 3 + 3  # each report evaluates once, on first read
+
     def test_round_order_enforced(self):
         data = small_dataset()
         state = init_round0(small_config(), data)
@@ -241,6 +271,50 @@ class TestRunRound:
         assert type(copy) is fed.FederationAborted
         assert str(copy) == str(exc)
         assert copy.reports == state.reports
+        # per-org metrics were not read before pickling: the copy computes them
+        expected = modelmod.evaluate_many(state.global_params, state.raw_shards, 0.5)
+        assert copy.reports[0].per_org_metrics == dict(enumerate(expected))
+
+    @pytest.mark.parametrize("kind", ["random", "greedy", "contribution"])
+    def test_carried_loss_is_the_global_models(self, kind, monkeypatch):
+        # every valuation game takes the loss carried from the round that
+        # produced the global model, bit for bit the one it would compute;
+        # round 1 fails consensus once and is retried with random selection
+        cfg = small_config(policy=SelectionPolicy(kind, k=2, exploration_period=2),
+                           rounds=4, valuation="tmc")
+        state = init_round0(cfg, small_dataset())
+        bases = []
+
+        class Recorded(valmod.UtilityGame):
+            def __init__(self, prior_global, submissions, server_test, **kwargs):
+                super().__init__(prior_global, submissions, server_test, **kwargs)
+                assert "_base_loss" in kwargs
+                bases.append((self._base_loss, modelmod.loss(prior_global, server_test)))
+
+        real = ledgermod.majority_global
+        calls = []
+
+        def flaky(panel, candidates, store):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ledgermod.ConsensusError("forced disagreement")
+            return real(panel, candidates, store)
+
+        monkeypatch.setattr(fed, "UtilityGame", Recorded)
+        monkeypatch.setattr(ledgermod, "majority_global", flaky)
+        for t in range(cfg.rounds):
+            carried = modelmod.loss(state.global_params, state.server_test)
+            assert state.global_loss.hex() == carried.hex()
+            report = run_round(state, t)
+            assert state.global_loss.hex() == report.global_metrics.loss.hex()
+        assert len(calls) == cfg.rounds + 1
+        assert state.global_loss.hex() == modelmod.loss(
+            state.global_params, state.server_test).hex()
+        # one game values each round; greedy's selection builds one per policy
+        # attempt, the failed first attempt of round 1 included
+        assert len(bases) == cfg.rounds * (2 if kind == "greedy" else 1)
+        for passed, computed in bases:
+            assert passed.hex() == computed.hex()
 
 
 class TestRun:
@@ -311,7 +385,8 @@ class TestRun:
                 assert len(block.txs) == cfg.num_orgs > len(selected)
             accepted = {}
             for vid in state.panel.validators:
-                outcomes = ledgermod.verify_local_updates(state.panel, vid, selected, store)
+                outcomes = ledgermod.verify_local_updates(
+                    state.panel, vid, selected, store, prior.layer_dims)
                 orgs = [tx.org_id for tx, ok in zip(selected, outcomes) if ok]
                 models = [ledgermod.deserialize_params(store.get(tx.model_digest))
                           for tx, ok in zip(selected, outcomes) if ok]

@@ -129,14 +129,14 @@ class TestVerifyLocalUpdate:
         weights = np.zeros(3)
         weights[1] = np.nan
         tx = submit(store, ModelParams((2, 1), weights))
-        outcome = verify_local_updates(simple_panel(), 0, [tx], store)[0]
+        outcome = verify_local_updates(simple_panel(), 0, [tx], store, (2, 1))[0]
         assert not outcome
         assert "non-finite" in outcome.reason
 
     def test_zero_floor_accepts_any_finite_model(self):
         store = ContentStore()
         tx = submit(store, init_params((2, 1), seed=3))
-        assert verify_local_updates(simple_panel(floor=0.0), 0, [tx], store)[0]
+        assert verify_local_updates(simple_panel(floor=0.0), 0, [tx], store, (2, 1))[0]
 
     def test_poisoned_model_rejected(self):
         # label-flipped training on a separable shard lands below a 0.5 floor
@@ -144,16 +144,16 @@ class TestVerifyLocalUpdate:
         panel = simple_panel(floor=0.5)
         poisoned = trained_model(balanced_shard(seed=0), flip_labels=True)
         tx = submit(store, poisoned)
-        outcome = verify_local_updates(panel, 0, [tx], store)[0]
+        outcome = verify_local_updates(panel, 0, [tx], store, (2, 1))[0]
         assert not outcome
         assert "below floor" in outcome.reason
         honest = submit(store, trained_model(balanced_shard(seed=0)), org=1)
-        assert verify_local_updates(panel, 0, [honest], store)[0]
+        assert verify_local_updates(panel, 0, [honest], store, (2, 1))[0]
 
     def test_missing_payload_is_reported(self):
         store = ContentStore()
         tx = LocalUpdateTx(0, 0, b"\x11" * 32, 100)
-        outcome = verify_local_updates(simple_panel(), 0, [tx], store)[0]
+        outcome = verify_local_updates(simple_panel(), 0, [tx], store, (2, 1))[0]
         assert not outcome
         assert "unavailable" in outcome.reason
 
@@ -161,7 +161,7 @@ class TestVerifyLocalUpdate:
         # a well-formed payload for 5 features, against 2-wide validator shards
         store = ContentStore()
         tx = submit(store, init_params((5, 4, 1), 1))
-        outcome = verify_local_updates(simple_panel(), 0, [tx], store)[0]
+        outcome = verify_local_updates(simple_panel(), 0, [tx], store, (2, 1))[0]
         assert not outcome
         assert outcome.reason == (
             "malformed payload: feature width 2 does not match model input width 5")
@@ -184,22 +184,37 @@ class TestVerifyLocalUpdate:
             submit(store, init_params((5, 4, 1), 1), org=5),  # wrong width
             submit(store, trained_model(shard, seed=1), org=6),  # accepted
             submit(store, ModelParams(wide.layer_dims, wide.weights * 0.0), org=7),
-            submit(store, wide, org=8),  # a second architecture, its own stack
+            submit(store, wide, org=8),  # a second architecture
         ]
-        for vid in panel.validators:
-            batch = verify_local_updates(panel, vid, txs, store)
-            singles = [verify_local_updates(panel, vid, [tx], store)[0] for tx in txs]
-            assert batch == singles
-            reasons = [o.reason for o in batch]
-            assert batch[0] and batch[6]
-            assert reasons[1].startswith("payload unavailable: ") and "integrity" in reasons[1]
-            assert reasons[2].startswith("payload unavailable: ")
-            assert reasons[3].startswith("accuracy ")
-            assert reasons[3].endswith(" below floor 0.5000")
-            assert reasons[4] == "malformed payload: non-finite weights"
-            assert reasons[5] == (
-                "malformed payload: feature width 2 does not match model input width 5")
-        assert verify_local_updates(panel, 0, [], store) == []
+        # each architecture in turn is the global model's; the other's payloads
+        # are malformed, and the scored ones share one stacked pass
+        cases = [((2, 1), [0, 3, 6], [7, 8], (2, 3, 1)),
+                 ((2, 3, 1), [7, 8], [0, 3, 6], (2, 1))]
+        for dims, own, other, other_dims in cases:
+            for vid in panel.validators:
+                batch = verify_local_updates(panel, vid, txs, store, dims)
+                singles = [verify_local_updates(panel, vid, [tx], store, dims)[0]
+                           for tx in txs]
+                assert batch == singles
+                reasons = [o.reason for o in batch]
+                assert reasons[1].startswith("payload unavailable: ")
+                assert "integrity" in reasons[1]
+                assert reasons[2].startswith("payload unavailable: ")
+                assert reasons[4] == "malformed payload: non-finite weights"
+                assert reasons[5] == (
+                    "malformed payload: feature width 2 does not match model input width 5")
+                for i in other:
+                    assert reasons[i] == (f"malformed payload: layer_dims {other_dims} "
+                                          f"do not match the global model's {dims}")
+                if dims == (2, 1):
+                    assert batch[0] and batch[6]
+                    assert reasons[3].startswith("accuracy ")
+                    assert reasons[3].endswith(" below floor 0.5000")
+                else:
+                    assert batch[7]  # the zero model scores 0.5, at the floor
+                    assert all(bool(batch[i]) or reasons[i].startswith("accuracy ")
+                               for i in own)
+        assert verify_local_updates(panel, 0, [], store, (2, 1)) == []
 
 
 class TestMajorityGlobal:
@@ -259,7 +274,7 @@ class TestCrossVerify:
             LocalUpdateTx(0, 3, b"\x11" * 32, 100),
             submit(store, trained_model(shard, seed=1), org=4),
         ]
-        outcomes = verify_local_updates(simple_panel(), 0, txs, store)
+        outcomes = verify_local_updates(simple_panel(), 0, txs, store, (2, 1))
         assert [bool(o) for o in outcomes] == [True, False, False, False, True]
         for tx, outcome in zip(txs, outcomes):
             if outcome:
@@ -328,6 +343,94 @@ class TestCrossVerify:
         with pytest.raises(ConsensusError, match="3 distinct candidates"):
             cross_verify(panel, txs, store, init_params((2, 1), seed=5))
         assert calls == [[0, 1, 2]]  # called through the module, as tests patch it
+
+    def test_each_payload_decoded_once(self, monkeypatch):
+        # every validator fetches every payload, but a payload is decoded once
+        # per call; the outcomes are those of separate per-validator calls
+        store = ContentStore()
+        shard = balanced_shard(seed=0)
+        honest = trained_model(shard)
+        corrupt = submit(store, init_params((2, 1), seed=8), org=1)
+        store.blobs[corrupt.model_digest] = b"tampered"
+        nan_weights = np.zeros(3)
+        nan_weights[0] = np.nan
+        txs = [
+            submit(store, honest, org=0),
+            corrupt,
+            LocalUpdateTx(0, 2, b"\x11" * 32, 100),  # missing blob
+            submit(store, ModelParams((2, 1), nan_weights), org=3),
+            submit(store, honest, org=4),  # org 0's payload again
+            submit(store, trained_model(shard, flip_labels=True), org=5),
+            submit(store, init_params((2, 3, 1), seed=1), org=6),  # another architecture
+        ]
+        panel = self.panel(flipped=(1,))
+        prior = init_params((2, 1), seed=5)
+        expected = {vid: verify_local_updates(panel, vid, txs, store, prior.layer_dims)
+                    for vid in panel.validators}
+        decoded, fetched, outcomes = [], [], {}
+        real_decode, real_get, real_verify = (
+            ledgermod.deserialize_params, store.get, ledgermod._verify)
+
+        def counted_decode(blob):
+            decoded.append(blob)
+            return real_decode(blob)
+
+        def counted_get(digest):
+            fetched.append(digest)
+            return real_get(digest)
+
+        def recorded_verify(panel, vid, *args):
+            outcomes[vid] = real_verify(panel, vid, *args)
+            return outcomes[vid]
+
+        monkeypatch.setattr(ledgermod, "deserialize_params", counted_decode)
+        monkeypatch.setattr(store, "get", counted_get)
+        monkeypatch.setattr(ledgermod, "_verify", recorded_verify)
+        cross_verify(panel, txs, store, prior)
+        # orgs 0 and 4 share a digest; the corrupt and missing blobs never decode
+        assert len(decoded) == len(set(decoded)) == 4
+        assert fetched == [tx.model_digest for tx in txs] * len(panel.validators)
+        assert outcomes == expected
+        for vid in panel.validators:
+            for got, want in zip(outcomes[vid], expected[vid]):
+                if got:
+                    assert got.params.weights.tobytes() == want.params.weights.tobytes()
+            reasons = [o.reason for o in outcomes[vid]]
+            assert "integrity" in reasons[1]
+            assert reasons[2].startswith("payload unavailable: ")
+            assert reasons[3] == "malformed payload: non-finite weights"
+            assert reasons[6] == ("malformed payload: layer_dims (2, 3, 1) do not match "
+                                  "the global model's (2, 1)")
+        # the flipped validator rejects what the others accept, from the same decoding
+        assert [bool(o) for o in outcomes[0]] == [True, False, False, False, True, False, False]
+        assert [bool(o) for o in outcomes[1]] == [False, False, False, False, False, True, False]
+
+    @pytest.mark.parametrize("hidden", [(5,), (5, 5), (3, 5)])
+    def test_payloads_of_another_architecture_rejected(self, hidden):
+        # finite, well-formed payloads of the right input width whose hidden
+        # width is not the global model's 3: such a payload used to be averaged,
+        # so it became the next global model, or averaging a mix of both
+        # architectures raised ValueError out of the round
+        store = ContentStore()
+        prior = init_params((2, 3, 1), seed=5)
+        models = {org: init_params((2, width, 1), seed=org) for org, width in enumerate(hidden)}
+        txs = [submit(store, m, org=org) for org, m in models.items()]
+        panel = simple_panel(floor=0.0)
+        digest, new_global, votes, accepted = cross_verify(panel, txs, store, prior)
+        own = [m for m in models.values() if m.layer_dims == (2, 3, 1)]
+        expected = average(own) if own else prior
+        assert digest == params_digest(expected)
+        assert new_global.layer_dims == (2, 3, 1)
+        assert new_global.weights.tobytes() == expected.weights.tobytes()
+        assert votes == {0: digest, 1: digest, 2: digest}
+        assert sorted(accepted) == [org for org, w in enumerate(hidden) if w == 3]
+        for vid in panel.validators:
+            outcomes = verify_local_updates(panel, vid, txs, store, prior.layer_dims)
+            for width, outcome in zip(hidden, outcomes):
+                assert bool(outcome) == (width == 3)
+                if width != 3:
+                    assert outcome.reason == ("malformed payload: layer_dims (2, 5, 1) do "
+                                              "not match the global model's (2, 3, 1)")
 
 
 def build_chain(n_blocks, seed=0):
