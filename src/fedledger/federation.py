@@ -322,10 +322,13 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         state.panel, [tx for tx in txs if tx.org_id in selected], state.store,
         state.global_params)
 
+    # new_global is the mean of the accepted models in ascending org_id
+    # order, the grand coalition's mean, so its loss is the game's U(N)
+    global_metrics = modelmod.evaluate(new_global, state.server_test, cfg.threshold)
     shapley = None
     if cfg.valuation != "off" and accepted:
         game = UtilityGame(state.global_params, accepted, state.server_test,
-                           _base_loss=state.global_loss)
+                           _base_loss=state.global_loss, _grand_loss=global_metrics.loss)
         if cfg.valuation == "exact":
             shapley = valmod.exact_shapley(game)
         else:
@@ -348,7 +351,6 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         contributions=shapley.values if shapley else {},
     )
     state.chain = ledgermod.append_block(state.chain, block)
-    global_metrics = modelmod.evaluate(new_global, state.server_test, cfg.threshold)
     state.global_params, state.global_loss = new_global, global_metrics.loss
     return RoundReport(
         round_index=t,

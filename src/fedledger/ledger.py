@@ -244,7 +244,8 @@ def cross_verify(
     it accepted, in the order of txs, or carries `prior` forward when it
     accepted none; majority_global then picks the round's global model.
     Each validator fetches every payload from the store, but each distinct
-    payload is decoded once per call. Returns the winning digest, that
+    payload is decoded once per call, and validators that accepted the same
+    transactions share one average. Returns the winning digest, that
     model, every validator's vote, and {org_id: model} of the updates
     accepted by the first validator that voted for the winner. No strict
     majority raises ConsensusError.
@@ -252,11 +253,15 @@ def cross_verify(
     accepted: dict[int, dict[int, ModelParams]] = {}
     candidates: dict[int, ModelParams] = {}
     decoded: dict[bytes, ModelParams | str] = {}
+    # by the positions in txs of the accepted updates: the models and their average
+    averaged: dict[tuple[int, ...], tuple[dict[int, ModelParams], ModelParams]] = {}
     for vid in panel.validators:
         outcomes = _verify(panel, vid, txs, store, prior.layer_dims, decoded)
-        models = {tx.org_id: o.params for tx, o in zip(txs, outcomes) if o}
-        accepted[vid] = models
-        candidates[vid] = model.average(list(models.values())) if models else prior
+        kept = tuple(i for i, o in enumerate(outcomes) if o)
+        if kept not in averaged:
+            models = {txs[i].org_id: outcomes[i].params for i in kept}
+            averaged[kept] = models, model.average(list(models.values())) if models else prior
+        accepted[vid], candidates[vid] = averaged[kept]
     winner, new_global, votes = majority_global(panel, candidates, store)
     first = next(vid for vid in panel.validators if votes[vid] == winner)
     return winner, new_global, votes, accepted[first]
@@ -274,11 +279,16 @@ def majority_global(
     converge on one digest. The winner's payload is stored off-chain;
     losing candidates are the round's faulty updates. No strict majority
     raises ConsensusError. Returns the winning digest, its model and every
-    validator's vote (the digest of its candidate).
+    validator's vote (the digest of its candidate). A candidate object that
+    several validators submit is digested once.
     """
     if set(candidates) != set(panel.validators):
         raise ValueError("need exactly one candidate per validator")
-    votes = {vid: params_digest(candidates[vid]) for vid in panel.validators}
+    digests: dict[int, bytes] = {}  # by id() of a candidate, all held in candidates
+    for candidate in candidates.values():
+        if id(candidate) not in digests:
+            digests[id(candidate)] = params_digest(candidate)
+    votes = {vid: digests[id(candidates[vid])] for vid in panel.validators}
     tally: dict[bytes, int] = {}
     for digest in votes.values():
         tally[digest] = tally.get(digest, 0) + 1

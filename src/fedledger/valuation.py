@@ -11,6 +11,8 @@ of permutations.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator
@@ -113,12 +115,16 @@ class UtilityGame(CoalitionGame):
     Coalitions are evaluated in batches through model.stacked_loss, up to
     BATCH_ACTIVATIONS hidden activations at a time; utility() is a batch of
     one. The full table (_table) builds each coalition's mean from a smaller
-    coalition's sum with one add, bypassing the cache. Every value is bit for
-    bit base_loss - model.loss(model.average(members), server_test) with the
-    members in sorted org_id order.
+    coalition's sum with one add, bypassing the cache, and values its chunks
+    on two threads when it can. Every value is bit for bit base_loss -
+    model.loss(model.average(members), server_test) with the members in
+    sorted org_id order, on either thread.
 
     base_loss is model.loss(prior_global, server_test); a caller that
     already holds that value passes it as _base_loss and saves the pass.
+    Likewise a caller holding the loss of the grand coalition's mean, that
+    model.average of every submission in sorted org_id order, passes it as
+    _grand_loss, and the grand coalition is cached as worth base_loss minus it.
     """
 
     def __init__(
@@ -128,6 +134,7 @@ class UtilityGame(CoalitionGame):
         server_test: Dataset,
         *,
         _base_loss: float | None = None,
+        _grand_loss: float | None = None,
     ) -> None:
         self.prior_global = prior_global
         self.submissions = dict(submissions)
@@ -135,6 +142,8 @@ class UtilityGame(CoalitionGame):
         self._init_players(self.submissions)
         self._base_loss = (
             model.loss(prior_global, server_test) if _base_loss is None else _base_loss)
+        if _grand_loss is not None and self._players:
+            self._cache[(1 << len(self._players)) - 1] = self._base_loss - _grand_loss
         models = [self.submissions[p] for p in self._players]
         self._dims = models[0].layer_dims if models else prior_global.layer_dims
         if any(m.layer_dims != self._dims for m in models):
@@ -184,30 +193,65 @@ class UtilityGame(CoalitionGame):
         and divides each row by its count: a mean summed as model.average
         sums, from +0.0 in ascending player order. One stacked pass per chunk
         values it; the empty coalition gets no row and stays 0.0.
+
+        A table of two chunks or more is valued on two threads when the
+        process may run on two CPUs: the caller and one pool worker, closed
+        before this returns, take chunk starts from one shared iterator.
+        Chunks are then half the size, so the two blocks in flight hold what
+        one did. Each thread copies into its own block and each chunk writes
+        only its own slice of the table, so every value is the same, bit for
+        bit, whichever thread computes it.
         """
         n = len(self._players)
         weights = self._weights
         low = min(n, self._batch.bit_length() - 1)
+        threaded = low < n and _usable_cpus() >= 2
+        if threaded:
+            low = max(low - 1, 0)
         size = 1 << low
         sums = np.zeros((size, weights.shape[1]))
         for i in range(low):
             np.add(sums[: 1 << i], weights[i], out=sums[1 << i : 2 << i])
         low_counts = np.bitwise_count(np.arange(size))
         table = np.zeros(1 << n)
-        block = np.empty_like(sums)
-        for start in range(0, 1 << n, size):
-            np.copyto(block, sums)
-            for i in range(low, n):
-                if start >> i & 1:
-                    block += weights[i]
-            first = 1 if start == 0 else 0  # skip the empty coalition
-            if first == size:
-                continue
-            means = block[first:]
-            means /= (low_counts[first:] + start.bit_count())[:, None]
-            losses = model.stacked_loss(self._dims, means, self.server_test)
-            table[start + first : start + size] = self._base_loss - losses
+        starts = iter(range(0, 1 << n, size))
+
+        def value_chunks() -> None:
+            block = np.empty_like(sums)
+            try:
+                for start in starts:
+                    np.copyto(block, sums)
+                    for i in range(low, n):
+                        if start >> i & 1:
+                            block += weights[i]
+                    first = 1 if start == 0 else 0  # skip the empty coalition
+                    if first == size:
+                        continue
+                    means = block[first:]
+                    means /= (low_counts[first:] + start.bit_count())[:, None]
+                    losses = model.stacked_loss(self._dims, means, self.server_test)
+                    table[start + first : start + size] = self._base_loss - losses
+            except BaseException:
+                for _ in starts:  # leave the other thread no chunk to start
+                    pass
+                raise
+
+        if threaded:
+            with ThreadPoolExecutor(1) as pool:
+                worker = pool.submit(value_chunks)
+                value_chunks()
+                worker.result()
+        else:
+            value_chunks()
         return table
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class FunctionGame(CoalitionGame):
@@ -257,7 +301,8 @@ def exact_shapley(game: CoalitionGame) -> ShapleyResult:
     the classical permutation-average form, so the values always sum to the
     utility of the grand coalition. The table of all 2^N utilities comes
     from game._table(): one read of the cache for most games, subset sums
-    for a UtilityGame.
+    for a UtilityGame, whose chunks run on two threads when the process may
+    use two CPUs; the values do not depend on which thread computed what.
     """
     players = game.players
     n = len(players)

@@ -316,6 +316,31 @@ class TestRunRound:
         for passed, computed in bases:
             assert passed.hex() == computed.hex()
 
+    @pytest.mark.parametrize("valuation", ["tmc", "exact"])
+    def test_grand_coalition_worth_is_the_new_global_models(self, valuation, monkeypatch):
+        # the round's game is handed U(N) from the new global model's loss,
+        # bit for bit the utility a fresh game computes for all its players
+        cfg = small_config(policy=SelectionPolicy("contribution", k=3, exploration_period=2),
+                           rounds=5, valuation=valuation)
+        state = init_round0(cfg, small_dataset())
+        games = []
+
+        class Recorded(valmod.UtilityGame):
+            def __init__(self, prior_global, submissions, server_test, **kwargs):
+                super().__init__(prior_global, submissions, server_test, **kwargs)
+                games.append((kwargs["_grand_loss"], self))
+
+        monkeypatch.setattr(fed, "UtilityGame", Recorded)
+        for t in range(cfg.rounds):
+            report = run_round(state, t)
+            grand_loss, game = games[-1]
+            assert grand_loss.hex() == report.global_metrics.loss.hex()
+            fresh = valmod.UtilityGame(game.prior_global, game.submissions, game.server_test)
+            full = (1 << len(game.players)) - 1
+            assert game._cache[full].hex() == fresh.utility(game.players).hex()
+            assert fresh._cache[full].hex() == game.utility(game.players).hex()
+        assert len(games) == cfg.rounds
+
 
 class TestRun:
     def test_single_round_run(self):

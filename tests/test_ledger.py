@@ -344,6 +344,46 @@ class TestCrossVerify:
             cross_verify(panel, txs, store, init_params((2, 1), seed=5))
         assert calls == [[0, 1, 2]]  # called through the module, as tests patch it
 
+    @pytest.mark.parametrize("flipped, accepted_orgs, distinct", [
+        ((), [3, 7], 1),  # every validator accepts both updates
+        ((0,), [3, 7], 2),  # validator 0 accepts only org 3
+        ((0, 2), [3], 2),  # validators 0 and 2 accept only org 3, and win
+    ])
+    def test_one_average_and_digest_per_distinct_accepted_set(
+        self, monkeypatch, flipped, accepted_orgs, distinct
+    ):
+        # the votes are those of every validator averaging and digesting alone
+        store = ContentStore()
+        honest = trained_model(balanced_shard(seed=1))
+        zero = ModelParams((2, 1), np.zeros(3))
+        txs = [submit(store, zero, org=3), submit(store, honest, org=7)]
+        panel = self.panel(flipped=flipped)
+        prior = init_params((2, 1), seed=5)
+        expected = {}
+        for vid in panel.validators:
+            kept = [o.params for o in verify_local_updates(panel, vid, txs, store, (2, 1)) if o]
+            expected[vid] = params_digest(average(kept) if kept else prior)
+        averaged, digested = [], []
+        real_average, real_digest = ledgermod.model.average, ledgermod.params_digest
+
+        def counted_average(models):
+            averaged.append(len(models))
+            return real_average(models)
+
+        def counted_digest(params):
+            digested.append(params)
+            return real_digest(params)
+
+        monkeypatch.setattr(ledgermod.model, "average", counted_average)
+        monkeypatch.setattr(ledgermod, "params_digest", counted_digest)
+        digest, new_global, votes, accepted = cross_verify(panel, txs, store, prior)
+        assert votes == expected
+        assert digest == max(expected.values(), key=list(expected.values()).count)
+        assert params_digest(new_global) == digest
+        assert sorted(accepted) == accepted_orgs
+        assert len(averaged) == distinct
+        assert len(digested) == distinct
+
     def test_each_payload_decoded_once(self, monkeypatch):
         # every validator fetches every payload, but a payload is decoded once
         # per call; the outcomes are those of separate per-validator calls

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -584,11 +586,13 @@ class TestCoalitionTable:
     @pytest.mark.parametrize("batch", [1, 3, 40])  # L = min(n, 0), min(n, 1), min(n, 5)
     @pytest.mark.parametrize("players", [(2, 5, 11), (2, 5, 7, 11, 13, 17, 23)])
     @pytest.mark.parametrize("spread", [False, True])
+    @pytest.mark.parametrize("cpus", [1, 2])  # one thread, or two where the table has two chunks
     def test_bitwise_equal_to_batched_and_oracle(
-        self, monkeypatch, hidden_dims, batch, players, spread
+        self, monkeypatch, hidden_dims, batch, players, spread, cpus
     ):
         widest = max((*hidden_dims, 1))
         monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", batch * 37 * widest)
+        monkeypatch.setattr(valuation, "_usable_cpus", lambda: cpus)
 
         def build():
             if spread:
@@ -607,8 +611,12 @@ class TestCoalitionTable:
                     for m in range(1 << n)]
         np.testing.assert_array_equal(bits(table), bits(expected))
 
-    def test_one_stacked_pass_per_chunk(self, monkeypatch):
+    @staticmethod
+    def count_passes(monkeypatch, cpus):
+        """The stack size of each stacked pass an exact_shapley of 10
+        players makes with `cpus` CPUs, in call order; the game's batch is 40."""
         monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", 40 * 37 * 16)
+        monkeypatch.setattr(valuation, "_usable_cpus", lambda: cpus)
         game = model_game((16,), 37, tuple(range(0, 30, 3)), seed=4)
         assert game._batch == 40
         rows = []
@@ -624,8 +632,88 @@ class TestCoalitionTable:
         monkeypatch.setattr(valuation.model, "stacked_loss", counting)
         monkeypatch.setattr(UtilityGame, "_evaluate_masks", refused)
         assert exact_shapley(game).num_evaluations == 1024
+        return rows
+
+    def test_one_stacked_pass_per_chunk(self, monkeypatch):
         # 2^10 masks in chunks of 2^5; the empty coalition gets no row
-        assert rows == [31] + [32] * 31
+        assert self.count_passes(monkeypatch, cpus=1) == [31] + [32] * 31
+
+    def test_two_threads_pass_half_chunks(self, monkeypatch):
+        # the chunks are halved to 2^4 masks and shared between two threads
+        rows = self.count_passes(monkeypatch, cpus=2)
+        assert sorted(rows) == [15] + [16] * 63
+
+    @staticmethod
+    def failing_game(monkeypatch, fails):
+        """A 10-player game on two CPUs whose stacked passes raise on the
+        thread `fails` names; the other thread's passes run as usual."""
+        monkeypatch.setattr(valuation, "_usable_cpus", lambda: 2)
+        game = model_game((16,), 37, tuple(range(10)), seed=5)
+        assert game._batch.bit_length() - 1 < 10  # two chunks or more: two threads
+        stacked_loss = valuation.model.stacked_loss
+        main = threading.main_thread()
+        worker_ran = threading.Event()
+
+        def failing(dims, stack, data):
+            on_main = threading.current_thread() is main
+            if not on_main:
+                worker_ran.set()
+            if on_main == (fails == "caller"):
+                raise RuntimeError(f"chunk failed on the {fails}")
+            if on_main:  # the worker must fail before the caller takes every chunk
+                assert worker_ran.wait(timeout=10)
+            return stacked_loss(dims, stack, data)
+
+        monkeypatch.setattr(valuation.model, "stacked_loss", failing)
+        return game
+
+    @pytest.mark.parametrize("fails", ["caller", "worker"])
+    def test_chunk_failure_propagates_and_leaves_no_thread(self, monkeypatch, fails):
+        before = threading.active_count()
+        game = self.failing_game(monkeypatch, fails)
+        with pytest.raises(RuntimeError, match=f"chunk failed on the {fails}"):
+            exact_shapley(game)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_table(self, monkeypatch):
+        monkeypatch.setattr(valuation, "_usable_cpus", lambda: 2)
+        game = model_game((16,), 37, tuple(range(10)), seed=5)
+        before = threading.active_count()
+        threads = set()
+        stacked_loss = valuation.model.stacked_loss
+        worker_ran = threading.Event()
+
+        def recording(dims, stack, data):
+            threads.add(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                assert worker_ran.wait(timeout=10)  # the worker takes a chunk too
+            else:
+                worker_ran.set()
+            return stacked_loss(dims, stack, data)
+
+        monkeypatch.setattr(valuation.model, "stacked_loss", recording)
+        game._table()
+        assert threading.main_thread() in threads
+        workers = threads - {threading.main_thread()}
+        assert len(workers) == 1
+        assert not any(t.is_alive() for t in workers)
+        assert threading.active_count() == before
+
+    def test_switching_threads_often_loses_no_chunk(self, monkeypatch):
+        # a chunk start lost between the threads would leave its rows 0.0
+        monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", 40 * 37 * 16)
+        game = model_game((16,), 37, tuple(range(12)), seed=7)
+        monkeypatch.setattr(valuation, "_usable_cpus", lambda: 1)
+        expected = game._table()
+        monkeypatch.setattr(valuation, "_usable_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tables = [game._table() for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for table in tables:
+            np.testing.assert_array_equal(bits(table), bits(expected))
 
     def test_peak_memory_below_a_quarter_of_the_means(self):
         game = model_game((16,), 37, tuple(range(14)), seed=6, width=4)
