@@ -94,6 +94,9 @@ class ExperimentSpec:
             raise ConfigError(f"bad value for 'data': {self.data!r} (synthetic or csv)")
         if self.data == "csv" and not Path(self.csv_path).is_file():
             raise ConfigError(f"bad value for 'csv_path': no file {self.csv_path!r}")
+        if self.synthetic_features < 1:
+            raise ConfigError(
+                f"bad value for 'synthetic_features': {self.synthetic_features!r} (at least 1)")
         _checked("synthetic_n / synthetic_minority_fraction", _class_sizes,
                  n=self.synthetic_n, minority_fraction=self.synthetic_minority_fraction)
         for job in _run_jobs(self):

@@ -256,13 +256,17 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
                            modelmod.loss(w0, server_test))
 
 
-def _select(state: FederationState, t: int) -> tuple[set[int], dict[int, ModelParams]]:
-    """Apply the configured policy; greedy pre-trains the full candidate pool."""
+def _select(
+    state: FederationState, t: int, forced_random: bool
+) -> tuple[set[int], dict[int, ModelParams]]:
+    """Apply the configured policy, or random selection on a forced retry;
+    greedy pre-trains the full candidate pool."""
     cfg = state.cfg
     orgs = range(cfg.num_orgs)
-    if cfg.policy.kind == "random":
+    if forced_random or cfg.policy.kind == "random":
+        label = "retry" if forced_random else "select"
         return selmod.select_random(
-            orgs, cfg.policy.k, derive_seed(cfg.master_seed, "select", t)
+            orgs, cfg.policy.k, derive_seed(cfg.master_seed, label, t)
         ), {}
     if cfg.policy.kind == "contribution":
         scores = {org: state.contributions.get(org, 0.0) for org in orgs}
@@ -298,14 +302,7 @@ def run_round(state: FederationState, t: int) -> RoundReport:
 
 def _attempt_round(state: FederationState, t: int, forced_random: bool) -> RoundReport:
     cfg = state.cfg
-    if forced_random:
-        selected = selmod.select_random(
-            range(cfg.num_orgs), cfg.policy.k,
-            derive_seed(cfg.master_seed, "retry", t),
-        )
-        pretrained: dict[int, ModelParams] = {}
-    else:
-        selected, pretrained = _select(state, t)
+    selected, pretrained = _select(state, t, forced_random)
 
     # local training and submission; greedy charges its full candidate pool
     submissions = pretrained or state.train_round(t, sorted(selected))

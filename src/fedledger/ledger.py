@@ -430,7 +430,7 @@ def import_chain(text: str) -> list[Block]:
                 },
                 block_hash=bytes.fromhex(record["block_hash"]),
             )
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"line {line_no}: not a valid block record: {exc}") from exc
         blocks.append(block)
     return blocks

@@ -130,32 +130,54 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward(
-    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """ReLU hidden layers, sigmoid output. Returns activations and probabilities.
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    hidden: list[np.ndarray] | None = None,
+    logits: np.ndarray | None = None,
+) -> np.ndarray:
+    """ReLU hidden layers, sigmoid output. Returns the probabilities.
 
     x is (n, din). With stacked layers from _layer_views, every model of the
     stack runs on the same x, or model i on its own rows x[i] when x is
     (m, n, din); one model's layers run on each x[j] of a stacked (g, n, din).
-    Activations are (..., n, width) and probabilities (..., n). A stacked
-    matmul computes each slice with the same BLAS call as a single model on
-    a single x, so each slice is bit for bit what that pair alone gives.
-    The bias add and ReLU write into the product.
+    Probabilities are (..., n). A stacked matmul computes each slice with the
+    same BLAS call as a single model on a single x, so each slice is bit for
+    bit what that pair alone gives. The bias add and ReLU write into the
+    product. Given buffers, hidden[i] (..., n, width) and logits (..., n, 1),
+    each product is written into them with np.matmul(out=), the same
+    arithmetic as @, and the hidden activations stay there for the caller.
     """
-    activations = [x]
     a = x
-    for w, b in layers[:-1]:
-        a = a @ w
+    for (w, b), out in zip(layers, hidden or [None] * (len(layers) - 1)):
+        a = np.matmul(a, w, out=out)
         a += b
         np.maximum(a, 0.0, out=a)
-        activations.append(a)
     w_out, b_out = layers[-1]
-    z = a @ w_out
+    z = np.matmul(a, w_out, out=logits)
     z += b_out
-    return activations, _sigmoid(z[..., 0])
+    return _sigmoid(z[..., 0])
 
 
-def _as_matrix(params: ModelParams, features: np.ndarray) -> np.ndarray:
+def _check_data(width: int, datasets: Sequence[Dataset], name: str = "dataset") -> None:
+    """Refuse an empty dataset, or one whose feature width is not the model's.
+
+    The Datasets checked their rows (finite features, 0/1 labels) when they
+    were built, so this is the only check the kernels need. With more than
+    one dataset, a message starts with `{name} i: `.
+    """
+    for i, data in enumerate(datasets):
+        where = f"{name} {i}: " if len(datasets) > 1 else ""
+        if len(data) == 0:
+            raise ValueError(f"{where}dataset is empty")
+        if data.schema_width != width:
+            raise ValueError(
+                f"{where}feature width {data.schema_width} does not match "
+                f"model input width {width}"
+            )
+
+
+def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Probability of the positive (fraud) class for each row of a (rows, width) matrix."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be a (rows, width) matrix, got shape {x.shape}")
@@ -164,12 +186,7 @@ def _as_matrix(params: ModelParams, features: np.ndarray) -> np.ndarray:
             f"feature width {x.shape[1]} does not match model input "
             f"width {params.input_width}"
         )
-    return x
-
-
-def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Probability of the positive (fraud) class for each row of a (rows, width) matrix."""
-    return _forward(_layers(params), _as_matrix(params, features))[1]
+    return _forward(_layers(params), x)
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray) -> np.floating | np.ndarray:
@@ -192,9 +209,8 @@ def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float
 
     Probabilities are clamped away from 0 and 1 so the value stays finite.
     """
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    bce = _bce(predict_batch(params, data.features), data.labels)
+    _check_data(params.input_width, [data])
+    bce = _bce(_forward(_layers(params), data.features), data.labels)
     if weight_decay:
         bce += 0.5 * weight_decay * float(params.weights @ params.weights)
     return float(bce)
@@ -208,21 +224,15 @@ def _stacked_probs(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) 
     callers bound m.
     """
     dims = tuple(int(d) for d in layer_dims)
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
+    _check_data(dims[0], [data])
     if stack.ndim != 2 or stack.shape[1] != param_count(dims):
         raise ValueError(
             f"stack shape {stack.shape} does not match layer_dims {dims} "
             f"(expected (m, {param_count(dims)}))"
         )
-    if data.features.shape[1] != dims[0]:
-        raise ValueError(
-            f"feature width {data.features.shape[1]} does not match model input "
-            f"width {dims[0]}"
-        )
     # a stack of one runs unstacked: the same arithmetic, less per-call overhead
     flat = stack[0] if len(stack) == 1 else stack
-    probs = _forward(_layer_views(dims, flat), data.features)[1]
+    probs = _forward(_layer_views(dims, flat), data.features)
     return probs.reshape(len(stack), len(data))
 
 
@@ -256,12 +266,13 @@ class _Step:
     or a C-contiguous stack (m, P) with x (m, rows, din) and y (m, rows),
     model i on its own batch x[i]; local_train_many() passes slices of its
     weight block, gradient() a copy. A call fills and returns the gradient
-    buffer, which the next call overwrites; it only reads `w`. Every product
-    is written with out= into a buffer of shape (*lead, rows, width), and
-    the bias gradients are summed straight into their views of the gradient.
-    The arithmetic is that of a plain forward and backward pass, so each
-    slice of a stacked gradient is bit for bit that model's gradient alone,
-    as in _forward.
+    buffer, which the next call overwrites; it only reads `w`. The forward
+    pass is _forward, given the kernel's hidden and logit buffers; every
+    backward product is written with out= into a buffer of shape (*lead,
+    rows, width), and the bias gradients are summed straight into their
+    views of the gradient. The arithmetic is that of a plain forward and
+    backward pass, so each slice of a stacked gradient is bit for bit that
+    model's gradient alone, as in _forward.
     """
 
     def __init__(self, dims: tuple[int, ...], w: np.ndarray, rows: int, weight_decay: float):
@@ -283,17 +294,8 @@ class _Step:
         self.decay = np.empty_like(w) if weight_decay else None
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        a = x
-        for (w, b), out in zip(self.layers, self.hidden):
-            np.matmul(a, w, out=out)
-            out += b
-            np.maximum(out, 0.0, out=out)
-            a = out
-        w_out, b_out = self.layers[-1]
-        z = np.matmul(a, w_out, out=self.logits)
-        z += b_out
         delta = self.deltas[-1]
-        np.subtract(_sigmoid(z[..., 0]), y, out=delta[..., 0])
+        np.subtract(_forward(self.layers, x, self.hidden, self.logits), y, out=delta[..., 0])
         delta /= x.shape[-2]
         inputs_t = [x.swapaxes(-1, -2), *self.hidden_t]
         for li in range(len(self.layers) - 1, -1, -1):
@@ -319,11 +321,9 @@ def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> 
     and matches the model's input width, then runs the same kernel as
     local_train().
     """
-    if len(batch) == 0:
-        raise ValueError("batch is empty")
-    x = _as_matrix(params, batch.features)
+    _check_data(params.input_width, [batch])
     kernel = _Step(params.layer_dims, params.weights.copy(), len(batch), weight_decay)
-    return kernel(x, batch.labels)
+    return kernel(batch.features, batch.labels)
 
 
 def local_train(params: ModelParams, data: Dataset, cfg: TrainConfig, seed: int) -> ModelParams:
@@ -369,15 +369,7 @@ def local_train_many(
     if len(seeds) != len(shards):
         raise ValueError(f"{len(seeds)} seeds for {len(shards)} shards")
     dims = params.layer_dims
-    for i, shard in enumerate(shards):
-        where = f"shard {i}: " if len(shards) > 1 else ""
-        if len(shard) == 0:
-            raise ValueError(f"{where}dataset is empty")
-        if shard.schema_width != params.input_width:
-            raise ValueError(
-                f"{where}feature width {shard.schema_width} does not match "
-                f"model input width {params.input_width}"
-            )
+    _check_data(params.input_width, shards, "shard")
     if not shards:
         return []
     layout = np.argsort([len(shard) for shard in shards], kind="stable")
@@ -476,16 +468,9 @@ def evaluate_many(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
+    _check_data(params.input_width, datasets)
     groups: dict[int, list[int]] = {}
     for i, data in enumerate(datasets):
-        where = f"dataset {i}: " if len(datasets) > 1 else ""
-        if len(data) == 0:
-            raise ValueError(f"{where}dataset is empty")
-        if data.schema_width != params.input_width:
-            raise ValueError(
-                f"{where}feature width {data.schema_width} does not match "
-                f"model input width {params.input_width}"
-            )
         groups.setdefault(len(data), []).append(i)
     layers = _layers(params)
     by_index: dict[int, Metrics] = {}
@@ -495,7 +480,7 @@ def evaluate_many(
         else:
             x = np.stack([datasets[i].features for i in members])
             y = np.stack([datasets[i].labels for i in members])
-        probs = _forward(layers, x)[1].reshape(len(members), n)
+        probs = _forward(layers, x).reshape(len(members), n)
         by_index.update(zip(members, _metrics(probs, y.reshape(len(members), n), threshold)))
     return [by_index[i] for i in range(len(datasets))]
 

@@ -14,8 +14,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator
+from itertools import groupby
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class CoalitionGame:
     _players: tuple[int, ...]
     _bit: dict[int, int]
     _cache: dict[int, float]
-    # coalitions utilities() reads, and evaluates the misses of, per step
+    # uncached coalitions utilities() evaluates per _evaluate_masks call
     _batch = 256
 
     def _init_players(self, players: Iterable[int]) -> None:
@@ -81,21 +81,18 @@ class CoalitionGame:
     def utilities(self, coalitions: Iterable[Iterable[int]]) -> np.ndarray:
         """utility() of each coalition, in order, as one float64 array.
 
-        Coalitions are read _batch at a time and the misses of each batch are
-        evaluated together; they fill the same cache as utility().
+        The first-seen misses are evaluated _batch at a time; they fill the
+        same cache as utility().
         """
         return self._mask_utilities(map(self.mask_of, coalitions))
 
     def _mask_utilities(self, masks: Iterable[int]) -> np.ndarray:
         """utilities() of coalitions given as bitmasks over the sorted players."""
-        return np.fromiter(self._stream_utilities(iter(masks)), dtype=np.float64)
-
-    def _stream_utilities(self, masks: Iterator[int]) -> Iterator[float]:
-        while batch := list(islice(masks, self._batch)):
-            misses = [m for m in dict.fromkeys(batch) if m not in self._cache]
-            if misses:
-                self._cache.update(self._evaluate_masks(misses))
-            yield from map(self._cache.__getitem__, batch)
+        masks = list(masks)
+        misses = [m for m in dict.fromkeys(masks) if m not in self._cache]
+        for start in range(0, len(misses), self._batch):
+            self._cache.update(self._evaluate_masks(misses[start : start + self._batch]))
+        return np.array([self._cache[m] for m in masks], dtype=np.float64)
 
     def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
         """(mask, utility) for each of at most _batch uncached, non-empty masks."""
@@ -269,22 +266,6 @@ class FunctionGame(CoalitionGame):
                 for mask in masks]
 
 
-class SumGame(CoalitionGame):
-    """Pointwise sum of two games over the same players."""
-
-    def __init__(self, a: CoalitionGame, b: CoalitionGame) -> None:
-        if a.players != b.players:
-            raise ValueError("summed games must share the same players")
-        self._a = a
-        self._b = b
-        self._init_players(a.players)
-
-    def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
-        # both games sort the same players, so a mask names one coalition in each
-        sums = self._a._mask_utilities(masks) + self._b._mask_utilities(masks)
-        return zip(masks, sums.tolist())
-
-
 @dataclass(frozen=True)
 class ShapleyResult:
     values: dict[int, float]
@@ -312,7 +293,12 @@ def exact_shapley(game: CoalitionGame) -> ShapleyResult:
         )
     if n == 0:
         return ShapleyResult({}, 0, "exact")
-    table = game._table()  # indexed by coalition mask
+    return ShapleyResult(_shapley_values(players, game._table()), 1 << n, "exact")
+
+
+def _shapley_values(players: tuple[int, ...], table: np.ndarray) -> dict[int, float]:
+    """exact_shapley's values from the utilities of every coalition, indexed by mask."""
+    n = len(players)
     masks = np.arange(1 << n, dtype=np.uint64)
     sizes = np.bitwise_count(masks).astype(np.int64)
     inv_binom = np.array([1.0 / math.comb(n - 1, s) for s in range(n)])
@@ -322,7 +308,7 @@ def exact_shapley(game: CoalitionGame) -> ShapleyResult:
         without = masks[(masks & bit) == 0]
         marginals = table[without | bit] - table[without]
         values[p] = float(np.dot(marginals, inv_binom[sizes[without]]) / n)
-    return ShapleyResult(values, 1 << n, "exact")
+    return values
 
 
 def tmc_shapley(
@@ -464,8 +450,9 @@ def check_axioms(
     solo utility (the classical zero-marginal dummy is the solo-utility-0
     special case; witnesses record which kind was found). Additivity: the
     values of the sum game must equal the per-player sums, checked against
-    a caller-supplied second game. The scans read the table of all 2^N
-    utilities from game._table(), as exact_shapley does.
+    a caller-supplied second game over the same players; the sum game's
+    table is the sum of the two games' tables. The scans read the table of
+    all 2^N utilities from game._table(), as exact_shapley does.
     """
     players = game.players
     n = len(players)
@@ -473,6 +460,8 @@ def check_axioms(
         raise CapacityError(f"axiom scans are exponential; {n} players > 12")
     if result.method != "exact":
         raise ValueError("check_axioms requires an exact_shapley result")
+    if additivity_game is not None and additivity_game.players != players:
+        raise ValueError("the additivity game must have the same players")
     table = game._table()  # indexed by coalition mask
     values = result.values
 
@@ -521,12 +510,11 @@ def check_axioms(
     additivity_holds = None
     additivity_residual = None
     if additivity_game is not None:
-        other = exact_shapley(additivity_game)
-        combined = exact_shapley(SumGame(game, additivity_game))
+        other_table = additivity_game._table()
+        other = _shapley_values(players, other_table)
+        combined = _shapley_values(players, table + other_table)
         additivity_residual = max(
-            abs(combined.values[p] - (values[p] + other.values[p]))
-            for p in players
-        )
+            abs(combined[p] - (values[p] + other[p])) for p in players)
         additivity_holds = additivity_residual <= tol
 
     return AxiomReport(

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -205,6 +206,8 @@ class TestConfigChecks:
         ("valuation = exact\nclients_per_round = 25\naccuracy_floor = 0", "valuation"),
         ("data = parquet", "data"),
         ("synthetic_minority_fraction = 0.7", "synthetic_minority_fraction"),
+        ("synthetic_features = 0", "synthetic_features"),
+        ("synthetic_features = -1", "synthetic_features"),
         ("data = csv\ncsv_path = nowhere.csv", "csv_path"),
         ("tmc_truncation_tol = -1", "tmc_truncation_tol"),
         ("tmc_max_permutations = 0", "tmc_max_permutations"),
@@ -397,6 +400,17 @@ class TestValidateCommand:
 
     def test_missing_file(self, tmp_path):
         assert cmd_validate(tmp_path / "nope.jsonl") == 2
+
+    @pytest.mark.parametrize("field", ["votes", "contributions"])
+    def test_array_for_a_mapping_rejected(self, tmp_path, capsys, field):
+        record = {"height": 0, "prev_hash": "00", "txs": [], "global_model_digest": "00",
+                  "votes": {}, "contributions": {}, "block_hash": "00", field: [["0", "00"]]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 1: not a valid block record: ")
+        assert captured.out == ""
 
 
 class TestMainEntry:

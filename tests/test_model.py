@@ -12,7 +12,6 @@ from fedledger.model import (
     ModelParams,
     TrainConfig,
     _bce,
-    _forward,
     _layer_views,
     _sigmoid,
     _Step,
@@ -27,6 +26,7 @@ from fedledger.model import (
     param_count,
     predict_batch,
     stacked_accuracy,
+    stacked_loss,
 )
 
 
@@ -80,13 +80,29 @@ def subset_sgd(params, data, cfg, seed):
     return weights
 
 
+def parent_forward(layers, x):
+    """The forward pass as it was before the _Step kernel, kept verbatim with
+    its activations for parent_grad: fresh arrays for every product."""
+    activations = [x]
+    a = x
+    for w, b in layers[:-1]:
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
+        activations.append(a)
+    w_out, b_out = layers[-1]
+    z = a @ w_out
+    z += b_out
+    return activations, _sigmoid(z[..., 0])
+
+
 def parent_grad(dims, flat, x, y, weight_decay):
     """Backpropagation as it was before the _Step kernel, kept verbatim as its
     oracle: fresh views, a zeroed gradient and products copied into it on
     every call."""
     n = x.shape[-2]
     layers = _layer_views(dims, flat)
-    activations, probs = _forward(layers, x)
+    activations, probs = parent_forward(layers, x)
 
     grad = np.zeros_like(flat)
     # these views alias `grad`, so writing into them fills the flat vectors
@@ -656,6 +672,29 @@ class TestStackedAccuracy:
         data = make_dataset(np.ones((3, 2)), [0, 1, 0])
         with pytest.raises(ValueError, match="feature width 2 does not match"):
             stacked_accuracy((4, 1), np.zeros((2, 5)), data)
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda p, good, d: local_train_many(p, [good, d], TrainConfig(), [0, 1]), "shard 1: "),
+    (lambda p, good, d: local_train_many(p, [d], TrainConfig(), [0]), ""),
+    (lambda p, good, d: evaluate_many(p, [good, d]), "dataset 1: "),
+    (lambda p, good, d: evaluate_many(p, [d]), ""),
+    (lambda p, good, d: stacked_loss(p.layer_dims, np.stack([p.weights] * 2), d), ""),
+    (lambda p, good, d: stacked_accuracy(p.layer_dims, np.stack([p.weights] * 2), d), ""),
+    (lambda p, good, d: loss(p, d), ""),
+    (lambda p, good, d: gradient(p, d), ""),
+], ids=["local_train_many", "local_train_many-one", "evaluate_many", "evaluate_many-one",
+        "stacked_loss", "stacked_accuracy", "loss", "gradient"])
+def test_empty_and_width_messages(call, where):
+    params = init_params((3, 1), seed=0)
+    good = make_dataset(np.ones((4, 3)), [0, 1, 0, 1])
+    empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    narrow = make_dataset(np.ones((4, 2)), [0, 1, 0, 1])
+    with pytest.raises(ValueError, match=f"^{where}dataset is empty$"):
+        call(params, good, empty)
+    with pytest.raises(ValueError,
+                       match=f"^{where}feature width 2 does not match model input width 3$"):
+        call(params, good, narrow)
 
 
 class TestShardAveraging:

@@ -14,7 +14,6 @@ from fedledger.valuation import (
     CapacityError,
     FunctionGame,
     ShapleyResult,
-    SumGame,
     UtilityGame,
     check_axioms,
     exact_shapley,
@@ -425,23 +424,17 @@ class TestCheckAxioms:
         assert report.additivity_holds
         assert report.additivity_max_residual < 1e-9
 
+    def test_additivity_game_over_other_players_rejected(self):
+        a = additive_game([1.0, 2.0])
+        res = exact_shapley(a)
+        with pytest.raises(ValueError, match="same players"):
+            check_axioms(a, res, additivity_game=additive_game([1.0, 2.0, 4.0]))
+
     def test_capacity_guard(self):
         game = FunctionGame(range(13), lambda s: float(len(s)))
         res = ShapleyResult({p: 0.0 for p in range(13)}, 0, "exact")
         with pytest.raises(CapacityError):
             check_axioms(game, res)
-
-
-class TestSumGame:
-    def test_pointwise_sum(self):
-        a = additive_game([1.0, 2.0])
-        b = additive_game([10.0, 20.0])
-        s = SumGame(a, b)
-        assert s.utility([0, 1]) == pytest.approx(33.0)
-
-    def test_mismatched_players_rejected(self):
-        with pytest.raises(ValueError):
-            SumGame(additive_game([1.0]), additive_game([1.0, 2.0]))
 
 
 def bits(values):
@@ -536,12 +529,6 @@ class TestBatchedUtilities:
         assert got.tolist() == [0.5, 1.5, 0.5, 2.5, 1.5, 0.0]
         assert calls == [frozenset({2}), frozenset({0}), frozenset({0, 1})]
         assert game.utilities([]).shape == (0,)
-
-    def test_sum_game_utilities(self):
-        a = additive_game([1.0, 2.0, 4.0])
-        b = additive_game([10.0, 20.0, 40.0])
-        got = SumGame(a, b).utilities([[0], [1, 2], [0, 1, 2]])
-        assert got.tolist() == [11.0, 66.0, 77.0]
 
     def test_unknown_org_rejected(self, small_model_game):
         with pytest.raises(ValueError):
