@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import typing
@@ -26,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ledger as ledgermod
-from .data import CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, load_csv, standardize
-from .federation import FederationAborted, FederationConfig, RunResult, run
+from .data import (CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, load_csv, read_utf8,
+                   standardize)
+from .federation import FederationAborted, FederationConfig, RunResult, RunSettings, run
 from .model import TrainConfig
 from .seeds import derive_seed
 from .selection import SelectionPolicy
@@ -46,8 +46,8 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Fully-resolved experiment configuration with one key per setting."""
+class ExperimentSpec(RunSettings):
+    """Fully-resolved experiment configuration: the `RunSettings` keys and its own."""
 
     data: str = "synthetic"  # "synthetic" | "csv"
     csv_path: str = ""
@@ -55,30 +55,15 @@ class ExperimentSpec:
     synthetic_features: int = 30
     synthetic_minority_fraction: float = 0.02
     synthetic_separation: float = 2.0
-    num_orgs: int = 30
     clients_per_round: int = 10
-    rounds: int = 100
     learning_rate: float = 0.01
     epochs: int = 10
     batch_size: int = 32
     weight_decay: float = 0.001
-    hidden_dims: tuple[int, ...] = (16,)
     exploration_period: int = 5
-    partition_mode: str = "iid"
-    partition_skew: float = 0.8
     smote: bool = True
     smote_k: int = 5
     smote_target_ratio: float = 1.0
-    label_noise_orgs: int = 0
-    label_noise: float = 0.0
-    valuation: str = "tmc"
-    tmc_truncation_tol: float = 1e-4
-    tmc_max_permutations: int = 200
-    tmc_convergence_tol: float = 1e-3
-    accuracy_target: float | None = None
-    validators: int = 3
-    accuracy_floor: float = 0.5
-    threshold: float = 0.5
     seed: int = 0
     epochs_sweep: tuple[int, ...] = ()
     batch_sweep: tuple[int, ...] = ()
@@ -87,9 +72,7 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         """Refuse, before any job runs or writes, a value that a job would reject."""
-        for key, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"bad value for {key!r}: {value!r} is not finite")
+        super().__post_init__()
         if self.data not in ("synthetic", "csv"):
             raise ConfigError(f"bad value for 'data': {self.data!r} (synthetic or csv)")
         if self.data == "csv" and not Path(self.csv_path).is_file():
@@ -97,6 +80,8 @@ class ExperimentSpec:
         if self.synthetic_features < 1:
             raise ConfigError(
                 f"bad value for 'synthetic_features': {self.synthetic_features!r} (at least 1)")
+        if not self.policies:
+            raise ConfigError("bad value for 'policies': empty (at least one policy)")
         _checked("synthetic_n / synthetic_minority_fraction", _class_sizes,
                  n=self.synthetic_n, minority_fraction=self.synthetic_minority_fraction)
         for job in _run_jobs(self):
@@ -126,20 +111,20 @@ def _parse(hint, v: str):
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentSpec)
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunSettings))
 
 
 def parse_config_file(path) -> dict[str, str]:
     """key = value lines; '#' starts a comment; blank lines ignored."""
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}: line {line_no}: expected key = value")
-            key, value = stripped.split("=", 1)
-            raw[key.strip()] = value.strip()
+    for line_no, line in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}: line {line_no}: expected key = value")
+        key, value = stripped.split("=", 1)
+        raw[key.strip()] = value.strip()
     return raw
 
 
@@ -294,23 +279,9 @@ def build_federation_config(
     return FederationConfig(
         policy=policy,
         train=train,
-        num_orgs=spec.num_orgs,
-        rounds=spec.rounds,
         smote=smote_cfg,
-        valuation=spec.valuation,
-        tmc_truncation_tol=spec.tmc_truncation_tol,
-        tmc_max_permutations=spec.tmc_max_permutations,
-        tmc_convergence_tol=spec.tmc_convergence_tol,
-        accuracy_target=spec.accuracy_target,
-        validators=spec.validators,
-        accuracy_floor=spec.accuracy_floor,
         master_seed=spec.seed,
-        hidden_dims=spec.hidden_dims,
-        partition_mode=spec.partition_mode,
-        partition_skew=spec.partition_skew,
-        threshold=spec.threshold,
-        label_noise_orgs=spec.label_noise_orgs,
-        label_noise=spec.label_noise,
+        **{key: getattr(spec, key) for key in _RUN_KEYS},
     )
 
 
@@ -409,8 +380,8 @@ def cmd_generate(spec: ExperimentSpec, out_path=None) -> Path:
 
 def cmd_validate(path) -> int:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = read_utf8(path)
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -9,8 +9,10 @@ take explicit seeds and are bit-reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -119,6 +121,14 @@ def standardize(features: np.ndarray) -> np.ndarray:
     return (feats - feats.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
 
 
+def read_utf8(path, error: type[Exception] = ParseError) -> str:
+    """A text file's contents; raises `error`, naming the file, if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_csv(path) -> Dataset:
     """Load a credit-card-schema CSV (Time,V1..V28,Amount,Class).
 
@@ -127,42 +137,41 @@ def load_csv(path) -> Dataset:
     """
     rows: list[list[float]] = []
     labels: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        header = [name.strip().strip('"') for name in header]
-        if tuple(header) != CREDIT_CARD_COLUMNS:
+    reader = csv.reader(io.StringIO(read_utf8(path)))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    header = [name.strip().strip('"') for name in header]
+    if tuple(header) != CREDIT_CARD_COLUMNS:
+        raise ParseError(
+            f"{path}: header mismatch, expected columns "
+            f"{','.join(CREDIT_CARD_COLUMNS)}"
+        )
+    width = len(CREDIT_CARD_COLUMNS)
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != width:
             raise ParseError(
-                f"{path}: header mismatch, expected columns "
-                f"{','.join(CREDIT_CARD_COLUMNS)}"
+                f"{path}: row {row_no}: expected {width} fields, got {len(row)}"
             )
-        width = len(CREDIT_CARD_COLUMNS)
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != width:
+        values = []
+        for col_no, cell in enumerate(row):
+            try:
+                value = float(cell)  # "1e400" parses, to inf
+                if not math.isfinite(value):
+                    raise ValueError
+            except ValueError:
                 raise ParseError(
-                    f"{path}: row {row_no}: expected {width} fields, got {len(row)}"
-                )
-            values = []
-            for col_no, cell in enumerate(row):
-                try:
-                    value = float(cell)  # "1e400" parses, to inf
-                    if not math.isfinite(value):
-                        raise ValueError
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {CREDIT_CARD_COLUMNS[col_no]}: "
-                        f"not a finite number: {cell!r}"
-                    ) from None
-                values.append(value)
-            label = values[-1]
-            if label not in (0.0, 1.0):
-                raise ParseError(
-                    f"{path}: row {row_no}, column Class: must be 0 or 1, got {cell!r}"
-                )
-            rows.append(values[:-1])
-            labels.append(int(label))
+                    f"{path}: row {row_no}, column {CREDIT_CARD_COLUMNS[col_no]}: "
+                    f"not a finite number: {cell!r}"
+                ) from None
+            values.append(value)
+        label = values[-1]
+        if label not in (0.0, 1.0):
+            raise ParseError(
+                f"{path}: row {row_no}, column Class: must be 0 or 1, got {cell!r}"
+            )
+        rows.append(values[:-1])
+        labels.append(int(label))
     if not rows:
         raise ParseError(f"{path}: no data rows after the header")
     features = np.array(rows, dtype=np.float64)
@@ -223,6 +232,11 @@ def partition(data: Dataset, plan: PartitionPlan, seed: int) -> list[Dataset]:
         slices = [list(part) for part in _near_equal_slices(rest, plan.num_orgs)]
         for pos, idx in enumerate(concentrated):
             slices[pos % n_heads].append(idx)
+    for org, part in enumerate(slices):
+        if len(part) == 0:
+            raise DataError(
+                f"{plan.mode} partition of {n} training rows leaves organization {org} "
+                f"no rows")
     return [data.subset(np.sort(np.asarray(part, dtype=np.int64))) for part in slices]
 
 

@@ -49,13 +49,12 @@ class FederationAborted(RuntimeError):
 VALUATION_METHODS = ("exact", "tmc", "off")
 
 
-@dataclass(frozen=True)
-class FederationConfig:
-    policy: SelectionPolicy
-    train: TrainConfig
+@dataclass(frozen=True, kw_only=True)
+class RunSettings:
+    """The run keys `FederationConfig` shares with the CLI spec, each checked here alone."""
+
     num_orgs: int = 30
     rounds: int = 100
-    smote: SmoteConfig | None = None
     valuation: str = "tmc"
     tmc_truncation_tol: float = 1e-4
     tmc_max_permutations: int = 200
@@ -64,7 +63,6 @@ class FederationConfig:
     # an odd count, so that a strict majority of validators is defined
     validators: int = 3
     accuracy_floor: float = 0.5
-    master_seed: int = 0
     hidden_dims: tuple[int, ...] = (16,)
     partition_mode: str = "iid"
     partition_skew: float = 0.8
@@ -75,19 +73,16 @@ class FederationConfig:
     label_noise: float = 0.0
 
     def __post_init__(self) -> None:
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.num_orgs < 1:
             raise ValueError("num_orgs must be positive")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
-        if self.policy.k > self.num_orgs:
-            raise ValueError("clients per round (policy.k) cannot exceed num_orgs")
         if self.valuation not in VALUATION_METHODS:
             raise ValueError(
                 f"valuation must be one of {VALUATION_METHODS}, got {self.valuation!r}")
-        for key in ("tmc_truncation_tol", "tmc_convergence_tol"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.tmc_truncation_tol < 0:
             raise ValueError("tmc_truncation_tol must be non-negative")
         if self.tmc_convergence_tol < 0:
@@ -112,6 +107,19 @@ class FederationConfig:
             PartitionPlan(self.num_orgs, self.partition_mode, self.partition_skew)
         except ValueError as exc:
             raise ValueError(f"partition_mode / partition_skew: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class FederationConfig(RunSettings):
+    policy: SelectionPolicy
+    train: TrainConfig
+    smote: SmoteConfig | None = None
+    master_seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.policy.k > self.num_orgs:
+            raise ValueError("clients per round (policy.k) cannot exceed num_orgs")
         if self.valuation == "exact" and self.policy.k > valmod.EXACT_MAX_PLAYERS:
             raise valmod.CapacityError(
                 f"valuation exact allows at most {valmod.EXACT_MAX_PLAYERS} clients "

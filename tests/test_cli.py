@@ -10,6 +10,7 @@ import pytest
 from fedledger.cli import (
     ConfigError,
     ExperimentSpec,
+    build_federation_config,
     cmd_generate,
     cmd_run,
     cmd_validate,
@@ -22,7 +23,9 @@ from fedledger.cli import (
     synthetic_dataset,
 )
 from fedledger.data import CREDIT_CARD_COLUMNS, load_csv, split
+from fedledger.federation import FederationConfig, RunSettings
 from fedledger.model import TrainConfig, evaluate, init_params, local_train
+from fedledger.selection import SelectionPolicy
 from fedledger.valuation import EXACT_MAX_PLAYERS
 
 GOLDEN = Path(__file__).parent / "golden_rounds_toy.csv"
@@ -140,6 +143,43 @@ class TestConfigResolution:
         assert config_hash(a) == config_hash(ExperimentSpec(seed=1))
 
 
+# a valid value other than the default for every run key the spec shares
+# with FederationConfig
+RUN_KEY_VALUES = {
+    "num_orgs": 12,
+    "rounds": 7,
+    "valuation": "exact",
+    "tmc_truncation_tol": 0.5,
+    "tmc_max_permutations": 3,
+    "tmc_convergence_tol": 0.25,
+    "accuracy_target": 0.75,
+    "validators": 5,
+    "accuracy_floor": 0.25,
+    "hidden_dims": (8, 4),
+    "partition_mode": "label-skew",
+    "partition_skew": 0.5,
+    "threshold": 0.25,
+    "label_noise_orgs": 2,
+    "label_noise": 0.5,
+}
+
+
+class TestRunSettings:
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunSettings)])
+    def test_spec_value_reaches_federation_config(self, key):
+        value = RUN_KEY_VALUES[key]
+        assert value != getattr(ExperimentSpec(), key)
+        spec = dataclasses.replace(ExperimentSpec(), **{key: value})
+        cfg = build_federation_config(spec, "random", spec.epochs, spec.batch_size)
+        assert getattr(cfg, key) == value
+
+    def test_library_defaults_are_the_cli_defaults(self):
+        cfg = FederationConfig(policy=SelectionPolicy("random", k=2), train=TrainConfig())
+        spec = ExperimentSpec()
+        for f in dataclasses.fields(RunSettings):
+            assert getattr(cfg, f.name) == getattr(spec, f.name), f.name
+
+
 DEFAULT_CONFIG_HASH = "443f76d1caa83e5db6dfc1fb355b63d525d32144e32cb3ba844f30504730753d"
 
 
@@ -220,6 +260,7 @@ class TestConfigChecks:
         ("tmc_truncation_tol = nan", "tmc_truncation_tol"),
         ("tmc_convergence_tol = nan", "tmc_convergence_tol"),
         ("tmc_convergence_tol = -1", "tmc_convergence_tol"),
+        ("policies =", "policies"),
     ])
     def test_run_refuses_before_writing(self, tmp_path, capsys, text, key):
         conf = tmp_path / "bad.conf"
@@ -229,6 +270,15 @@ class TestConfigChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert key in err
+        assert not out.exists()
+
+    def test_non_utf8_config_refused(self, tmp_path, capsys):
+        conf = tmp_path / "latin1.conf"
+        conf.write_bytes("rounds = 1\n# caf\u00e9\n".encode("latin-1"))
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {conf}: not UTF-8 text (invalid continuation byte at byte 16)\n")
         assert not out.exists()
 
     def test_generate_refuses_before_writing(self, tmp_path, capsys):
@@ -412,6 +462,14 @@ class TestValidateCommand:
         assert captured.err.startswith("error: line 1: not a valid block record: ")
         assert captured.out == ""
 
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+        assert captured.out == ""
+
 
 class TestMainEntry:
     def test_generate_and_validate_via_main(self, tmp_path, monkeypatch, capsys):
@@ -554,6 +612,30 @@ class TestDataChecks:
             tmp_path, "synthetic_n = 20\nsynthetic_minority_fraction = 0.1\n")
         assert code == 2
         assert "15 training rows to 30 organizations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_skew_leaving_an_organization_no_rows(self, tmp_path, capsys):
+        # 32 training rows, 14 of them fraud, all concentrated in the first 10
+        # shards: the other 18 rows reach only 18 of the 30 organizations
+        code, out = self.run_main(
+            tmp_path, "synthetic_n = 40\nsynthetic_minority_fraction = 0.45\n"
+            "partition_mode = label-skew\npartition_skew = 1.0\npolicies = random\n"
+            "smote = off\nrounds = 3\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: label-skew partition of 32 training rows leaves organization 18 "
+            "no rows\n")
+        assert not out.exists()
+
+    def test_csv_not_utf8(self, tmp_path, capsys):
+        csv = tmp_path / "latin1.csv"
+        header = ",".join(CREDIT_CARD_COLUMNS) + "\n"
+        csv.write_bytes(header.encode() + b"\xe9" + b",0" * 30 + b"\n")
+        code, out = self.run_main(tmp_path, f"data = csv\ncsv_path = {csv}\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv}: not UTF-8 text (invalid continuation byte at byte "
+            f"{len(header)})\n")
         assert not out.exists()
 
     def test_csv_with_wrong_header(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from fedledger.data import (
     CREDIT_CARD_COLUMNS,
+    DataError,
     Dataset,
     ParseError,
     PartitionPlan,
@@ -209,6 +210,13 @@ class TestPartition:
         got = np.vstack([s.features for s in shards])
         assert sorted(map(tuple, got)) == sorted(map(tuple, feats))
         assert sum(len(s) for s in shards) == 23
+
+    def test_skew_leaving_an_organization_no_rows_rejected(self):
+        # all 4 minority rows go to the first ceil(6 / 3) = 2 shards, and the
+        # 3 majority rows reach only organizations 0 to 2
+        ds = make_dataset(np.arange(7, dtype=float).reshape(7, 1), [1] * 4 + [0] * 3)
+        with pytest.raises(DataError, match="leaves organization 3 no rows"):
+            partition(ds, PartitionPlan(6, "label-skew", skew=1.0), 0)
 
     def test_too_many_orgs_rejected(self):
         ds = make_dataset([[0.0]], [0])
