@@ -29,7 +29,7 @@ from .data import (CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, load_cs
                    standardize)
 from .federation import FederationAborted, FederationConfig, RunResult, RunSettings, run
 from .model import TrainConfig
-from .seeds import derive_seed
+from .seeds import check_seed, derive_seed
 from .selection import SelectionPolicy
 
 ENV_PREFIX = "FEDLEDGER_"
@@ -56,14 +56,15 @@ class ExperimentSpec(RunSettings):
     synthetic_minority_fraction: float = 0.02
     synthetic_separation: float = 2.0
     clients_per_round: int = 10
-    learning_rate: float = 0.01
+    learning_rate: float = TrainConfig.learning_rate
+    # deliberately not TrainConfig's 1 (one pass): a run trains 10 local epochs a round
     epochs: int = 10
-    batch_size: int = 32
-    weight_decay: float = 0.001
-    exploration_period: int = 5
+    batch_size: int = TrainConfig.batch_size
+    weight_decay: float = TrainConfig.weight_decay
+    exploration_period: int = SelectionPolicy.exploration_period
     smote: bool = True
-    smote_k: int = 5
-    smote_target_ratio: float = 1.0
+    smote_k: int = SmoteConfig.k
+    smote_target_ratio: float = SmoteConfig.target_ratio
     seed: int = 0
     epochs_sweep: tuple[int, ...] = ()
     batch_sweep: tuple[int, ...] = ()
@@ -82,6 +83,11 @@ class ExperimentSpec(RunSettings):
                 f"bad value for 'synthetic_features': {self.synthetic_features!r} (at least 1)")
         if not self.policies:
             raise ConfigError("bad value for 'policies': empty (at least one policy)")
+        for key in ("policies", "epochs_sweep", "batch_sweep"):
+            entries = getattr(self, key)
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"bad value for {key!r}: {entries!r} repeats an entry")
+        check_seed("seed", self.seed)
         _checked("synthetic_n / synthetic_minority_fraction", _class_sizes,
                  n=self.synthetic_n, minority_fraction=self.synthetic_minority_fraction)
         for job in _run_jobs(self):
@@ -307,7 +313,7 @@ def summary_row(
     final = result.reports[-1]
     m = final.global_metrics
     org_accs = [metrics.accuracy for metrics in final.per_org_metrics.values()]
-    org_level = sum(org_accs) / len(org_accs) if org_accs else 0.0
+    org_level = sum(org_accs) / len(org_accs)
     return (
         f"{policy},{epochs},{batch_size},{_fmt(m.accuracy)},{_fmt(m.loss)},"
         f"{_fmt(m.f1)},{_fmt(m.precision)},{_fmt(org_level)},"

@@ -25,7 +25,7 @@ from . import valuation as valmod
 from .data import Dataset, PartitionPlan, SmoteConfig
 from .ledger import Block, ContentStore, LocalUpdateTx, ValidatorPanel
 from .model import Metrics, ModelParams, TrainConfig
-from .seeds import derive_seed
+from .seeds import check_seed, derive_seed
 from .selection import SelectionPolicy
 from .valuation import ShapleyResult, UtilityGame
 
@@ -118,6 +118,7 @@ class FederationConfig(RunSettings):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        check_seed("master_seed", self.master_seed)
         if self.policy.k > self.num_orgs:
             raise ValueError("clients per round (policy.k) cannot exceed num_orgs")
         if self.valuation == "exact" and self.policy.k > valmod.EXACT_MAX_PLAYERS:
@@ -131,12 +132,11 @@ class RoundReport:
     """What one sealed round did and how its new global model scores.
 
     per_org_metrics, the global model's metrics on each organization's raw
-    shard (organizations holding no rows are skipped), is computed on first
-    read and then kept; a run reads only its final round's. It is computed
-    from the round's own global model, the raw shards as they were when the
-    round ran, and the threshold, so a later read, or one from a pickled
-    copy, gives what the round itself would have. Those three inputs take
-    no part in == or repr.
+    shard, is computed on first read and then kept; a run reads only its
+    final round's. It is computed from the round's own global model, the raw
+    shards as they were when the round ran, and the threshold, so a later
+    read, or one from a pickled copy, gives what the round itself would
+    have. Those three inputs take no part in == or repr.
     """
 
     round_index: int
@@ -151,9 +151,8 @@ class RoundReport:
 
     @cached_property
     def per_org_metrics(self) -> dict[int, Metrics]:
-        holding = [org for org, shard in enumerate(self.raw_shards) if len(shard)]
-        return dict(zip(holding, modelmod.evaluate_many(
-            self.global_params, [self.raw_shards[org] for org in holding], self.threshold)))
+        return {org: modelmod.evaluate(self.global_params, shard, self.threshold)
+                for org, shard in enumerate(self.raw_shards)}
 
 
 @dataclass(frozen=True)
@@ -211,9 +210,6 @@ def _flip_labels(shard: Dataset, probability: float, seed: int) -> Dataset:
 
 def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
     """Split, shard, rebalance, initialize the global model, seal genesis."""
-    counts = dataset.class_counts()
-    if min(counts) == 0:
-        raise datamod.DataError("dataset must contain both classes")
     ms = cfg.master_seed
     train, server_test = datamod.split(dataset, TRAIN_FRACTION, derive_seed(ms, "split"))
     validator_shards = datamod.stratified_parts(

@@ -139,13 +139,13 @@ def _forward(
 
     x is (n, din). With stacked layers from _layer_views, every model of the
     stack runs on the same x, or model i on its own rows x[i] when x is
-    (m, n, din); one model's layers run on each x[j] of a stacked (g, n, din).
-    Probabilities are (..., n). A stacked matmul computes each slice with the
-    same BLAS call as a single model on a single x, so each slice is bit for
-    bit what that pair alone gives. The bias add and ReLU write into the
-    product. Given buffers, hidden[i] (..., n, width) and logits (..., n, 1),
-    each product is written into them with np.matmul(out=), the same
-    arithmetic as @, and the hidden activations stay there for the caller.
+    (m, n, din). Probabilities are (..., n). A stacked matmul computes each
+    slice with the same BLAS call as a single model on a single x, so each
+    slice, a stack of one's included, is bit for bit what that pair alone
+    gives. The bias add and ReLU write into the product. Given buffers,
+    hidden[i] (..., n, width) and logits (..., n, 1), each product is written
+    into them with np.matmul(out=), the same arithmetic as @, and the hidden
+    activations stay there for the caller.
     """
     a = x
     for (w, b), out in zip(layers, hidden or [None] * (len(layers) - 1)):
@@ -230,10 +230,7 @@ def _stacked_probs(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) 
             f"stack shape {stack.shape} does not match layer_dims {dims} "
             f"(expected (m, {param_count(dims)}))"
         )
-    # a stack of one runs unstacked: the same arithmetic, less per-call overhead
-    flat = stack[0] if len(stack) == 1 else stack
-    probs = _forward(_layer_views(dims, flat), data.features)
-    return probs.reshape(len(stack), len(data))
+    return _forward(_layer_views(dims, stack), data.features)
 
 
 def stacked_loss(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
@@ -424,65 +421,26 @@ def _accuracy(preds: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.count_nonzero(preds == y, axis=-1) / preds.shape[-1]
 
 
-def _metrics(probs: np.ndarray, labels: np.ndarray, threshold: float) -> list[Metrics]:
-    """Metrics of each row of probs (g, n) against the same row of labels (g, n).
-
-    Fraud (label 1) is the positive class; precision and F1 fall back to 0
-    when their denominators vanish. Counts, accuracy and loss are taken over
-    the last axis, so row i is bit for bit what its (n,) vectors alone give.
-    """
-    preds = probs >= threshold
-    y = labels.astype(bool)
-    tp = np.count_nonzero(preds & y, axis=-1).tolist()
-    fp = np.count_nonzero(preds & ~y, axis=-1).tolist()
-    fn = np.count_nonzero(~preds & y, axis=-1).tolist()
-    out = []
-    rows = zip(_accuracy(preds, y).tolist(), _bce(probs, labels).tolist(), tp, fp, fn)
-    for accuracy, bce, tp_i, fp_i, fn_i in rows:
-        precision = tp_i / (tp_i + fp_i) if tp_i + fp_i else 0.0
-        recall = tp_i / (tp_i + fn_i) if tp_i + fn_i else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        out.append(Metrics(accuracy, bce, f1, precision))
-    return out
-
-
 def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metrics:
     """Thresholded classification metrics; fraud (label 1) is the positive class.
 
     Precision and F1 fall back to 0 when their denominators vanish. One
     forward pass serves both the thresholded metrics and the loss, which
-    equals loss(params, data). This is evaluate_many() of one dataset.
-    """
-    return evaluate_many(params, [data], threshold)[0]
-
-
-def evaluate_many(
-    params: ModelParams, datasets: Sequence[Dataset], threshold: float = 0.5
-) -> list[Metrics]:
-    """evaluate() of one model on every dataset, entry i bit for bit
-    evaluate(params, datasets[i], threshold).
-
-    Datasets with equal row counts share one forward pass over their stacked
-    (g, n, width) features: each slice is the same BLAS call as that dataset
-    alone, as in _forward. A dataset alone at its row count runs unstacked.
+    equals loss(params, data).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    _check_data(params.input_width, datasets)
-    groups: dict[int, list[int]] = {}
-    for i, data in enumerate(datasets):
-        groups.setdefault(len(data), []).append(i)
-    layers = _layers(params)
-    by_index: dict[int, Metrics] = {}
-    for n, members in groups.items():
-        if len(members) == 1:
-            x, y = datasets[members[0]].features, datasets[members[0]].labels
-        else:
-            x = np.stack([datasets[i].features for i in members])
-            y = np.stack([datasets[i].labels for i in members])
-        probs = _forward(layers, x).reshape(len(members), n)
-        by_index.update(zip(members, _metrics(probs, y.reshape(len(members), n), threshold)))
-    return [by_index[i] for i in range(len(datasets))]
+    _check_data(params.input_width, [data])
+    probs = _forward(_layers(params), data.features)
+    preds = probs >= threshold
+    y = data.labels.astype(bool)
+    tp = int(np.count_nonzero(preds & y))
+    fp = int(np.count_nonzero(preds & ~y))
+    fn = int(np.count_nonzero(~preds & y))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return Metrics(float(_accuracy(preds, y)), float(_bce(probs, data.labels)), f1, precision)
 
 
 def average(models: Sequence[ModelParams]) -> ModelParams:

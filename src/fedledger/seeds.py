@@ -30,3 +30,10 @@ def derive_seed(*parts: int | str | bytes) -> int:
         h.update(len(raw).to_bytes(4, "little"))
         h.update(raw)
     return int.from_bytes(h.digest()[:8], "little")
+
+
+def check_seed(key: str, value: int) -> None:
+    """Refuse, naming its key, a seed that derive_seed cannot encode: it
+    hashes an int part as 16 signed bytes, so a seed lies in [-2**127, 2**127)."""
+    if not -(2**127) <= value < 2**127:
+        raise ValueError(f"{key} must lie in [-2**127, 2**127 - 1], got {value}")

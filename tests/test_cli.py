@@ -22,9 +22,10 @@ from fedledger.cli import (
     synthesize_raw,
     synthetic_dataset,
 )
-from fedledger.data import CREDIT_CARD_COLUMNS, load_csv, split
+from fedledger.data import CREDIT_CARD_COLUMNS, SmoteConfig, load_csv, split
 from fedledger.federation import FederationConfig, RunSettings
 from fedledger.model import TrainConfig, evaluate, init_params, local_train
+from fedledger.seeds import derive_seed
 from fedledger.selection import SelectionPolicy
 from fedledger.valuation import EXACT_MAX_PLAYERS
 
@@ -173,6 +174,14 @@ class TestRunSettings:
         cfg = build_federation_config(spec, "random", spec.epochs, spec.batch_size)
         assert getattr(cfg, key) == value
 
+    def test_nested_defaults_are_the_owning_classes(self):
+        spec = ExperimentSpec()
+        cfg = build_federation_config(spec, "random", spec.epochs, spec.batch_size)
+        assert spec.epochs == 10 != TrainConfig().epochs  # the one default of its own
+        assert cfg.train == TrainConfig(epochs=spec.epochs)
+        assert cfg.smote == SmoteConfig()
+        assert cfg.policy == SelectionPolicy("random", k=spec.clients_per_round)
+
     def test_library_defaults_are_the_cli_defaults(self):
         cfg = FederationConfig(policy=SelectionPolicy("random", k=2), train=TrainConfig())
         spec = ExperimentSpec()
@@ -261,6 +270,9 @@ class TestConfigChecks:
         ("tmc_convergence_tol = nan", "tmc_convergence_tol"),
         ("tmc_convergence_tol = -1", "tmc_convergence_tol"),
         ("policies =", "policies"),
+        ("policies = random, random", "policies"),
+        ("epochs_sweep = 2, 3, 2", "epochs_sweep"),
+        ("batch_sweep = 8, 8", "batch_sweep"),
     ])
     def test_run_refuses_before_writing(self, tmp_path, capsys, text, key):
         conf = tmp_path / "bad.conf"
@@ -301,6 +313,46 @@ class TestConfigChecks:
         with pytest.raises(ConfigError, match=str(EXACT_MAX_PLAYERS)):
             resolve_spec(env={}, overrides={**at_limit,
                                             "clients_per_round": EXACT_MAX_PLAYERS + 1})
+
+
+class TestSeedRange:
+    """A seed must fit derive_seed's 16 signed bytes: [-2**127, 2**127 - 1]."""
+
+    @pytest.mark.parametrize("seed", [2**127 - 1, -(2**127)])
+    def test_range_ends_accepted(self, seed):
+        assert resolve_spec(env={}, overrides={"seed": seed}).seed == seed
+        derive_seed(seed, "synthetic")
+
+    @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+    def test_outside_refused(self, seed):
+        with pytest.raises(ConfigError, match="^seed must lie in"):
+            resolve_spec(env={}, overrides={"seed": seed})
+        with pytest.raises(ValueError, match="^master_seed must lie in"):
+            FederationConfig(policy=SelectionPolicy("random", k=2), train=TrainConfig(),
+                             master_seed=seed)
+
+    @staticmethod
+    def refused(argv, seed, out, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must lie in [-2**127, 2**127 - 1], got {seed}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_run_flag(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self.refused(["run", "--seed", str(10**42), "--out", str(out)], 10**42, out, capsys)
+
+    def test_generate_config(self, tmp_path, capsys):
+        conf = tmp_path / "seed.conf"
+        conf.write_text(f"seed = {2**127}\n")
+        out = tmp_path / "gen.csv"
+        self.refused(["generate", "--config", str(conf), "--out", str(out)], 2**127, out,
+                     capsys)
+
+    def test_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FEDLEDGER_SEED", str(-(2**127) - 1))
+        out = tmp_path / "res"
+        self.refused(["run", "--out", str(out)], -(2**127) - 1, out, capsys)
 
 
 class TestRunCommand:

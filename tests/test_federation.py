@@ -8,7 +8,7 @@ from fedledger import ledger as ledgermod
 from fedledger import model as modelmod
 from fedledger import valuation as valmod
 from fedledger.cli import ExperimentSpec, build_federation_config, synthetic_dataset
-from fedledger.data import Dataset, SmoteConfig
+from fedledger.data import Dataset, SmoteConfig, StratificationError
 from fedledger.federation import (
     FederationConfig,
     init_round0,
@@ -95,14 +95,12 @@ class TestInitRound0:
             neg = len(shard) - pos
             assert pos >= neg - 1  # within one example of the 1.0 target
 
-    def test_single_class_data_rejected(self):
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_single_class_data_rejected(self, kept):
         data = small_dataset()
-        from fedledger.data import Dataset
-
-        negatives = Dataset(data.features[data.labels == 0],
-                            data.labels[data.labels == 0])
-        with pytest.raises(ValueError):
-            init_round0(small_config(), negatives)
+        one_class = Dataset(data.features[data.labels == kept], data.labels[data.labels == kept])
+        with pytest.raises(StratificationError, match=f"^class {1 - kept} has 0 example"):
+            init_round0(small_config(), one_class)
 
     def test_default_label_skew_deals_the_cli_shards(self):
         # a library caller who leaves partition_skew unset gets the CLI's partition
@@ -188,28 +186,27 @@ class TestRunRound:
     def test_per_org_metrics_equal_evaluate_per_shard(self):
         state = init_round0(small_config(num_orgs=5), small_dataset())
         raw = state.raw_shards
-        width = raw[0].schema_width
-        raw[1] = Dataset(np.empty((0, width)), np.empty(0, dtype=np.int64))
+        raw[1] = raw[1].subset(range(30))
         raw[3] = raw[3].subset(range(40))
         sizes = [len(shard) for shard in raw]
-        assert sizes.count(sizes[0]) == 3 and len(set(sizes)) == 3
+        assert len(set(sizes)) == 3
         report = run_round(state, 0)
-        expected = {org: modelmod.evaluate(state.global_params, raw[org], 0.5)
-                    for org in (0, 2, 3, 4)}
-        assert report.per_org_metrics == expected  # org 1 holds nothing: skipped
+        expected = {org: modelmod.evaluate(state.global_params, shard, 0.5)
+                    for org, shard in enumerate(raw)}
+        assert report.per_org_metrics == expected
 
     def test_per_org_metrics_are_the_rounds_own(self, monkeypatch):
         # computed on first read, after later rounds ran and the shards changed,
         # from each round's own global model and raw shards
         state = init_round0(small_config(num_orgs=5, rounds=3), small_dataset())
-        real = modelmod.evaluate_many
+        real = modelmod.evaluate
         calls = []
 
         def counted(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(modelmod, "evaluate_many", counted)
+        monkeypatch.setattr(modelmod, "evaluate", counted)
         width = state.raw_shards[0].schema_width
         empty = Dataset(np.empty((0, width)), np.empty(0, dtype=np.int64))
         seen = []
@@ -222,10 +219,10 @@ class TestRunRound:
         state.raw_shards[4] = empty
         for report, (params, raw) in zip(state.reports, seen):
             assert report.global_params is params
-            expected = dict(zip(range(5), real(params, raw, 0.5)))
+            expected = {org: real(params, shard, 0.5) for org, shard in enumerate(raw)}
             assert report.per_org_metrics == expected
         assert [len(report.per_org_metrics) for report in state.reports] == [5, 5, 5]
-        assert len(calls) == 3 + 3  # each report evaluates once, on first read
+        assert len(calls) == 3 + 3 * 5  # each report evaluates its shards once, on first read
 
     def test_round_order_enforced(self):
         data = small_dataset()
@@ -272,8 +269,9 @@ class TestRunRound:
         assert str(copy) == str(exc)
         assert copy.reports == state.reports
         # per-org metrics were not read before pickling: the copy computes them
-        expected = modelmod.evaluate_many(state.global_params, state.raw_shards, 0.5)
-        assert copy.reports[0].per_org_metrics == dict(enumerate(expected))
+        expected = {org: modelmod.evaluate(state.global_params, shard, 0.5)
+                    for org, shard in enumerate(state.raw_shards)}
+        assert copy.reports[0].per_org_metrics == expected
 
     @pytest.mark.parametrize("kind", ["random", "greedy", "contribution"])
     def test_carried_loss_is_the_global_models(self, kind, monkeypatch):

@@ -17,7 +17,6 @@ from fedledger.model import (
     _Step,
     average,
     evaluate,
-    evaluate_many,
     gradient,
     init_params,
     local_train,
@@ -143,7 +142,7 @@ def two_log_bce(probs, labels):
 
 def reference_metrics(params, data, threshold=0.5):
     """Metrics of one model on one dataset from predict_batch and the two-log
-    BCE, one count at a time; the oracle for evaluate and evaluate_many."""
+    BCE, one count at a time; the oracle for evaluate."""
     probs = predict_batch(params, data.features)
     preds = probs >= threshold
     y = data.labels.astype(bool)
@@ -616,8 +615,8 @@ class TestBce:
         np.testing.assert_array_equal(bits(got), bits([_bce(row, labels) for row in stack]))
 
 
-class TestEvaluateMany:
-    SIZES = (7, 12, 7, 1, 12, 7, 30)  # unequal, with repeats that share a pass
+class TestEvaluateOracle:
+    SIZES = (7, 12, 7, 1, 12, 7, 30)
 
     def datasets(self, seed, width=4):
         rng = np.random.default_rng(seed)
@@ -626,35 +625,17 @@ class TestEvaluateMany:
 
     @pytest.mark.parametrize("dims", [(4, 1), (4, 3, 1), (4, 6, 2, 1)])
     @pytest.mark.parametrize("threshold", [0.5, 0.3])
-    def test_bitwise_equal_to_evaluate_per_dataset(self, dims, threshold):
-        datasets = self.datasets(len(dims))
+    def test_bitwise_equal_to_reference(self, dims, threshold):
         params = init_params(dims, seed=5, scale=1.5)
-        got = evaluate_many(params, datasets, threshold)
-        assert len(got) == len(datasets)
-        for metrics, data in zip(got, datasets):
-            expected = bits(astuple(reference_metrics(params, data, threshold)))
-            np.testing.assert_array_equal(bits(astuple(metrics)), expected)
+        for data in self.datasets(len(dims)):
+            got = astuple(evaluate(params, data, threshold))
+            assert all(type(value) is float for value in got)
             np.testing.assert_array_equal(
-                bits(astuple(evaluate(params, data, threshold))), expected)
+                bits(got), bits(astuple(reference_metrics(params, data, threshold))))
 
-    def test_no_datasets(self):
-        assert evaluate_many(init_params((4, 1), seed=0), []) == []
-
-    def test_errors_name_the_dataset(self):
-        params = init_params((4, 1), seed=0)
-        good = self.datasets(0)[0]
-        empty = make_dataset(np.empty((0, 4)), np.empty(0))
-        with pytest.raises(ValueError, match="^dataset 1: dataset is empty"):
-            evaluate_many(params, [good, empty])
-        narrow = make_dataset(np.ones((3, 2)), [0, 1, 0])
-        with pytest.raises(ValueError, match="^dataset 1: feature width 2 does not match"):
-            evaluate_many(params, [good, narrow])
-        with pytest.raises(ValueError, match="^dataset is empty"):
-            evaluate(params, empty)
-        with pytest.raises(ValueError, match="^feature width 2 does not match"):
-            evaluate(params, narrow)
+    def test_threshold_refused(self):
         with pytest.raises(ValueError, match="threshold"):
-            evaluate_many(params, [good], threshold=1.0)
+            evaluate(init_params((4, 1), seed=0), self.datasets(0)[0], threshold=1.0)
 
 
 class TestStackedAccuracy:
@@ -677,13 +658,12 @@ class TestStackedAccuracy:
 @pytest.mark.parametrize("call, where", [
     (lambda p, good, d: local_train_many(p, [good, d], TrainConfig(), [0, 1]), "shard 1: "),
     (lambda p, good, d: local_train_many(p, [d], TrainConfig(), [0]), ""),
-    (lambda p, good, d: evaluate_many(p, [good, d]), "dataset 1: "),
-    (lambda p, good, d: evaluate_many(p, [d]), ""),
+    (lambda p, good, d: evaluate(p, d), ""),
     (lambda p, good, d: stacked_loss(p.layer_dims, np.stack([p.weights] * 2), d), ""),
     (lambda p, good, d: stacked_accuracy(p.layer_dims, np.stack([p.weights] * 2), d), ""),
     (lambda p, good, d: loss(p, d), ""),
     (lambda p, good, d: gradient(p, d), ""),
-], ids=["local_train_many", "local_train_many-one", "evaluate_many", "evaluate_many-one",
+], ids=["local_train_many", "local_train_many-one", "evaluate",
         "stacked_loss", "stacked_accuracy", "loss", "gradient"])
 def test_empty_and_width_messages(call, where):
     params = init_params((3, 1), seed=0)
