@@ -368,8 +368,8 @@ def cmd_run(spec: ExperimentSpec, parallel: bool = False) -> list[Path]:
     return written
 
 
-def cmd_generate(spec: ExperimentSpec, out_path=None) -> Path:
-    path = Path(out_path) if out_path else Path(spec.out)
+def cmd_generate(spec: ExperimentSpec) -> Path:
+    path = Path(spec.out)
     if not path.suffix:  # directory given: use a default file name inside it
         path = path / "synthetic.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -469,7 +469,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "generate":
-            written = [cmd_generate(spec, out_path=args.out)]
+            written = [cmd_generate(spec)]
         else:
             written = cmd_run(spec, parallel=args.parallel)
     except (DataError, OSError) as exc:  # OSError: an --out that cannot be written

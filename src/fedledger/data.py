@@ -122,11 +122,13 @@ def standardize(features: np.ndarray) -> np.ndarray:
 
 
 def read_utf8(path, error: type[Exception] = ParseError) -> str:
-    """A text file's contents; raises `error`, naming the file, if it is not UTF-8."""
+    """A text file's contents less a leading byte-order mark; raises `error`, naming
+    the file and a byte offset counted from its start, if it is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def load_csv(path) -> Dataset:
@@ -219,36 +221,24 @@ def partition(data: Dataset, plan: PartitionPlan, seed: int) -> list[Dataset]:
     if plan.num_orgs > n:
         raise DataError(f"cannot deal {n} training rows to {plan.num_orgs} organizations")
     rng = np.random.default_rng(seed)
+    # array_split gives the first len % num_orgs slices one row more
     if plan.mode == "iid":
-        order = rng.permutation(n)
-        slices = _near_equal_slices(order, plan.num_orgs)
+        slices = np.array_split(rng.permutation(n), plan.num_orgs)
     else:
         minority = rng.permutation(data.minority_indices())
         n_skew = int(round(plan.skew * minority.size))
         concentrated = minority[:n_skew]
         rest = np.concatenate([minority[n_skew:], np.flatnonzero(data.labels == 0)])
-        rest = rng.permutation(rest)
+        slices = np.array_split(rng.permutation(rest), plan.num_orgs)
         n_heads = math.ceil(plan.num_orgs / 3)
-        slices = [list(part) for part in _near_equal_slices(rest, plan.num_orgs)]
-        for pos, idx in enumerate(concentrated):
-            slices[pos % n_heads].append(idx)
+        for head in range(n_heads):
+            slices[head] = np.concatenate([slices[head], concentrated[head::n_heads]])
     for org, part in enumerate(slices):
         if len(part) == 0:
             raise DataError(
                 f"{plan.mode} partition of {n} training rows leaves organization {org} "
                 f"no rows")
-    return [data.subset(np.sort(np.asarray(part, dtype=np.int64))) for part in slices]
-
-
-def _near_equal_slices(order: np.ndarray, k: int) -> list[np.ndarray]:
-    base, extra = divmod(len(order), k)
-    out = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        out.append(order[start : start + size])
-        start += size
-    return out
+    return [data.subset(np.sort(part)) for part in slices]
 
 
 def stratified_parts(data: Dataset, n_parts: int, seed: int) -> list[Dataset]:
@@ -256,12 +246,9 @@ def stratified_parts(data: Dataset, n_parts: int, seed: int) -> list[Dataset]:
     if n_parts < 1:
         raise ValueError("n_parts must be positive")
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(n_parts)]
-    for cls in (0, 1):
-        idx = rng.permutation(np.flatnonzero(data.labels == cls))
-        for pos, i in enumerate(idx):
-            buckets[pos % n_parts].append(int(i))
-    return [data.subset(np.sort(np.asarray(b, dtype=np.int64))) for b in buckets]
+    by_class = [rng.permutation(np.flatnonzero(data.labels == cls)) for cls in (0, 1)]
+    return [data.subset(np.sort(np.concatenate([idx[p::n_parts] for idx in by_class])))
+            for p in range(n_parts)]
 
 
 def imbalance_stats(data: Dataset) -> tuple[int, float]:
@@ -294,11 +281,6 @@ def knn_minority(data: Dataset, point_index: int, k: int) -> list[int]:
     return [int(minority[j]) for j in order[:k]]
 
 
-def interpolate(x_i: np.ndarray, x_j: np.ndarray, r: float) -> np.ndarray:
-    """Point at fraction r of the way from x_i toward x_j."""
-    return x_i + (x_j - x_i) * r
-
-
 def smote(data: Dataset, cfg: SmoteConfig, seed: int) -> Dataset:
     """Oversample the minority class until minority/majority >= target_ratio.
 
@@ -318,17 +300,19 @@ def smote(data: Dataset, cfg: SmoteConfig, seed: int) -> Dataset:
     if needed <= 0:
         return data
 
-    neighbor_table = [knn_minority(data, int(i), cfg.k) for i in minority]
+    neighbors = np.array([knn_minority(data, int(i), cfg.k) for i in minority])
     rng = np.random.default_rng(seed)
-    synthetic = np.empty((needed, data.schema_width), dtype=np.float64)
-    for s in range(needed):
-        parent_pos = s % n_min
-        nbrs = neighbor_table[parent_pos]
-        choice = int(rng.integers(cfg.k))
-        r = float(rng.random())
-        synthetic[s] = interpolate(
-            data.features[minority[parent_pos]], data.features[nbrs[choice]], r
-        )
-    features = np.vstack([data.features, synthetic])
+    # per row in turn, a neighbour choice then a fraction: this order fixes the stream
+    choice, r = map(np.array, zip(*[(rng.integers(cfg.k), rng.random()) for _ in range(needed)]))
+    parent = np.arange(needed) % n_min
+    x_i = data.features[minority[parent]]
+    # x_i + (x_j - x_i) * r in place after the original rows: a large set-up peaks here
+    features = np.empty((len(data) + needed, data.schema_width))
+    features[: len(data)] = data.features
+    synthetic = features[len(data) :]
+    np.take(data.features, neighbors[parent, choice], axis=0, out=synthetic)
+    synthetic -= x_i
+    synthetic *= r[:, None]
+    synthetic += x_i
     labels = np.concatenate([data.labels, np.ones(needed, dtype=np.int64)])
     return Dataset(features, labels)

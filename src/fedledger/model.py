@@ -83,11 +83,11 @@ class Metrics:
     precision: float
 
 
-def init_params(layer_dims: Sequence[int], seed: int, scale: float = 0.1) -> ModelParams:
-    """Seeded small-uniform initialization in [-scale, scale)."""
+def init_params(layer_dims: Sequence[int], seed: int) -> ModelParams:
+    """Seeded small-uniform initialization in [-0.1, 0.1)."""
     dims = tuple(int(d) for d in layer_dims)
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(-scale, scale, size=param_count(dims))
+    weights = rng.uniform(-0.1, 0.1, size=param_count(dims))
     return ModelParams(dims, weights)
 
 

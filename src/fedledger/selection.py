@@ -49,8 +49,8 @@ def select_greedy(game: CoalitionGame, k: int) -> set[int]:
 
     Requires candidate updates from every organization in the pool (that is
     what the utility game evaluates); ties go to the lower org_id, and a NaN
-    gain never wins, so a step where every gain is NaN takes the lowest
-    remaining org_id. Each step asks the game for all its candidate
+    gain never wins, so a step where every gain is NaN or -inf takes the
+    lowest remaining org_id. Each step asks the game for all its candidate
     coalitions in one utilities() call.
     """
     pool = sorted(game.players)
@@ -60,15 +60,11 @@ def select_greedy(game: CoalitionGame, k: int) -> set[int]:
     for _ in range(k):
         base = game.utility(chosen)
         rest = [org for org in pool if org not in chosen]
-        values = game.utilities([chosen + [org] for org in rest]).tolist()
-        best_org = rest[0]
-        best_gain = -np.inf
-        for org, value in zip(rest, values):
-            gain = value - base
-            if gain > best_gain:
-                best_gain = gain
-                best_org = org
-        chosen.append(best_org)
+        # inf - inf and overflow give NaN and inf gains, which the pick handles
+        with np.errstate(invalid="ignore", over="ignore"):
+            gains = game.utilities([chosen + [org] for org in rest]) - base
+        # argmax takes the first largest; all NaN or -inf leaves rest[0]
+        chosen.append(rest[int(np.argmax(np.where(np.isnan(gains), -np.inf, gains)))])
     return set(chosen)
 
 

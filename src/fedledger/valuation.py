@@ -299,16 +299,23 @@ def exact_shapley(game: CoalitionGame) -> ShapleyResult:
 def _shapley_values(players: tuple[int, ...], table: np.ndarray) -> dict[int, float]:
     """exact_shapley's values from the utilities of every coalition, indexed by mask."""
     n = len(players)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    sizes = np.bitwise_count(masks).astype(np.int64)
+    sizes = np.bitwise_count(np.arange(1 << n))
     inv_binom = np.array([1.0 / math.comb(n - 1, s) for s in range(n)])
     values = {}
     for i, p in enumerate(players):
-        bit = np.uint64(1 << i)
-        without = masks[(masks & bit) == 0]
-        marginals = table[without | bit] - table[without]
+        without, marginals = _marginals(table, i)
         values[p] = float(np.dot(marginals, inv_binom[sizes[without]]) / n)
     return values
+
+
+def _marginals(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks without player i, ascending, and i's marginal utility to each.
+
+    `table` holds the utility of every coalition, indexed by mask.
+    """
+    masks = np.arange(len(table))
+    without = masks[(masks & 1 << i) == 0]
+    return without, table[without | 1 << i] - table[without]
 
 
 def tmc_shapley(
@@ -452,7 +459,8 @@ def check_axioms(
     values of the sum game must equal the per-player sums, checked against
     a caller-supplied second game over the same players; the sum game's
     table is the sum of the two games' tables. The scans read the table of
-    all 2^N utilities from game._table(), as exact_shapley does.
+    all 2^N utilities from game._table(), as exact_shapley does. The result
+    must value exactly the game's players.
     """
     players = game.players
     n = len(players)
@@ -460,52 +468,29 @@ def check_axioms(
         raise CapacityError(f"axiom scans are exponential; {n} players > 12")
     if result.method != "exact":
         raise ValueError("check_axioms requires an exact_shapley result")
+    if set(result.values) != set(players):
+        raise ValueError("the result must value exactly the game's players")
     if additivity_game is not None and additivity_game.players != players:
         raise ValueError("the additivity game must have the same players")
     table = game._table()  # indexed by coalition mask
     values = result.values
-
-    symmetric_pairs: list[tuple[int, int]] = []
-    symmetry_max_gap = 0.0
-    symmetry_holds = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = 1 << i, 1 << j
-            interchangeable = True
-            for mask in range(1 << n):
-                if mask & (bi | bj):
-                    continue
-                if abs(table[mask | bi] - table[mask | bj]) > tol:
-                    interchangeable = False
-                    break
-            if interchangeable:
-                pair = (players[i], players[j])
-                symmetric_pairs.append(pair)
-                gap = abs(values[pair[0]] - values[pair[1]])
-                symmetry_max_gap = max(symmetry_max_gap, gap)
-                if gap > tol:
-                    symmetry_holds = False
-
-    dummy_players: list[tuple[int, str]] = []
-    dummy_max_gap = 0.0
-    dummy_holds = True
-    for i in range(n):
-        bi = 1 << i
-        solo = table[bi]
-        is_dummy = True
-        for mask in range(1 << n):
-            if mask & bi:
-                continue
-            if abs(table[mask | bi] - table[mask] - solo) > tol:
-                is_dummy = False
-                break
-        if is_dummy:
-            kind = "zero" if abs(solo) <= tol else "general"
-            dummy_players.append((players[i], kind))
-            gap = abs(values[players[i]] - solo)
-            dummy_max_gap = max(dummy_max_gap, gap)
-            if gap > tol:
-                dummy_holds = False
+    # a NaN difference is never above tol: it breaks no interchangeability or
+    # dummy status, fails no axiom and is never a max gap (the running max
+    # keeps its value when compared with NaN); inf - inf gives such a NaN
+    with np.errstate(invalid="ignore", over="ignore"):
+        scans = [_marginals(table, i) for i in range(n)]
+        symmetric_pairs = []
+        for i, (without, _) in enumerate(scans):
+            for j in range(i + 1, n):
+                neither = without[(without & 1 << j) == 0]
+                if not (np.abs(table[neither | 1 << i] - table[neither | 1 << j]) > tol).any():
+                    symmetric_pairs.append((players[i], players[j]))
+        dummies = [i for i, (_, marginals) in enumerate(scans)
+                   if not (np.abs(marginals - table[1 << i]) > tol).any()]
+        symmetry_gaps = [abs(values[a] - values[b]) for a, b in symmetric_pairs]
+        dummy_gaps = [abs(values[players[i]] - table[1 << i]) for i in dummies]
+    dummy_players = [(players[i], "zero" if abs(table[1 << i]) <= tol else "general")
+                     for i in dummies]
 
     additivity_holds = None
     additivity_residual = None
@@ -518,12 +503,12 @@ def check_axioms(
         additivity_holds = additivity_residual <= tol
 
     return AxiomReport(
-        symmetry_holds,
+        not any(gap > tol for gap in symmetry_gaps),
         symmetric_pairs,
-        symmetry_max_gap,
-        dummy_holds,
+        max([0.0, *symmetry_gaps]),
+        not any(gap > tol for gap in dummy_gaps),
         dummy_players,
-        dummy_max_gap,
+        max([0.0, *dummy_gaps]),
         additivity_holds,
         additivity_residual,
     )

@@ -47,6 +47,8 @@ BENCHMARK_CHAINS = {
                      "ff00fae2072aa75bfc665d8feef42dbf578a6fa81729cf5e2ad154e3ca442e62"),
 }
 
+BOM = "\ufeff".encode()
+
 TOY = ExperimentSpec(
     synthetic_n=300,
     synthetic_features=8,
@@ -70,21 +72,21 @@ class TestGenerate:
     def test_minority_count(self, tmp_path):
         spec = ExperimentSpec(synthetic_n=1000, synthetic_minority_fraction=0.02,
                               seed=3)
-        path = cmd_generate(spec, out_path=tmp_path / "data.csv")
+        path = cmd_generate(dataclasses.replace(spec, out=str(tmp_path / "data.csv")))
         ds = load_csv(path)
         assert len(ds) == 1000
         assert int(ds.labels.sum()) == 20
 
     def test_same_seed_identical_files(self, tmp_path):
         spec = ExperimentSpec(synthetic_n=200, seed=8)
-        a = cmd_generate(spec, out_path=tmp_path / "a.csv")
-        b = cmd_generate(spec, out_path=tmp_path / "b.csv")
+        a = cmd_generate(dataclasses.replace(spec, out=str(tmp_path / "a.csv")))
+        b = cmd_generate(dataclasses.replace(spec, out=str(tmp_path / "b.csv")))
         assert a.read_bytes() == b.read_bytes()
 
     def test_large_separation_trains_accurately(self, tmp_path):
         spec = ExperimentSpec(synthetic_n=1200, synthetic_minority_fraction=0.05,
                               synthetic_separation=6.0, seed=4)
-        path = cmd_generate(spec, out_path=tmp_path / "sep.csv")
+        path = cmd_generate(dataclasses.replace(spec, out=str(tmp_path / "sep.csv")))
         ds = load_csv(path)
         train, test = split(ds, 0.8, seed=0)
         params = local_train(
@@ -284,13 +286,16 @@ class TestConfigChecks:
         assert key in err
         assert not out.exists()
 
-    def test_non_utf8_config_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mark", [b"", BOM])
+    def test_non_utf8_config_refused(self, tmp_path, capsys, mark):
+        # the offset counts from the start of the file, byte-order mark included
         conf = tmp_path / "latin1.conf"
-        conf.write_bytes("rounds = 1\n# caf\u00e9\n".encode("latin-1"))
+        conf.write_bytes(mark + "rounds = 1\n# caf\u00e9\n".encode("latin-1"))
         out = tmp_path / "res"
         assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {conf}: not UTF-8 text (invalid continuation byte at byte 16)\n")
+            f"error: {conf}: not UTF-8 text (invalid continuation byte at byte "
+            f"{16 + len(mark)})\n")
         assert not out.exists()
 
     def test_generate_refuses_before_writing(self, tmp_path, capsys):
@@ -574,6 +579,51 @@ class TestMainEntry:
         assert len((out / "rounds_greedy_e10_b32.csv").read_text().splitlines()) == 2 + 2
 
 
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte-order mark reads as the file without it."""
+
+    TOY_CONF = ("rounds = 2\nsynthetic_n = 300\nsynthetic_features = 8\n"
+                "synthetic_minority_fraction = 0.1\nnum_orgs = 3\nclients_per_round = 2\n"
+                "hidden_dims = 4\npolicies = random\naccuracy_floor = 0.0\nseed = 5\n")
+
+    def run(self, tmp_path, name, conf_bytes):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_bytes(conf_bytes)
+        out = tmp_path / name
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+        return {path.name: path.read_text() for path in out.iterdir()}
+
+    def test_config(self, tmp_path):
+        plain = self.run(tmp_path, "plain", self.TOY_CONF.encode())
+        marked = self.run(tmp_path, "marked", BOM + self.TOY_CONF.encode())
+        assert marked == plain
+
+    def test_csv(self, tmp_path):
+        conf = tmp_path / "gen.conf"
+        conf.write_text("synthetic_n = 300\nsynthetic_minority_fraction = 0.1\nseed = 3\n")
+        plain_csv = tmp_path / "plain.csv"
+        assert main(["generate", "--config", str(conf), "--out", str(plain_csv)]) == 0
+        marked_csv = tmp_path / "marked.csv"
+        marked_csv.write_bytes(BOM + plain_csv.read_bytes())
+        outputs = [
+            self.run(tmp_path, path.stem, f"data = csv\ncsv_path = {path}\n{self.TOY_CONF}"
+                     .encode())
+            for path in (plain_csv, marked_csv)]
+        # csv_path enters config_hash, the first line of each CSV output
+        plain, marked = ({name: text.partition("\n")[2] if name.endswith(".csv") else text
+                          for name, text in out.items()} for out in outputs)
+        assert marked == plain
+
+    def test_validate(self, tmp_path, capsys):
+        chain = Path(__file__).parent / "golden_chain_tmc_default.jsonl"
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(BOM + chain.read_bytes())
+        assert main(["validate", str(chain)]) == 0
+        plain_out = capsys.readouterr().out
+        assert main(["validate", str(marked)]) == 0
+        assert capsys.readouterr().out == plain_out
+
+
 class TestUnwritableOut:
     """An --out under a regular file cannot be created: exit 2, `error: …`."""
 
@@ -612,7 +662,7 @@ class TestSyntheticDataset:
         spec = ExperimentSpec(synthetic_n=150, synthetic_minority_fraction=0.1,
                               seed=12)
         in_memory = synthetic_dataset(spec)
-        path = cmd_generate(spec, out_path=tmp_path / "x.csv")
+        path = cmd_generate(dataclasses.replace(spec, out=str(tmp_path / "x.csv")))
         from_file = load_csv(path)
         np.testing.assert_allclose(in_memory.features, from_file.features,
                                    atol=1e-12)

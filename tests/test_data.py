@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -12,7 +13,6 @@ from fedledger.data import (
     SmoteConfig,
     StratificationError,
     imbalance_stats,
-    interpolate,
     knn_minority,
     load_csv,
     partition,
@@ -288,10 +288,6 @@ class TestKnnMinority:
 
 
 class TestSmote:
-    def test_midpoint_interpolation(self):
-        x = interpolate(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0.5)
-        np.testing.assert_array_equal(x, [0.5, 0.5])
-
     def test_synthetics_on_segment(self):
         rng = np.random.default_rng(10)
         n_min, n_maj = 12, 60
@@ -359,3 +355,153 @@ def _segment_residual(p, a, b):
         return float(np.linalg.norm(p - a))
     t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
     return float(np.linalg.norm(p - (a + t * ab)))
+
+
+# The loop versions below are the reference implementations the array code in
+# fedledger.data replaced; the array code must reproduce them bit for bit.
+
+
+def _near_equal_slices(order, k):
+    base, extra = divmod(len(order), k)
+    out = []
+    start = 0
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
+        out.append(order[start : start + size])
+        start += size
+    return out
+
+
+def oracle_partition(data, plan, seed):
+    n = len(data)
+    if plan.num_orgs > n:
+        raise DataError(f"cannot deal {n} training rows to {plan.num_orgs} organizations")
+    rng = np.random.default_rng(seed)
+    if plan.mode == "iid":
+        order = rng.permutation(n)
+        slices = _near_equal_slices(order, plan.num_orgs)
+    else:
+        minority = rng.permutation(data.minority_indices())
+        n_skew = int(round(plan.skew * minority.size))
+        concentrated = minority[:n_skew]
+        rest = np.concatenate([minority[n_skew:], np.flatnonzero(data.labels == 0)])
+        rest = rng.permutation(rest)
+        n_heads = math.ceil(plan.num_orgs / 3)
+        slices = [list(part) for part in _near_equal_slices(rest, plan.num_orgs)]
+        for pos, idx in enumerate(concentrated):
+            slices[pos % n_heads].append(idx)
+    for org, part in enumerate(slices):
+        if len(part) == 0:
+            raise DataError(
+                f"{plan.mode} partition of {n} training rows leaves organization {org} "
+                f"no rows")
+    return [data.subset(np.sort(np.asarray(part, dtype=np.int64))) for part in slices]
+
+
+def oracle_stratified_parts(data, n_parts, seed):
+    rng = np.random.default_rng(seed)
+    buckets = [[] for _ in range(n_parts)]
+    for cls in (0, 1):
+        idx = rng.permutation(np.flatnonzero(data.labels == cls))
+        for pos, i in enumerate(idx):
+            buckets[pos % n_parts].append(int(i))
+    return [data.subset(np.sort(np.asarray(b, dtype=np.int64))) for b in buckets]
+
+
+def interpolate(x_i, x_j, r):
+    return x_i + (x_j - x_i) * r
+
+
+def oracle_smote(data, cfg, seed):
+    minority = data.minority_indices()
+    n_min = minority.size
+    n_maj = len(data) - n_min
+    needed = math.ceil(cfg.target_ratio * n_maj) - n_min
+    if needed <= 0:
+        return data
+    neighbor_table = [knn_minority(data, int(i), cfg.k) for i in minority]
+    rng = np.random.default_rng(seed)
+    synthetic = np.empty((needed, data.schema_width), dtype=np.float64)
+    for s in range(needed):
+        parent_pos = s % n_min
+        nbrs = neighbor_table[parent_pos]
+        choice = int(rng.integers(cfg.k))
+        r = float(rng.random())
+        synthetic[s] = interpolate(
+            data.features[minority[parent_pos]], data.features[nbrs[choice]], r
+        )
+    features = np.vstack([data.features, synthetic])
+    labels = np.concatenate([data.labels, np.ones(needed, dtype=np.int64)])
+    return Dataset(features, labels)
+
+
+def seeded_dataset(seed):
+    """1 to 60 rows of 1 to 4 features, with ties, and a seeded share of fraud."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 61))
+    feats = rng.normal(size=(rows, int(rng.integers(1, 5))))
+    if seed % 3 == 0:  # duplicated rows, so that neighbour distances tie
+        feats = np.round(feats)
+    return make_dataset(feats, (rng.random(rows) < rng.uniform(0.05, 0.6)).astype(np.int64))
+
+
+def same_shards(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+
+
+def same_outcome(fn, oracle, *args):
+    """fn(*args) equals oracle(*args) bit for bit, or both raise the same error."""
+    try:
+        want = oracle(*args)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            fn(*args)
+        assert str(raised.value) == str(exc)
+        return False
+    same_shards(fn(*args), want)
+    return True
+
+
+class TestArrayCodeMatchesLoops:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_partition(self, seed):
+        data = seeded_dataset(seed)
+        rng = np.random.default_rng(1000 + seed)
+        dealt = 0
+        for num_orgs in sorted({1, 2, 3, 7, int(rng.integers(1, 40)), len(data)}):
+            for skew in (0.0, 1.0, float(rng.random())):
+                plan = PartitionPlan(num_orgs, "label-skew", skew=skew)
+                dealt += same_outcome(partition, oracle_partition, data, plan, seed)
+            dealt += same_outcome(partition, oracle_partition, data,
+                                  PartitionPlan(num_orgs, "iid"), seed)
+        assert dealt > 0
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_stratified_parts(self, seed):
+        data = seeded_dataset(seed)
+        for n_parts in (1, 2, 3, 5, len(data) + 2):
+            same_shards(stratified_parts(data, n_parts, seed),
+                        oracle_stratified_parts(data, n_parts, seed))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_smote(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        n_min = int(rng.integers(2, 30))
+        n_maj = int(rng.integers(1, 200))
+        width = int(rng.integers(1, 5))
+        feats = rng.normal(size=(n_min + n_maj, width))
+        if seed % 4 == 0:  # duplicated minority points tie on distance
+            feats[: n_min // 2 + 1] = np.round(feats[: n_min // 2 + 1])
+        labels = np.zeros(n_min + n_maj, dtype=np.int64)
+        labels[rng.permutation(n_min + n_maj)[:n_min]] = 1
+        data = make_dataset(feats, labels)
+        cfg = SmoteConfig(k=int(rng.integers(1, n_min)),
+                          target_ratio=float(rng.choice([1.0, rng.uniform(0.01, 1.0)])))
+        got = smote(data, cfg, seed)
+        want = oracle_smote(data, cfg, seed)
+        if want is data:
+            assert got is data
+        same_shards([got], [want])

@@ -35,6 +35,12 @@ def logistic(weights, bias):
     return ModelParams((d, 1), np.array([*weights, bias], dtype=np.float64))
 
 
+def uniform_params(dims, seed, scale):
+    """Seeded weights uniform in [-scale, scale): init_params's draw, wider."""
+    rng = np.random.default_rng(seed)
+    return ModelParams(dims, rng.uniform(-scale, scale, size=param_count(dims)))
+
+
 def make_dataset(features, labels):
     return Dataset(np.array(features, dtype=np.float64), np.array(labels))
 
@@ -594,7 +600,7 @@ class TestEvaluate:
     def test_loss_equals_loss_function(self, dims):
         rng = np.random.default_rng(len(dims))
         ds = make_dataset(rng.normal(size=(50, 4)) * 4.0, rng.integers(0, 2, size=50))
-        params = init_params(dims, seed=3, scale=2.0)
+        params = uniform_params(dims, seed=3, scale=2.0)
         assert evaluate(params, ds).loss == loss(params, ds)
 
 
@@ -626,7 +632,7 @@ class TestEvaluateOracle:
     @pytest.mark.parametrize("dims", [(4, 1), (4, 3, 1), (4, 6, 2, 1)])
     @pytest.mark.parametrize("threshold", [0.5, 0.3])
     def test_bitwise_equal_to_reference(self, dims, threshold):
-        params = init_params(dims, seed=5, scale=1.5)
+        params = uniform_params(dims, seed=5, scale=1.5)
         for data in self.datasets(len(dims)):
             got = astuple(evaluate(params, data, threshold))
             assert all(type(value) is float for value in got)

@@ -213,3 +213,58 @@ class TestSelectGreedyOnModels:
         got = select_greedy(game, 4)
         assert 5 not in got
         assert got == set(oracle_greedy(game, 4))
+
+
+def loop_greedy(game, k):
+    """The per-candidate loop select_greedy replaced, as its reference; the
+    choices in order."""
+    pool = sorted(game.players)
+    chosen = []
+    for _ in range(k):
+        base = game.utility(chosen)
+        rest = [org for org in pool if org not in chosen]
+        values = game.utilities([chosen + [org] for org in rest]).tolist()
+        best_org = rest[0]
+        best_gain = -np.inf
+        for org, value in zip(rest, values):
+            gain = value - base
+            if gain > best_gain:
+                best_gain = gain
+                best_org = org
+        chosen.append(best_org)
+    return chosen
+
+
+def special_game(seed):
+    """Seeded game whose utilities tie, and are NaN, ±inf or ±1e308 at random."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    players = sorted(rng.choice(40, size=n, replace=False).tolist())
+    palette = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.5, 0.5, -0.25]
+    values = {}
+
+    def fn(coalition):
+        key = frozenset(coalition)
+        if key not in values:
+            roll = rng.random()
+            values[key] = (float(rng.choice(palette)) if roll < 0.4
+                           else float(np.round(rng.normal(), 1)))
+        return values[key]
+
+    return FunctionGame(players, fn)
+
+
+class TestSelectGreedyMatchesLoop:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_special_utilities(self, seed):
+        game = special_game(seed)
+        chosen = loop_greedy(game, len(game.players))
+        for k in range(len(game.players) + 1):
+            assert select_greedy(game, k) == set(chosen[:k])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_model_game(self, seed):
+        game = model_game(seed, nan_org=3 + seed)
+        chosen = loop_greedy(game, 6)
+        for k in range(7):
+            assert select_greedy(game, k) == set(chosen[:k])

@@ -436,6 +436,162 @@ class TestCheckAxioms:
         with pytest.raises(CapacityError):
             check_axioms(game, res)
 
+    @pytest.mark.parametrize("players,others", [
+        ([1, 2, 3], [7, 8, 9]),
+        ([1, 2], [7, 8]),
+        ([1, 2], [1, 2, 3]),
+        ([1, 2, 3], [1, 2]),
+    ])
+    def test_result_over_other_players_rejected(self, players, others):
+        game = FunctionGame(players, lambda s: float(len(s)))
+        res = exact_shapley(FunctionGame(others, lambda s: 2.0 * len(s)))
+        with pytest.raises(ValueError, match="the game's players"):
+            check_axioms(game, res)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop_scans(self, seed):
+        rng = np.random.default_rng(seed)
+        game = table_game(seed)
+        other = table_game(seed + 1000, game.players)
+        with np.errstate(all="ignore"):  # inf - inf is NaN in both versions
+            res = exact_shapley(game)
+        values = {p: float(rng.choice([v, v + 0.5, np.nan, v]))
+                  for p, v in res.values.items()}
+        for result in (res, ShapleyResult(values, res.num_evaluations, "exact")):
+            for tol in (1e-9, 0.0, 0.3):
+                for additivity in (None, other):
+                    with np.errstate(all="ignore"):
+                        got = check_axioms(game, result, tol, additivity)
+                        want = loop_check_axioms(game, result, tol, additivity)
+                    assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_values_match_loop_over_masks(self, seed):
+        game = table_game(seed)
+        with np.errstate(all="ignore"):
+            got = exact_shapley(game).values
+            want = loop_shapley_values(game.players, game._table())
+        assert list(got) == list(want)
+        assert bits(list(got.values())).tobytes() == bits(list(want.values())).tobytes()
+
+
+# utilities that stress the scans: NaN, both infinities, and finite values
+# whose differences overflow
+SPECIAL_UTILITIES = (np.nan, np.inf, -np.inf, 1e308, -1e308)
+
+
+def table_game(seed, players=None):
+    """Seeded game with symmetric players and dummies, some utilities special.
+
+    Coupled players gain a bonus that grows with how many coupled players a
+    coalition holds; the others are dummies. Equal weights on players of the
+    same kind make them interchangeable. About 15% of the non-empty
+    coalitions are then worth a SPECIAL_UTILITIES value instead.
+    """
+    rng = np.random.default_rng(seed)
+    if players is None:
+        n = int(rng.integers(1, 7))
+        players = sorted(rng.choice(50, size=n, replace=False).tolist())
+    n = len(players)
+    weight = rng.choice([0.0, 0.5, 1.0], size=n)
+    coupled = rng.random(n) < 0.5
+    values = {}
+    for mask in range(1, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        value = float(sum(weight[i] for i in members)) + 0.25 * sum(coupled[members]) ** 2
+        if rng.random() < 0.15:
+            value = float(rng.choice(SPECIAL_UTILITIES))
+        values[frozenset(players[i] for i in members)] = value
+    return FunctionGame(players, lambda s: values[frozenset(s)])
+
+
+# The loop versions below are the reference implementations the array code in
+# fedledger.valuation replaced; the array code must reproduce them bit for bit.
+
+
+def loop_shapley_values(players, table):
+    n = len(players)
+    masks = np.arange(1 << n, dtype=np.uint64)
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    inv_binom = np.array([1.0 / math.comb(n - 1, s) for s in range(n)])
+    values = {}
+    for i, p in enumerate(players):
+        bit = np.uint64(1 << i)
+        without = masks[(masks & bit) == 0]
+        marginals = table[without | bit] - table[without]
+        values[p] = float(np.dot(marginals, inv_binom[sizes[without]]) / n)
+    return values
+
+
+def loop_check_axioms(game, result, tol, additivity_game):
+    players = game.players
+    n = len(players)
+    table = game._table()
+    values = result.values
+
+    symmetric_pairs = []
+    symmetry_max_gap = 0.0
+    symmetry_holds = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi, bj = 1 << i, 1 << j
+            interchangeable = True
+            for mask in range(1 << n):
+                if mask & (bi | bj):
+                    continue
+                if abs(table[mask | bi] - table[mask | bj]) > tol:
+                    interchangeable = False
+                    break
+            if interchangeable:
+                pair = (players[i], players[j])
+                symmetric_pairs.append(pair)
+                gap = abs(values[pair[0]] - values[pair[1]])
+                symmetry_max_gap = max(symmetry_max_gap, gap)
+                if gap > tol:
+                    symmetry_holds = False
+
+    dummy_players = []
+    dummy_max_gap = 0.0
+    dummy_holds = True
+    for i in range(n):
+        bi = 1 << i
+        solo = table[bi]
+        is_dummy = True
+        for mask in range(1 << n):
+            if mask & bi:
+                continue
+            if abs(table[mask | bi] - table[mask] - solo) > tol:
+                is_dummy = False
+                break
+        if is_dummy:
+            kind = "zero" if abs(solo) <= tol else "general"
+            dummy_players.append((players[i], kind))
+            gap = abs(values[players[i]] - solo)
+            dummy_max_gap = max(dummy_max_gap, gap)
+            if gap > tol:
+                dummy_holds = False
+
+    additivity_holds = None
+    additivity_residual = None
+    if additivity_game is not None:
+        other_table = additivity_game._table()
+        other = loop_shapley_values(players, other_table)
+        combined = loop_shapley_values(players, table + other_table)
+        additivity_residual = max(
+            abs(combined[p] - (values[p] + other[p])) for p in players)
+        additivity_holds = additivity_residual <= tol
+
+    return valuation.AxiomReport(
+        symmetry_holds,
+        symmetric_pairs,
+        symmetry_max_gap,
+        dummy_holds,
+        dummy_players,
+        dummy_max_gap,
+        additivity_holds,
+        additivity_residual,
+    )
+
 
 def bits(values):
     """uint64 view, so that equality is bit for bit (signed zeros, NaN payloads)."""
@@ -639,16 +795,15 @@ class TestCoalitionTable:
         assert game._batch.bit_length() - 1 < 10  # two chunks or more: two threads
         stacked_loss = valuation.model.stacked_loss
         main = threading.main_thread()
-        worker_ran = threading.Event()
+        main_ran, worker_ran = threading.Event(), threading.Event()
 
         def failing(dims, stack, data):
             on_main = threading.current_thread() is main
-            if not on_main:
-                worker_ran.set()
+            (main_ran if on_main else worker_ran).set()
             if on_main == (fails == "caller"):
                 raise RuntimeError(f"chunk failed on the {fails}")
-            if on_main:  # the worker must fail before the caller takes every chunk
-                assert worker_ran.wait(timeout=10)
+            # neither thread takes every chunk before the other has started one
+            assert (worker_ran if on_main else main_ran).wait(timeout=10)
             return stacked_loss(dims, stack, data)
 
         monkeypatch.setattr(valuation.model, "stacked_loss", failing)
@@ -668,14 +823,14 @@ class TestCoalitionTable:
         before = threading.active_count()
         threads = set()
         stacked_loss = valuation.model.stacked_loss
-        worker_ran = threading.Event()
+        main_ran, worker_ran = threading.Event(), threading.Event()
 
         def recording(dims, stack, data):
             threads.add(threading.current_thread())
-            if threading.current_thread() is threading.main_thread():
-                assert worker_ran.wait(timeout=10)  # the worker takes a chunk too
-            else:
-                worker_ran.set()
+            on_main = threading.current_thread() is threading.main_thread()
+            (main_ran if on_main else worker_ran).set()
+            # each thread takes a chunk: neither goes on until the other has one
+            assert (worker_ran if on_main else main_ran).wait(timeout=10)
             return stacked_loss(dims, stack, data)
 
         monkeypatch.setattr(valuation.model, "stacked_loss", recording)
