@@ -91,29 +91,20 @@ def init_params(layer_dims: Sequence[int], seed: int) -> ModelParams:
     return ModelParams(dims, weights)
 
 
-def _layer_views(dims: tuple[int, ...], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of flat parameter vectors as per-layer (W, b) pairs; no copies.
-
-    `flat` is one vector (P,), giving W (din, dout) and b (dout,), or a stack
-    of m vectors (m, P), giving W (m, din, dout) and b (m, 1, dout), so that
-    each model's b broadcasts over the rows of its input.
+def _layer_views(dims: tuple[int, ...], stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of a stack of m flat parameter vectors (m, P) as per-layer (W, b)
+    pairs, W (m, din, dout) and b (m, 1, dout), so that each model's b
+    broadcasts over the rows of its input; no copies.
     """
     out = []
     offset = 0
+    m = len(stack)
     for din, dout in zip(dims, dims[1:]):
         end = offset + din * dout
-        if flat.ndim == 1:
-            out.append((flat[offset:end].reshape(din, dout), flat[end : end + dout]))
-        else:
-            m = len(flat)
-            out.append((flat[:, offset:end].reshape(m, din, dout),
-                        flat[:, end : end + dout].reshape(m, 1, dout)))
+        out.append((stack[:, offset:end].reshape(m, din, dout),
+                    stack[:, end : end + dout].reshape(m, 1, dout)))
         offset = end + dout
     return out
-
-
-def _layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    return _layer_views(params.layer_dims, params.weights)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -137,15 +128,15 @@ def _forward(
 ) -> np.ndarray:
     """ReLU hidden layers, sigmoid output. Returns the probabilities.
 
-    x is (n, din). With stacked layers from _layer_views, every model of the
-    stack runs on the same x, or model i on its own rows x[i] when x is
-    (m, n, din). Probabilities are (..., n). A stacked matmul computes each
-    slice with the same BLAS call as a single model on a single x, so each
-    slice, a stack of one's included, is bit for bit what that pair alone
-    gives. The bias add and ReLU write into the product. Given buffers,
-    hidden[i] (..., n, width) and logits (..., n, 1), each product is written
-    into them with np.matmul(out=), the same arithmetic as @, and the hidden
-    activations stay there for the caller.
+    `layers` are _layer_views of a stack of m models. Every model runs on the
+    same x (n, din), or model i on its own rows x[i] when x is (m, n, din);
+    probabilities are (m, n). A stacked matmul computes each slice with the
+    same BLAS call as that model alone on its rows, so each row is bit for
+    bit what that pair alone gives, whatever the stack's size. The bias add
+    and ReLU write into the product. Given buffers, hidden[i] (m, n, width)
+    and logits (m, n, 1), each product is written into them with
+    np.matmul(out=), the same arithmetic as @, and the hidden activations
+    stay there for the caller.
     """
     a = x
     for (w, b), out in zip(layers, hidden or [None] * (len(layers) - 1)):
@@ -186,7 +177,7 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
             f"feature width {x.shape[1]} does not match model input "
             f"width {params.input_width}"
         )
-    return _forward(_layers(params), x)
+    return _forward(_layer_views(params.layer_dims, params.weights[None]), x)[0]
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray) -> np.floating | np.ndarray:
@@ -209,8 +200,7 @@ def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float
 
     Probabilities are clamped away from 0 and 1 so the value stays finite.
     """
-    _check_data(params.input_width, [data])
-    bce = _bce(_forward(_layers(params), data.features), data.labels)
+    bce = stacked_loss(params.layer_dims, params.weights[None], data)[0]
     if weight_decay:
         bce += 0.5 * weight_decay * float(params.weights @ params.weights)
     return float(bce)
@@ -258,22 +248,21 @@ class _Step:
     """The one backpropagation kernel: the gradient of a lock-step group of
     models, from views and buffers built once and reused by every step.
 
-    Its layer views alias the weight block `w` it is given, which the caller
-    steps in place: one vector (P,) with batches x (rows, din) and y (rows,),
-    or a C-contiguous stack (m, P) with x (m, rows, din) and y (m, rows),
-    model i on its own batch x[i]; local_train_many() passes slices of its
-    weight block, gradient() a copy. A call fills and returns the gradient
-    buffer, which the next call overwrites; it only reads `w`. The forward
-    pass is _forward, given the kernel's hidden and logit buffers; every
-    backward product is written with out= into a buffer of shape (*lead,
-    rows, width), and the bias gradients are summed straight into their
-    views of the gradient. The arithmetic is that of a plain forward and
-    backward pass, so each slice of a stacked gradient is bit for bit that
+    Its layer views alias the C-contiguous weight stack `w` (m, P) it is
+    given, which the caller steps in place, with batches x (m, rows, din) and
+    y (m, rows), model i on its own batch x[i]; local_train_many() passes
+    slices of its weight block, gradient() a copy. A call fills and returns
+    the gradient buffer, which the next call overwrites; it only reads `w`.
+    The forward pass is _forward, given the kernel's hidden and logit
+    buffers; every backward product is written with out= into a buffer of
+    shape (m, rows, width), and the bias gradients are summed straight into
+    their views of the gradient. The arithmetic is that of a plain forward
+    and backward pass, so each row of the gradient is bit for bit that
     model's gradient alone, as in _forward.
     """
 
     def __init__(self, dims: tuple[int, ...], w: np.ndarray, rows: int, weight_decay: float):
-        lead = w.shape[:-1]
+        m = len(w)
         self.w = w
         self.weight_decay = weight_decay
         self.layers = _layer_views(dims, w)
@@ -282,12 +271,12 @@ class _Step:
         # these views alias `grad`, so writing into them fills the flat vectors
         grad_layers = _layer_views(dims, self.grad)
         self.weight_grads = [gw for gw, _ in grad_layers]
-        self.bias_grads = [gb[:, 0] if lead else gb for _, gb in grad_layers]
-        self.hidden = [np.empty((*lead, rows, width)) for width in dims[1:-1]]
+        self.bias_grads = [gb[:, 0] for _, gb in grad_layers]
+        self.hidden = [np.empty((m, rows, width)) for width in dims[1:-1]]
         self.hidden_t = [a.swapaxes(-1, -2) for a in self.hidden]
-        self.logits = np.empty((*lead, rows, 1))
+        self.logits = np.empty((m, rows, 1))
         # deltas[li] is the loss gradient at layer li's output
-        self.deltas = [np.empty((*lead, rows, width)) for width in dims[1:]]
+        self.deltas = [np.empty((m, rows, width)) for width in dims[1:]]
         self.decay = np.empty_like(w) if weight_decay else None
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -319,8 +308,8 @@ def gradient(params: ModelParams, batch: Dataset, weight_decay: float = 0.0) -> 
     local_train().
     """
     _check_data(params.input_width, [batch])
-    kernel = _Step(params.layer_dims, params.weights.copy(), len(batch), weight_decay)
-    return kernel(batch.features, batch.labels)
+    kernel = _Step(params.layer_dims, params.weights[None].copy(), len(batch), weight_decay)
+    return kernel(batch.features[None], batch.labels[None])[0]
 
 
 def local_train(params: ModelParams, data: Dataset, cfg: TrainConfig, seed: int) -> ModelParams:
@@ -350,10 +339,10 @@ def local_train_many(
     fall into segments that end where some shard's batch changes size (at
     its short last batch, the epoch start after it, and its end), at most
     2 x epochs x shards + 1 of them. At a segment's first step, each maximal
-    run of adjacent shards with the same row count is a group: it takes the
-    segment's steps in one stacked forward and backward pass (a shard alone
-    steps unstacked) through the _Step kernel kept for its (first, end,
-    rows), built on its slice of the weight block, which the steps update in
+    run of adjacent shards with the same row count is a group, a shard alone
+    included: it takes the segment's steps in one stacked forward and
+    backward pass through the _Step kernel kept for its (first, end, rows),
+    built on its slice of the weight block, which the steps update in
     place. Equal-sized shards that are not adjacent step as separate groups.
 
     Beside the concatenated rows, this keeps `order`, epochs x rows indices
@@ -400,11 +389,10 @@ def local_train_many(
         # shards never share a step's arithmetic, so the groups step in turn
         for a, b in zip(cuts, cuts[1:]):
             count = int(rows[a - lo])
-            sel = a if b - a == 1 else slice(a, b)  # a shard alone steps unstacked
             if (a, b, count) not in kernels:
-                kernels[a, b, count] = _Step(dims, weights[sel], count, cfg.weight_decay)
+                kernels[a, b, count] = _Step(dims, weights[a:b], count, cfg.weight_decay)
             kernel = kernels[a, b, count]
-            pos = cursor[sel, None] + np.arange(count)
+            pos = cursor[a:b, None] + np.arange(count)
             w = kernel.w
             for _ in range(stop - step):
                 idx = order[pos]
@@ -430,8 +418,7 @@ def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metr
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    _check_data(params.input_width, [data])
-    probs = _forward(_layers(params), data.features)
+    probs = _stacked_probs(params.layer_dims, params.weights[None], data)[0]
     preds = probs >= threshold
     y = data.labels.astype(bool)
     tp = int(np.count_nonzero(preds & y))

@@ -37,6 +37,9 @@ class SelectionPolicy:
 def select_random(orgs: Iterable[int], k: int, round_seed: int) -> set[int]:
     """Uniform k-subset of orgs, without replacement, seeded."""
     pool = sorted(orgs)
+    for a, b in zip(pool, pool[1:]):
+        if a == b:
+            raise ValueError(f"organization {a!r} is repeated")
     if k > len(pool):
         raise ValueError(f"cannot select k={k} from {len(pool)} organizations")
     rng = np.random.default_rng(round_seed)

@@ -59,6 +59,9 @@ class CoalitionGame:
 
     def _init_players(self, players: Iterable[int]) -> None:
         self._players = tuple(sorted(players))
+        for p, q in zip(self._players, self._players[1:]):
+            if p == q:
+                raise ValueError(f"player {p!r} is repeated")
         self._bit = {p: 1 << i for i, p in enumerate(self._players)}
         self._cache = {0: 0.0}
 
@@ -499,7 +502,7 @@ def check_axioms(
         other = _shapley_values(players, other_table)
         combined = _shapley_values(players, table + other_table)
         additivity_residual = max(
-            abs(combined[p] - (values[p] + other[p])) for p in players)
+            (abs(combined[p] - (values[p] + other[p])) for p in players), default=0.0)
         additivity_holds = additivity_residual <= tol
 
     return AxiomReport(

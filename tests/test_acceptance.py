@@ -200,7 +200,9 @@ def _smooth_case(rng, dims):
         batch = Dataset(feats, labels)
         if len(dims) == 2:
             return params, batch
-        w, b = modelmod._layers(params)[0]
+        din, width = dims[0], dims[1]
+        w = params.weights[: din * width].reshape(din, width)
+        b = params.weights[din * width : (din + 1) * width]
         if np.abs(feats @ w + b).min() > 1e-3:
             return params, batch
 

@@ -12,7 +12,6 @@ from fedledger.model import (
     ModelParams,
     TrainConfig,
     _bce,
-    _layer_views,
     _sigmoid,
     _Step,
     average,
@@ -85,6 +84,24 @@ def subset_sgd(params, data, cfg, seed):
     return weights
 
 
+def parent_layer_views(dims, flat):
+    """_layer_views as it was when it also took one vector (P,), kept verbatim
+    for the parent oracles: one vector gives W (din, dout) and b (dout,), a
+    stack (m, P) gives W (m, din, dout) and b (m, 1, dout)."""
+    out = []
+    offset = 0
+    for din, dout in zip(dims, dims[1:]):
+        end = offset + din * dout
+        if flat.ndim == 1:
+            out.append((flat[offset:end].reshape(din, dout), flat[end : end + dout]))
+        else:
+            m = len(flat)
+            out.append((flat[:, offset:end].reshape(m, din, dout),
+                        flat[:, end : end + dout].reshape(m, 1, dout)))
+        offset = end + dout
+    return out
+
+
 def parent_forward(layers, x):
     """The forward pass as it was before the _Step kernel, kept verbatim with
     its activations for parent_grad: fresh arrays for every product."""
@@ -106,12 +123,12 @@ def parent_grad(dims, flat, x, y, weight_decay):
     oracle: fresh views, a zeroed gradient and products copied into it on
     every call."""
     n = x.shape[-2]
-    layers = _layer_views(dims, flat)
+    layers = parent_layer_views(dims, flat)
     activations, probs = parent_forward(layers, x)
 
     grad = np.zeros_like(flat)
     # these views alias `grad`, so writing into them fills the flat vectors
-    grad_layers = _layer_views(dims, grad)
+    grad_layers = parent_layer_views(dims, grad)
     delta = np.expand_dims((probs - y) / n, -1)
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
@@ -133,6 +150,49 @@ def parent_steps(dims, w, batches, learning_rate, weight_decay):
         g *= learning_rate
         w -= g
     return w
+
+
+def parent_probs(dims, w, x):
+    """The one-vector forward pass: predict_batch as it was before every
+    model became a row of a stack."""
+    return parent_forward(parent_layer_views(dims, w), x)[1]
+
+
+def parent_loss(dims, w, data, weight_decay):
+    """loss() as it was before it became a stack of one."""
+    bce = _bce(parent_probs(dims, w, data.features), data.labels)
+    if weight_decay:
+        bce += 0.5 * weight_decay * float(w @ w)
+    return float(bce)
+
+
+def parent_metrics(dims, w, data, threshold):
+    """evaluate() as it was before it became a stack of one."""
+    probs = parent_probs(dims, w, data.features)
+    preds = probs >= threshold
+    y = data.labels.astype(bool)
+    tp = int(np.count_nonzero(preds & y))
+    fp = int(np.count_nonzero(preds & ~y))
+    fn = int(np.count_nonzero(~preds & y))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    accuracy = np.count_nonzero(preds == y) / len(y)
+    return Metrics(float(accuracy), float(_bce(probs, data.labels)), f1, precision)
+
+
+def one_model_cases(hidden):
+    """(params, data) of one seeded model over 5 features, with and without a
+    NaN weight, on 1, 21 and 32 rows."""
+    dims = (5, *hidden, 1)
+    rng = np.random.default_rng(len(hidden))
+    weights = rng.uniform(-0.8, 0.8, size=param_count(dims))
+    with_nan = weights.copy()
+    with_nan[3] = np.nan
+    for w in (weights, with_nan):
+        for rows in (1, 21, 32):
+            data = make_dataset(rng.normal(size=(rows, 5)), rng.integers(0, 2, size=rows))
+            yield ModelParams(dims, w), data
 
 
 def bits(values):
@@ -531,18 +591,17 @@ class TestLocalTrainMany:
 class TestStepKernel:
     """The _Step kernel against parent_grad, bit for bit."""
 
-    @pytest.mark.parametrize("members", [None, 2, 10, 30])  # None: unstacked
+    @pytest.mark.parametrize("members", [1, 2, 10, 30])
     @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
     @pytest.mark.parametrize("rows", [1, 21, 32])
     def test_steps_bit_identical_to_parent_loop(self, members, hidden, weight_decay, rows):
         # four steps on new batches, so every buffer is reused with new values
         dims = (5, *hidden, 1)
-        lead = () if members is None else (members,)
         rng = np.random.default_rng(rows + len(hidden))
-        start = rng.uniform(-0.8, 0.8, size=(*lead, param_count(dims)))
-        batches = [(rng.normal(size=(*lead, rows, 5)) * 2.0,
-                    (rng.random((*lead, rows)) < 0.3).astype(np.int64)) for _ in range(4)]
+        start = rng.uniform(-0.8, 0.8, size=(members, param_count(dims)))
+        batches = [(rng.normal(size=(members, rows, 5)) * 2.0,
+                    (rng.random((members, rows)) < 0.3).astype(np.int64)) for _ in range(4)]
         kernel = _Step(dims, start.copy(), rows, weight_decay)
         for x, y in batches:
             g = kernel(x, y)
@@ -550,21 +609,51 @@ class TestStepKernel:
             kernel.w -= g
         expected = parent_steps(dims, start, batches, 0.05, weight_decay)
         np.testing.assert_array_equal(bits(kernel.w), bits(expected))
+        if members == 1:
+            # a stack of one steps as the one vector did
+            alone = parent_steps(dims, start[0], [(x[0], y[0]) for x, y in batches],
+                                 0.05, weight_decay)
+            np.testing.assert_array_equal(bits(kernel.w[0]), bits(alone))
 
     @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
     def test_gradient_bit_identical_to_parent(self, hidden, weight_decay):
-        dims = (5, *hidden, 1)
-        rng = np.random.default_rng(len(hidden))
-        weights = rng.uniform(-0.8, 0.8, size=param_count(dims))
-        with_nan = weights.copy()
-        with_nan[3] = np.nan
-        for w in (weights, with_nan):
-            for rows in (1, 21, 32):
-                batch = make_dataset(rng.normal(size=(rows, 5)), rng.integers(0, 2, size=rows))
-                got = gradient(ModelParams(dims, w), batch, weight_decay)
-                expected = parent_grad(dims, w, batch.features, batch.labels, weight_decay)
-                np.testing.assert_array_equal(bits(got), bits(expected))
+        for params, batch in one_model_cases(hidden):
+            got = gradient(params, batch, weight_decay)
+            expected = parent_grad(params.layer_dims, params.weights, batch.features,
+                                   batch.labels, weight_decay)
+            np.testing.assert_array_equal(bits(got), bits(expected))
+
+
+class TestStackOfOne:
+    """The single-model functions, each a stack of one, against the one-vector
+    parent forward pass, bit for bit."""
+
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    def test_predict_batch(self, hidden):
+        for params, data in one_model_cases(hidden):
+            got = predict_batch(params, data.features)
+            assert got.shape == (len(data),)
+            expected = parent_probs(params.layer_dims, params.weights, data.features)
+            np.testing.assert_array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
+    def test_loss(self, hidden, weight_decay):
+        for params, data in one_model_cases(hidden):
+            got = loss(params, data, weight_decay)
+            assert type(got) is float
+            expected = parent_loss(params.layer_dims, params.weights, data, weight_decay)
+            np.testing.assert_array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("threshold", [0.5, 0.3])
+    def test_evaluate(self, hidden, threshold):
+        for params, data in one_model_cases(hidden):
+            got = astuple(evaluate(params, data, threshold))
+            assert all(type(value) is float for value in got)
+            expected = parent_metrics(params.layer_dims, params.weights, data, threshold)
+            np.testing.assert_array_equal(bits(got), bits(astuple(expected)))
 
 
 class TestEvaluate:

@@ -46,6 +46,12 @@ class TestSelectRandom:
         with pytest.raises(ValueError):
             select_random(range(3), 4, round_seed=0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_repeated_organization_refused(self, seed):
+        # kept, the repeat could be drawn twice and leave fewer than k organizations
+        with pytest.raises(ValueError, match="^organization 1 is repeated$"):
+            select_random([1, 1, 2], 2, round_seed=seed)
+
 
 class TestSelectGreedy:
     def test_top_two_of_additive(self):

@@ -108,6 +108,12 @@ class TestUtility:
 
 
 class TestExactShapley:
+    @pytest.mark.parametrize("players", [[1, 1, 2], [2, 1, 3, 1], [0, 0]])
+    def test_repeated_player_refused(self, players):
+        # kept, a repeated player shares one bit: its values would not sum to U(N)
+        with pytest.raises(ValueError, match=f"^player {min(players)} is repeated$"):
+            FunctionGame(players, lambda s: float(len(s)))
+
     def test_additive_game(self):
         res = exact_shapley(additive_game([1.0, 2.0, 3.0]))
         assert res.values[0] == pytest.approx(1.0, abs=1e-12)
@@ -423,6 +429,15 @@ class TestCheckAxioms:
         report = check_axioms(a, res, tol=1e-9, additivity_game=b)
         assert report.additivity_holds
         assert report.additivity_max_residual < 1e-9
+
+    def test_empty_game_with_additivity_game(self):
+        # no players: nothing to scan, and the additivity residual is 0.0
+        game = FunctionGame([], lambda s: float(len(s)))
+        other = FunctionGame([], lambda s: 2.0 * len(s))
+        report = check_axioms(game, exact_shapley(game), additivity_game=other)
+        assert report.symmetry_holds and report.dummy_holds
+        assert report.additivity_holds is True
+        assert report.additivity_max_residual == 0.0
 
     def test_additivity_game_over_other_players_rejected(self):
         a = additive_game([1.0, 2.0])
