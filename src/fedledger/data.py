@@ -69,7 +69,12 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at `indices`, an integer array in any order, repeats allowed."""
+        idx = np.asarray(indices)
+        # a boolean mask or a float array would otherwise be read as row numbers
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"row indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         return Dataset(self.features[idx], self.labels[idx])
 
     def minority_indices(self) -> np.ndarray:
@@ -108,6 +113,8 @@ class SmoteConfig:
     target_ratio: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be positive")
         if not 0.0 < self.target_ratio <= 1.0:
@@ -281,6 +288,42 @@ def knn_minority(data: Dataset, point_index: int, k: int) -> list[int]:
     return [int(minority[j]) for j in order[:k]]
 
 
+def _draws_from_raw(words: np.ndarray, k: int,
+                    needed: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """`(choice, r)` as `needed` rounds of `(rng.integers(k), rng.random())` draw them
+    from a fresh PCG64 Generator whose raw 64-bit output is `words`, 3 per 2 rounds,
+    or None where Lemire's bounded method would reject a draw and redraw.
+
+    For 2 <= k < 2**32, `integers(k)` takes one 32-bit half of a word, low half
+    first, keeping the high half for the next call, and maps it to `(x * k) >> 32`;
+    `random()` takes a whole word as `(w >> 11) * 2**-53`. So round 2p reads the low
+    half of word 3p and word 3p+1, and round 2p+1 the high half of word 3p and word
+    3p+2. Lemire rejects x when `(x * k) mod 2**32 < (2**32 - k) mod k`.
+    """
+    w = words.reshape(-1, 3)
+    halves = np.stack([w[:, 0] & 0xFFFFFFFF, w[:, 0] >> 32], axis=1).ravel()[:needed]
+    products = halves * np.uint64(k)
+    if ((products & 0xFFFFFFFF) < (2**32 - k) % k).any():
+        return None
+    fractions = w[:, 1:].ravel()[:needed]
+    return (products >> 32).astype(np.int64), (fractions >> 11) * 2.0**-53
+
+
+def _smote_draws(k: int, needed: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour choices and fractions for `needed` synthetic rows: per row in turn,
+    `rng.integers(k)` then `rng.random()` on `default_rng(seed)`, an order that fixes
+    the stream. They are read in one raw PCG64 call; the per-row loop runs only for
+    k = 1, where `integers(1)` draws nothing, or when a draw would be rejected."""
+    if k > 1:
+        words = np.random.default_rng(seed).bit_generator.random_raw(3 * math.ceil(needed / 2))
+        drawn = _draws_from_raw(words, k, needed)
+        if drawn is not None:
+            return drawn
+    rng = np.random.default_rng(seed)
+    choice, r = zip(*[(rng.integers(k), rng.random()) for _ in range(needed)])
+    return np.array(choice), np.array(r)
+
+
 def smote(data: Dataset, cfg: SmoteConfig, seed: int) -> Dataset:
     """Oversample the minority class until minority/majority >= target_ratio.
 
@@ -301,9 +344,7 @@ def smote(data: Dataset, cfg: SmoteConfig, seed: int) -> Dataset:
         return data
 
     neighbors = np.array([knn_minority(data, int(i), cfg.k) for i in minority])
-    rng = np.random.default_rng(seed)
-    # per row in turn, a neighbour choice then a fraction: this order fixes the stream
-    choice, r = map(np.array, zip(*[(rng.integers(cfg.k), rng.random()) for _ in range(needed)]))
+    choice, r = _smote_draws(cfg.k, needed, seed)
     parent = np.arange(needed) % n_min
     x_i = data.features[minority[parent]]
     # x_i + (x_j - x_i) * r in place after the original rows: a large set-up peaks here

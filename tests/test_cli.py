@@ -319,6 +319,11 @@ class TestConfigChecks:
             resolve_spec(env={}, overrides={**at_limit,
                                             "clients_per_round": EXACT_MAX_PLAYERS + 1})
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_non_integral_smote_k_refused(self, k):
+        with pytest.raises(ConfigError, match="smote_k / smote_target_ratio: k must be an integer"):
+            resolve_spec(env={}, overrides={"smote_k": k})
+
 
 class TestSeedRange:
     """A seed must fit derive_seed's 16 signed bytes: [-2**127, 2**127 - 1]."""

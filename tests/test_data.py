@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fedledger import data as datamod
 from fedledger.data import (
     CREDIT_CARD_COLUMNS,
     DataError,
@@ -140,6 +141,26 @@ class TestLoadCsv:
         ds = load_csv(os.environ["CREDITCARD_CSV"])
         assert len(ds) == 284807
         assert int(ds.labels.sum()) == 492
+
+
+class TestSubset:
+    def test_rows_in_given_order(self):
+        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        for idx in ([2, 0, 2], np.array([3, 1], dtype=np.uint8)):
+            out = ds.subset(idx)
+            assert out.features[:, 0].tolist() == [float(i) for i in idx]
+            assert out.labels.tolist() == [ds.labels[i] for i in idx]
+
+    def test_empty(self):
+        ds = make_dataset([[0.0], [1.0]], [0, 1])
+        out = ds.subset([])
+        assert len(out) == 0 and out.schema_width == 1
+
+    @pytest.mark.parametrize("idx", [[True, False, True, False], [1.7, 2.2], np.array([1.0])])
+    def test_mask_or_non_integer_refused(self, idx):
+        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="row indices must be integers"):
+            ds.subset(idx)
 
 
 class TestSplit:
@@ -346,6 +367,16 @@ class TestSmote:
         with pytest.raises(ValueError):
             smote(ds, SmoteConfig(k=3, target_ratio=1.0), 0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, False, "3"])
+    def test_non_integral_k_refused(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            SmoteConfig(k=k)
+
+    def test_numpy_integer_k(self):
+        ds = make_dataset(np.arange(20.0).reshape(10, 2), [1] * 4 + [0] * 6)
+        out = smote(ds, SmoteConfig(k=np.int64(3)), 1)
+        same_shards([out], [smote(ds, SmoteConfig(k=3), 1)])
+
 
 def _segment_residual(p, a, b):
     """Distance from p to the closed segment [a, b]."""
@@ -435,6 +466,14 @@ def oracle_smote(data, cfg, seed):
     return Dataset(features, labels)
 
 
+def imbalanced(n_min, n_maj, width, seed):
+    """n_min fraud rows scattered among n_maj others, with seeded normal features."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n_min + n_maj, dtype=np.int64)
+    labels[rng.permutation(n_min + n_maj)[:n_min]] = 1
+    return make_dataset(rng.normal(size=(n_min + n_maj, width)), labels)
+
+
 def seeded_dataset(seed):
     """1 to 60 rows of 1 to 4 features, with ties, and a seeded share of fraud."""
     rng = np.random.default_rng(seed)
@@ -505,3 +544,70 @@ class TestArrayCodeMatchesLoops:
         if want is data:
             assert got is data
         same_shards([got], [want])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("n_min, n_maj, width, target_ratio, needed", [
+        (8, 9, 3, 1.0, 1),
+        (8, 10, 3, 1.0, 2),
+        (8, 11, 3, 1.0, 3),
+        (9, 50, 3, 1.0, 41),
+        (9, 50, 3, 0.5, 16),
+        (9, 51, 3, 0.5, 17),
+        (26, 1308, 30, 1.0, 1282),  # the size of one large-shards shard
+    ])
+    def test_smote_cases(self, k, n_min, n_maj, width, target_ratio, needed):
+        data = imbalanced(n_min, n_maj, width, seed=n_maj)
+        cfg = SmoteConfig(k=k, target_ratio=target_ratio)
+        for seed in range(5):
+            want = oracle_smote(data, cfg, seed)
+            assert len(want) - len(data) == needed
+            same_shards([smote(data, cfg, seed)], [want])
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("needed", [1, 2, 5, 6])
+    def test_smote_falls_back_to_loop_on_rejection(self, k, needed, monkeypatch):
+        """Lemire rejects x = 0 for every k that is not a power of two: a zero in the
+        half the last row reads must send smote to the loop, which redraws."""
+        real = datamod._draws_from_raw
+        seen = []
+
+        def zero_last_half(words, k, needed):
+            words = words.copy()
+            p, half = divmod(needed - 1, 2)
+            words[3 * p] &= np.uint64(0xFFFFFFFF << 32 if half == 0 else 0xFFFFFFFF)
+            seen.append(real(words, k, needed))
+            return seen[-1]
+
+        monkeypatch.setattr(datamod, "_draws_from_raw", zero_last_half)
+        data = imbalanced(8, 8 + needed, 3, seed=needed)
+        cfg = SmoteConfig(k=k)
+        same_shards([smote(data, cfg, 3)], [oracle_smote(data, cfg, 3)])
+        assert seen == [None]
+
+    def test_raw_draws_reject_only_read_halves(self):
+        words = np.array([1, 0, 0], dtype=np.uint64)  # low half 1, high half 0
+        assert datamod._draws_from_raw(words, 3, 1) is not None
+        assert datamod._draws_from_raw(words, 3, 2) is None
+        # a power of two has threshold 0: no half is ever rejected
+        choice, r = datamod._draws_from_raw(np.zeros(3, dtype=np.uint64), 4, 2)
+        assert choice.tolist() == [0, 0] and r.tolist() == [0.0, 0.0]
+
+    def test_raw_draws_reject_where_numpy_redraws(self):
+        """At this k Lemire rejects about a quarter of the draws, so numpy's own redraws
+        meet the rejection test within a few hundred seeds."""
+        k = 3 * 2**30 + 1
+        threshold = (2**32 - k) % k
+        rejected = 0
+        for seed in range(400):
+            words = np.random.default_rng(seed).bit_generator.random_raw(3)
+            rng = np.random.default_rng(seed)
+            choice, r = rng.integers(k), rng.random()
+            drawn = datamod._draws_from_raw(words, k, 1)
+            if drawn is None:
+                rejected += 1
+                high = int(words[0]) >> 32
+                if high * k % 2**32 >= threshold:  # numpy redrew from the high half
+                    assert choice == high * k >> 32
+            else:
+                assert (drawn[0][0], drawn[1][0]) == (choice, r)
+        assert 50 < rejected < 150
