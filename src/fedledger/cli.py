@@ -211,20 +211,25 @@ def synthesize_raw(
     """Two Gaussian classes in the credit-card schema's raw feature space.
 
     The minority class mean is shifted by `separation` along a seeded random
-    direction, so larger values give an easier classification problem.
+    direction, so larger values give an easier classification problem. Row i
+    is row `order[i]` of the majority rows followed by the minority rows, for
+    a seeded permutation `order` drawn last; each class is written straight
+    into its rows through the inverse permutation.
     """
     n_majority, n_minority = _class_sizes(n, minority_fraction)
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=width)
     direction /= np.linalg.norm(direction)
     majority = rng.normal(size=(n_majority, width))
-    minority = rng.normal(size=(n_minority, width)) + separation * direction
-    features = np.vstack([majority, minority])
-    labels = np.concatenate(
-        [np.zeros(n_majority, dtype=np.int64), np.ones(n_minority, dtype=np.int64)]
-    )
+    minority = rng.normal(size=(n_minority, width))
+    minority += separation * direction
     order = rng.permutation(n)
-    return features[order], labels[order]
+    rows = np.empty(n, dtype=np.intp)
+    rows[order] = np.arange(n)
+    features = np.empty((n, width))
+    features[rows[:n_majority]] = majority
+    features[rows[n_majority:]] = minority
+    return features, (order >= n_majority).astype(np.int64)
 
 
 def synthetic_dataset(spec: ExperimentSpec) -> Dataset:
@@ -276,16 +281,13 @@ def build_federation_config(
         batch_size=batch_size,
         weight_decay=spec.weight_decay,
     )
-    smote_cfg = (
-        _checked("smote_k / smote_target_ratio", SmoteConfig,
-                 k=spec.smote_k, target_ratio=spec.smote_target_ratio)
-        if spec.smote
-        else None
-    )
+    # checked even when smote is off: config_hash digests the keys either way
+    smote_cfg = _checked("smote_k / smote_target_ratio", SmoteConfig,
+                         k=spec.smote_k, target_ratio=spec.smote_target_ratio)
     return FederationConfig(
         policy=policy,
         train=train,
-        smote=smote_cfg,
+        smote=smote_cfg if spec.smote else None,
         master_seed=spec.seed,
         **{key: getattr(spec, key) for key in _RUN_KEYS},
     )

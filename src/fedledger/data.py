@@ -49,17 +49,18 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
+        labs = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-d array")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels length must match feature rows")
         if not np.isfinite(feats).all():
             raise ValueError("features must be finite")
-        if labs.size and not np.isin(labs, (0, 1)).all():
+        # the values as given: an int64 cast first would read 0.7 as 0 and "1" as 1
+        if not ((labs == 0) | (labs == 1)).all():
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "labels", labs.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -69,11 +70,16 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        """The rows at `indices`, an integer array in any order, repeats allowed."""
+        """The rows at `indices`, integers in [0, len) in any order, repeats allowed."""
         idx = np.asarray(indices)
-        # a boolean mask or a float array would otherwise be read as row numbers
-        if idx.size and idx.dtype.kind not in "iu":
-            raise ValueError(f"row indices must be integers, got dtype {idx.dtype}")
+        if idx.size:
+            # a boolean mask or a float array would otherwise be read as row numbers
+            if idx.dtype.kind not in "iu":
+                raise ValueError(f"row indices must be integers, got dtype {idx.dtype}")
+            # and a negative one as counted from the end
+            if idx.min() < 0 or idx.max() >= len(self):
+                bad = idx[(idx < 0) | (idx >= len(self))][0]
+                raise ValueError(f"row index {bad} is out of range for {len(self)} rows")
         idx = idx.astype(np.int64, copy=False)
         return Dataset(self.features[idx], self.labels[idx])
 
@@ -122,10 +128,19 @@ class SmoteConfig:
 
 
 def standardize(features: np.ndarray) -> np.ndarray:
-    """Center and scale each column; zero-variance columns are left centered."""
+    """Center and scale each column; zero-variance columns are left centered.
+
+    The rows are centered once and divided in place. The statistics follow `np.std`'s
+    own arithmetic: column sums by `np.add.reduce` divided by n for the mean, the
+    centered squares summed and divided the same way, then the square root. So the
+    bytes equal `(x - x.mean(0)) / x.std(0)`, a zero deviation read as 1.
+    """
     feats = np.asarray(features, dtype=np.float64)
-    std = feats.std(axis=0)
-    return (feats - feats.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+    n = feats.shape[0]
+    centered = feats - np.add.reduce(feats, axis=0) / n
+    std = np.sqrt(np.add.reduce(np.square(centered), axis=0) / n)
+    centered /= np.where(std == 0.0, 1.0, std)
+    return centered
 
 
 def read_utf8(path, error: type[Exception] = ParseError) -> str:
@@ -266,11 +281,37 @@ def imbalance_stats(data: Dataset) -> tuple[int, float]:
     return minority, minority / len(data)
 
 
+# difference cells (float64) one block of kNN queries holds: 8 MiB
+_KNN_BLOCK_CELLS = 1 << 20
+
+
+def _nearest(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Row q holds the positions in `points` of the k points nearest to point
+    `queries[q]`, nearest first.
+
+    Euclidean distance, each row's from one `einsum("ij,ij->i")` over its differences
+    `points - points[query]`; a query's own distance is inf, and a stable sort breaks
+    ties by lower position. Queries run in blocks of at most `_KNN_BLOCK_CELLS`
+    difference cells, so many points never need all their pairs at once.
+    """
+    m, width = points.shape
+    per_block = max(1, _KNN_BLOCK_CELLS // max(1, m * width))
+    table = np.empty((queries.size, k), dtype=np.intp)
+    for start in range(0, queries.size, per_block):
+        block = queries[start : start + per_block]
+        diffs = (points - points[block, None, :]).reshape(block.size * m, width)
+        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).reshape(block.size, m)
+        dists[np.arange(block.size), block] = np.inf
+        table[start : start + block.size] = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    return table
+
+
 def knn_minority(data: Dataset, point_index: int, k: int) -> list[int]:
     """Indices of the k nearest minority neighbors of a minority example.
 
     Euclidean distance, self excluded, ties broken by lower index.
-    Duplicates of the query point (distance 0) are valid neighbors.
+    Duplicates of the query point (distance 0) are valid neighbors. The one-query
+    case of the table `smote` builds for a whole dataset.
     """
     minority = data.minority_indices()
     if point_index not in minority:
@@ -281,11 +322,8 @@ def knn_minority(data: Dataset, point_index: int, k: int) -> list[int]:
         raise ValueError(
             f"k={k} must be smaller than the minority count {minority.size}"
         )
-    diffs = data.features[minority] - data.features[point_index]
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    dists[minority == point_index] = np.inf
-    order = np.lexsort((minority, dists))
-    return [int(minority[j]) for j in order[:k]]
+    query = np.searchsorted(minority, [point_index])
+    return minority[_nearest(data.features[minority], query, k)[0]].tolist()
 
 
 def _draws_from_raw(words: np.ndarray, k: int,
@@ -330,7 +368,8 @@ def smote(data: Dataset, cfg: SmoteConfig, seed: int) -> Dataset:
     Synthetic examples are drawn on the segment between a minority point and
     one of its k nearest minority neighbors, chosen uniformly; parents cycle
     round-robin over the original minority points. Existing examples are
-    never altered; synthetics (label 1) are appended.
+    never altered; synthetics (label 1) are appended. Every minority point's
+    neighbors come from one table per call, as `knn_minority` gives them.
     """
     minority = data.minority_indices()
     n_min = minority.size
@@ -343,10 +382,11 @@ def smote(data: Dataset, cfg: SmoteConfig, seed: int) -> Dataset:
     if needed <= 0:
         return data
 
-    neighbors = np.array([knn_minority(data, int(i), cfg.k) for i in minority])
+    points = data.features[minority]
+    neighbors = minority[_nearest(points, np.arange(n_min), cfg.k)]
     choice, r = _smote_draws(cfg.k, needed, seed)
     parent = np.arange(needed) % n_min
-    x_i = data.features[minority[parent]]
+    x_i = points[parent]
     # x_i + (x_j - x_i) * r in place after the original rows: a large set-up peaks here
     features = np.empty((len(data) + needed, data.schema_width))
     features[: len(data)] = data.features

@@ -16,6 +16,7 @@ from fedledger.cli import (
     cmd_validate,
     config_hash,
     execute_job,
+    load_experiment_data,
     main,
     parse_config_file,
     resolve_spec,
@@ -23,7 +24,8 @@ from fedledger.cli import (
     synthetic_dataset,
 )
 from fedledger.data import CREDIT_CARD_COLUMNS, SmoteConfig, load_csv, split
-from fedledger.federation import FederationConfig, RunSettings
+from fedledger.federation import FederationConfig, RunSettings, init_round0
+from fedledger.ledger import serialize_params
 from fedledger.model import TrainConfig, evaluate, init_params, local_train
 from fedledger.seeds import derive_seed
 from fedledger.selection import SelectionPolicy
@@ -46,6 +48,10 @@ BENCHMARK_CHAINS = {
     "large-shards": (7, {"synthetic_n": 50000, "policies": ("random",), "valuation": "off"},
                      "ff00fae2072aa75bfc665d8feef42dbf578a6fa81729cf5e2ad154e3ca442e62"),
 }
+
+# SHA-256 of everything init_round0 builds for large-shards at seed 1, the only
+# workload whose set-up runs SMOTE (see test_large_shards_setup_pinned)
+LARGE_SHARDS_SETUP = "7f2628ccc46bfe4c99258dec9fe82aaf0aa8e2543a44c2cb05058e41831d76fd"
 
 BOM = "\ufeff".encode()
 
@@ -275,6 +281,8 @@ class TestConfigChecks:
         ("policies = random, random", "policies"),
         ("epochs_sweep = 2, 3, 2", "epochs_sweep"),
         ("batch_sweep = 8, 8", "batch_sweep"),
+        ("smote = off\nsmote_k = 0", "smote_k"),
+        ("smote = off\nsmote_target_ratio = 1.5", "smote_target_ratio"),
     ])
     def test_run_refuses_before_writing(self, tmp_path, capsys, text, key):
         conf = tmp_path / "bad.conf"
@@ -323,6 +331,17 @@ class TestConfigChecks:
     def test_non_integral_smote_k_refused(self, k):
         with pytest.raises(ConfigError, match="smote_k / smote_target_ratio: k must be an integer"):
             resolve_spec(env={}, overrides={"smote_k": k})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("smote_k", 0, "k must be positive"),
+        ("smote_k", 2.5, "k must be an integer"),
+        ("smote_target_ratio", 0.0, "target_ratio must lie in"),
+    ])
+    def test_unused_smote_keys_checked(self, key, value, message):
+        # config_hash digests them with smote off too, so a bad value would
+        # give a run a hash of its own
+        with pytest.raises(ConfigError, match=f"smote_k / smote_target_ratio: {message}"):
+            resolve_spec(env={}, overrides={"smote": False, key: value})
 
 
 class TestSeedRange:
@@ -446,6 +465,22 @@ class TestRunCommand:
             got[name] = hashlib.sha256(job["chain_jsonl"].encode("utf-8")).hexdigest()
             expected[name] = digest
         assert got == expected
+
+    def test_large_shards_setup_pinned(self):
+        # 50,000 rows standardized, 30 shards rebalanced by SMOTE from 26-27
+        # minority rows each: every array of the set-up, byte for byte
+        rounds, overrides, _ = BENCHMARK_CHAINS["large-shards"]
+        spec = resolve_spec(env={}, overrides={**overrides, "rounds": rounds, "seed": 1})
+        cfg = build_federation_config(spec, spec.policies[0], spec.epochs, spec.batch_size)
+        state = init_round0(cfg, load_experiment_data(spec))
+        digest = hashlib.sha256()
+        for ds in [*state.shards, *state.raw_shards, state.server_test,
+                   *state.panel.test_shards.values()]:
+            digest.update(ds.features.tobytes())
+            digest.update(ds.labels.tobytes())
+        digest.update(serialize_params(state.global_params))
+        digest.update(np.float64(state.global_loss).tobytes())
+        assert digest.hexdigest() == LARGE_SHARDS_SETUP
 
     def test_greedy_policy_runs_end_to_end(self, tmp_path):
         spec = ExperimentSpec(**{
@@ -656,7 +691,38 @@ class TestUnwritableOut:
         assert captured.out == "" and blocker.read_text() == ""
 
 
+def oracle_synthesize_raw(n, width, minority_fraction, separation, seed):
+    """The stacked synthesize_raw: both classes stacked, then gathered by the permutation."""
+    n_minority = int(round(n * minority_fraction))
+    n_majority = n - n_minority
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=width)
+    direction /= np.linalg.norm(direction)
+    majority = rng.normal(size=(n_majority, width))
+    minority = rng.normal(size=(n_minority, width)) + separation * direction
+    features = np.vstack([majority, minority])
+    labels = np.concatenate(
+        [np.zeros(n_majority, dtype=np.int64), np.ones(n_minority, dtype=np.int64)]
+    )
+    order = rng.permutation(n)
+    return features[order], labels[order]
+
+
 class TestSyntheticDataset:
+    @pytest.mark.parametrize("n, width, fraction, separation, seed", [
+        (4, 1, 0.49, 0.0, 0),
+        (40, 3, 0.05, 2.0, 1),
+        (300, 8, 0.1, 3.0, 5),
+        (1001, 30, 0.02, 2.0, derive_seed(1, "synthetic")),
+        (2000, 30, 0.3, -1.5, 2**62),
+        (50000, 30, 0.02, 2.0, derive_seed(8, "synthetic")),
+    ])
+    def test_raw_rows_match_the_stacked_gather(self, n, width, fraction, separation, seed):
+        features, labels = synthesize_raw(n, width, fraction, separation, seed)
+        want_features, want_labels = oracle_synthesize_raw(n, width, fraction, separation, seed)
+        assert features.tobytes() == want_features.tobytes()
+        assert labels.dtype == want_labels.dtype and labels.tobytes() == want_labels.tobytes()
+
     def test_standardized_and_labeled(self):
         ds = synthetic_dataset(ExperimentSpec(synthetic_n=500, seed=1))
         assert ds.schema_width == 30

@@ -162,6 +162,49 @@ class TestSubset:
         with pytest.raises(ValueError, match="row indices must be integers"):
             ds.subset(idx)
 
+    @pytest.mark.parametrize("idx, bad", [
+        ([-1, -4], -1),
+        ([3, -1], -1),
+        ([0, 2, -3], -3),
+        ([1, 4], 4),
+        (np.array([3, 9, 0], dtype=np.uint8), 9),
+    ])
+    def test_index_outside_rows_refused(self, idx, bad):
+        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        with pytest.raises(ValueError, match=f"^row index {bad} is out of range for 4 rows$"):
+            ds.subset(idx)
+
+
+class TestDatasetLabels:
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 1],
+        np.array([False, True, True]),
+        np.array([0, 1, 1], dtype=np.uint8),
+        np.array([0, 1, 1], dtype=np.int32),
+        np.array([0.0, 1.0, 1.0]),
+        np.array([0.0, 1.0, 1.0], dtype=np.float32),
+    ])
+    def test_exact_zero_one_accepted_as_int64(self, labels):
+        ds = Dataset(np.zeros((3, 2)), labels)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("labels", [
+        [0.7, 1.9, True],
+        [0, 1, 2],
+        [0, -1, 1],
+        [0.0, 1.0, 1e-9],
+        [0.0, 1.0, float("nan")],
+        ["0", "1", "1"],
+        np.array(["0", "1", "1"], dtype=object),
+    ])
+    def test_values_checked_before_the_cast(self, labels):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            Dataset(np.zeros((3, 2)), labels)
+
+    def test_empty(self):
+        ds = Dataset(np.zeros((0, 2)), [])
+        assert ds.labels.dtype == np.int64 and len(ds) == 0
+
 
 class TestSplit:
     def test_exact_stratification(self):
@@ -439,6 +482,31 @@ def oracle_stratified_parts(data, n_parts, seed):
     return [data.subset(np.sort(np.asarray(b, dtype=np.int64))) for b in buckets]
 
 
+def oracle_knn_minority(data, point_index, k):
+    """The per-query kNN that `data._nearest` replaced, one distance vector per call."""
+    minority = data.minority_indices()
+    if point_index not in minority:
+        raise ValueError(f"index {point_index} is not a minority example")
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k >= minority.size:
+        raise ValueError(
+            f"k={k} must be smaller than the minority count {minority.size}"
+        )
+    diffs = data.features[minority] - data.features[point_index]
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    dists[minority == point_index] = np.inf
+    order = np.lexsort((minority, dists))
+    return [int(minority[j]) for j in order[:k]]
+
+
+def oracle_standardize(features):
+    """The two-pass standardize: `np.std`, then a second centering and a division."""
+    feats = np.asarray(features, dtype=np.float64)
+    std = feats.std(axis=0)
+    return (feats - feats.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+
+
 def interpolate(x_i, x_j, r):
     return x_i + (x_j - x_i) * r
 
@@ -450,7 +518,7 @@ def oracle_smote(data, cfg, seed):
     needed = math.ceil(cfg.target_ratio * n_maj) - n_min
     if needed <= 0:
         return data
-    neighbor_table = [knn_minority(data, int(i), cfg.k) for i in minority]
+    neighbor_table = [oracle_knn_minority(data, int(i), cfg.k) for i in minority]
     rng = np.random.default_rng(seed)
     synthetic = np.empty((needed, data.schema_width), dtype=np.float64)
     for s in range(needed):
@@ -583,6 +651,78 @@ class TestArrayCodeMatchesLoops:
         cfg = SmoteConfig(k=k)
         same_shards([smote(data, cfg, 3)], [oracle_smote(data, cfg, 3)])
         assert seen == [None]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_knn_every_k(self, seed):
+        """Every query and every k from 1 to M - 1, through knn_minority and through the
+        table smote builds; a third of the seeds round the features, so points repeat
+        and distances tie."""
+        data = seeded_dataset(seed)
+        minority = data.minority_indices()
+        for k in range(1, minority.size):
+            want = [oracle_knn_minority(data, int(i), k) for i in minority]
+            assert [knn_minority(data, int(i), k) for i in minority] == want
+            table = datamod._nearest(data.features[minority], np.arange(minority.size), k)
+            assert minority[table].tolist() == want
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_knn_ties_and_duplicates(self, width):
+        # four copies of one point and equidistant pairs around it
+        feats = np.zeros((9, width))
+        feats[4:, 0] = [1.0, -1.0, 2.0, -2.0, 1.0]
+        data = make_dataset(feats, [1] * 9)
+        for k in range(1, 9):
+            for i in range(9):
+                assert knn_minority(data, i, k) == oracle_knn_minority(data, i, k)
+        assert knn_minority(data, 1, 4) == [0, 2, 3, 4]
+
+    @pytest.mark.parametrize("cells", [1, 66, 100, 165, 363, 1000])
+    def test_knn_blocks(self, cells, monkeypatch):
+        """A query over 11 minority points of width 3 takes 33 difference cells, so a
+        cap of `cells` splits the 11 queries into blocks of cells // 33 rows (at least
+        1): 1, 2, 3, 5, 11 and 30, the last two in one block."""
+        monkeypatch.setattr(datamod, "_KNN_BLOCK_CELLS", cells)
+        data = imbalanced(11, 5, 3, seed=cells)
+        minority = data.minority_indices()
+        for k in (1, 4, 10):
+            table = datamod._nearest(data.features[minority], np.arange(11), k)
+            assert minority[table].tolist() == [oracle_knn_minority(data, int(i), k)
+                                                for i in minority]
+
+    def test_knn_minority_count_past_one_block(self):
+        """200 minority rows of width 30 need 1.2 M difference cells, so smote's table
+        takes two blocks at the shipped cap: 174 queries, then 26."""
+        data = imbalanced(200, 260, 30, seed=3)
+        assert datamod._KNN_BLOCK_CELLS // (200 * 30) == 174
+        minority = data.minority_indices()
+        table = datamod._nearest(data.features[minority], np.arange(200), 5)
+        assert minority[table].tolist() == [oracle_knn_minority(data, int(i), 5)
+                                            for i in minority]
+        cfg = SmoteConfig(k=5)
+        same_shards([smote(data, cfg, 4)], [oracle_smote(data, cfg, 4)])
+
+    @pytest.mark.parametrize("point_index, k", [(2, 1), (0, 0), (0, 3), (7, 1)])
+    def test_knn_refusals_unchanged(self, point_index, k):
+        data = make_dataset([[0.0], [1.0], [2.0], [5.0]], [1, 1, 0, 1])
+        with pytest.raises(ValueError) as want:
+            oracle_knn_minority(data, point_index, k)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            knn_minority(data, point_index, k)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_standardize(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        rows, width = int(rng.integers(1, 400)), int(rng.integers(1, 8))
+        feats = rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(1e-3, 1e3), (rows, width))
+        feats[:, int(rng.integers(width))] = rng.normal()  # a zero-variance column
+        if seed % 2:
+            feats = np.round(feats)
+        for x in (feats, np.asfortranarray(feats), feats[::-1], feats.astype(np.float32)):
+            assert standardize(x).tobytes() == oracle_standardize(x).tobytes()
+
+    def test_standardize_one_row_and_integers(self):
+        for x in ([[3.0, -2.0, 0.5]], np.arange(12).reshape(4, 3), [[1e150], [-1e150]]):
+            assert standardize(x).tobytes() == oracle_standardize(x).tobytes()
 
     def test_raw_draws_reject_only_read_halves(self):
         words = np.array([1, 0, 0], dtype=np.uint64)  # low half 1, high half 0
