@@ -62,6 +62,15 @@ class Dataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs.astype(np.int64, copy=False))
 
+    @classmethod
+    def _from_checked(cls, features: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """A Dataset of rows taken from checked ones, stored as given: float64
+        features (rows, width) and int64 0/1 labels, so nothing is checked again."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "features", features)
+        object.__setattr__(data, "labels", labels)
+        return data
+
     def __len__(self) -> int:
         return self.features.shape[0]
 
@@ -81,7 +90,7 @@ class Dataset:
                 bad = idx[(idx < 0) | (idx >= len(self))][0]
                 raise ValueError(f"row index {bad} is out of range for {len(self)} rows")
         idx = idx.astype(np.int64, copy=False)
-        return Dataset(self.features[idx], self.labels[idx])
+        return Dataset._from_checked(self.features[idx], self.labels[idx])
 
     def minority_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == 1)
@@ -395,5 +404,8 @@ def smote(data: Dataset, cfg: SmoteConfig, seed: int) -> Dataset:
     synthetic -= x_i
     synthetic *= r[:, None]
     synthetic += x_i
+    # the original rows were checked; a difference near 1e308 can overflow
+    if not np.isfinite(synthetic).all():
+        raise ValueError("features must be finite")
     labels = np.concatenate([data.labels, np.ones(needed, dtype=np.int64)])
-    return Dataset(features, labels)
+    return Dataset._from_checked(features, labels)

@@ -205,7 +205,8 @@ class FederationState:
 def _flip_labels(shard: Dataset, probability: float, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     flip = rng.random(len(shard)) < probability
-    return Dataset(shard.features, np.where(flip, 1 - shard.labels, shard.labels))
+    return Dataset._from_checked(shard.features,
+                                 np.where(flip, 1 - shard.labels, shard.labels))
 
 
 def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:

@@ -67,6 +67,10 @@ class TrainConfig:
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        for key in ("epochs", "batch_size"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -333,22 +337,24 @@ def local_train_many(
 
     Entry i is bit for bit local_train(params, shards[i], cfg, seeds[i]):
     shard i draws all its epochs' permutations up front from its own seeded
-    generator, the same draws as one permutation per epoch. The schedule is
-    planned once: the shards are laid out by row count, hence by batches per
-    epoch, in the concatenated rows and in one weight block, and the steps
-    fall into segments that end where some shard's batch changes size (at
-    its short last batch, the epoch start after it, and its end), at most
-    2 x epochs x shards + 1 of them. At a segment's first step, each maximal
-    run of adjacent shards with the same row count is a group, a shard alone
-    included: it takes the segment's steps in one stacked forward and
-    backward pass through the _Step kernel kept for its (first, end, rows),
-    built on its slice of the weight block, which the steps update in
-    place. Equal-sized shards that are not adjacent step as separate groups.
+    generator, the same draws as one permutation per epoch, and takes its
+    batches in order. The shards are laid out by row count, hence by full
+    batches per epoch, in the concatenated rows and in one weight block, and
+    move through the epochs together. Step s of an epoch stacks the shards
+    that still have an (s+1)-th full batch, a suffix of the layout, in one
+    forward and backward pass through the _Step kernel built for that suffix
+    on its slice of the weight block, which the steps update in place. Then
+    each run of adjacent shards whose last batches are equally short takes
+    them in one pass. Stacking never changes a row's bits, so the schedule
+    only decides how many passes a call makes.
 
     Beside the concatenated rows, this keeps `order`, epochs x rows indices
-    (about 2 MB for ten shards of 2,600 rows over 10 epochs), and the
-    kernels' buffers, shards x rows x the widest layer each; nothing grows
-    with steps x shards. The Datasets checked their rows (finite features,
+    (about 2 MB for ten shards of 2,600 rows over 10 epochs), the positions
+    in `order` of each shard's next full batch and of its short last batch,
+    no more entries than rows, and the kernels' buffers, shards x rows x the
+    widest layer each; nothing grows with steps x shards. A step reads its
+    positions from `order`, gathers those rows and moves the positions on
+    by the batch size. The Datasets checked their rows (finite features,
     0/1 labels) when they were built, so this checks only that every shard
     is non-empty and matches the model's input width, once.
     """
@@ -360,13 +366,13 @@ def local_train_many(
         return []
     layout = np.argsort([len(shard) for shard in shards], kind="stable")
     x = np.concatenate([shards[i].features for i in layout])
-    y = np.concatenate([shards[i].labels for i in layout])
+    y = np.concatenate([shards[i].labels for i in layout]).astype(np.float64)
     n = np.array([len(shards[i]) for i in layout])
     epochs = cfg.epochs
     # no wider than the largest shard: the same batches, and positions stay within int64
     batch = min(cfg.batch_size, int(n[-1]))
-    per_epoch = -(-n // batch)
-    ends = epochs * per_epoch  # ascending, as the layout is
+    full = n // batch  # full batches an epoch, ascending as the layout is
+    short = n - full * batch  # rows of the short last batch, 0 for none
     # order[begins[j] + e * n[j] + p] is row p of shard j's epoch e, as a row of x
     begins = np.cumsum(epochs * n) - epochs * n
     order = np.empty(epochs * len(x), dtype=np.intp)
@@ -374,33 +380,38 @@ def local_train_many(
         epoch_rows = order[at : at + epochs * count].reshape(epochs, count)
         epoch_rows[...] = np.arange(first, first + count)
         np.random.default_rng(seeds[i]).permuted(epoch_rows, axis=1, out=epoch_rows)
-    epoch_starts = np.outer(np.arange(1, epochs + 1), per_epoch[n % batch != 0]).ravel()
-    events = sorted({0, *ends.tolist(), *(epoch_starts - 1).tolist(), *epoch_starts.tolist()})
     weights = np.tile(params.weights, (len(shards), 1))
-    # cursor[j] is where shard j's next batch starts in `order`; a step moves
-    # it by the batch's rows, so a short last batch moves it to the next epoch
-    cursor = begins.copy()
-    # (first shard, end shard, rows) -> the kernel that steps that group
-    kernels: dict[tuple[int, int, int], _Step] = {}
-    for step, stop in zip(events, events[1:]):
-        lo = int(np.searchsorted(ends, step, side="right"))  # the shards before lo are done
-        rows = np.minimum(n[lo:] - step % per_epoch[lo:] * batch, batch)
-        cuts = [lo, *((rows[1:] != rows[:-1]).nonzero()[0] + lo + 1).tolist(), len(n)]
-        # shards never share a step's arithmetic, so the groups step in turn
-        for a, b in zip(cuts, cuts[1:]):
-            count = int(rows[a - lo])
-            if (a, b, count) not in kernels:
-                kernels[a, b, count] = _Step(dims, weights[a:b], count, cfg.weight_decay)
-            kernel = kernels[a, b, count]
-            pos = cursor[a:b, None] + np.arange(count)
-            w = kernel.w
-            for _ in range(stop - step):
-                idx = order[pos]
+    wd = cfg.weight_decay
+    # An epoch's passes in turn, as (steps, kernel, positions in `order`, what
+    # a step adds to them). Step s stacks the shards with more than s full
+    # batches, shards lo.. for s in [full[lo - 1], full[lo]); the shards
+    # before `whole` have none, and pos holds the others' next full batch.
+    whole = int(np.searchsorted(full, 0, side="right"))
+    pos = begins[whole:, None] + np.arange(batch)
+    passes = []
+    start = 0
+    for lo in np.flatnonzero(np.diff(full, prepend=0)).tolist():
+        stop = int(full[lo])
+        kernel = _Step(dims, weights[lo:], batch, wd)
+        passes.append((stop - start, kernel, pos[lo - whole :], batch))
+        start = stop
+    # Then each run of adjacent shards whose last batches are equally short
+    # takes them in one step, which moves their positions to the next epoch.
+    edges = [0, *(np.flatnonzero(np.diff(short)) + 1).tolist(), len(n)]
+    for a, b in zip(edges, edges[1:]):
+        if short[a]:
+            last = (begins[a:b] + full[a:b] * batch)[:, None] + np.arange(short[a])
+            passes.append((1, _Step(dims, weights[a:b], int(short[a]), wd), last, n[a:b, None]))
+    for _ in range(epochs):
+        for steps, kernel, at, advance in passes:
+            for _ in range(steps):
+                idx = order[at]
                 g = kernel(x.take(idx, axis=0), y.take(idx))
                 g *= cfg.learning_rate
-                w -= g
-                pos += batch
-            cursor[a:b] += (stop - step) * count
+                kernel.w -= g
+                at += advance
+        # past its short rows, a shard's next full batch starts its next epoch
+        pos += short[whole:, None]
     return [ModelParams(dims, weights[j]) for j in np.argsort(layout).tolist()]
 
 

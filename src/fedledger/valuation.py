@@ -375,17 +375,18 @@ def tmc_shapley(
         orders = np.array([rng.permutation(n) for _ in range(batch)])
         walks, steps = _walk_marginals(game, orders, full_value, truncation_tol)
         evaluations += steps
-        for marginals in walks:
-            done += 1
-            sums += marginals
-            sumsq += marginals * marginals
-            means = sums / done
-            if done > 1:
-                if np.max(np.abs(means - prev_means)) < convergence_tol:
-                    stable_streak += 1
-                else:
-                    stable_streak = 0
-            prev_means = means
+        # row w: the running sums after walk w, added one walk at a time as
+        # cumsum does; each walk's means are compared with those before it
+        running = np.cumsum(np.vstack([sums, walks]), axis=0)[1:]
+        sumsq = np.cumsum(np.vstack([sumsq, walks * walks]), axis=0)[-1]
+        means = running / np.arange(done + 1, done + batch + 1)[:, None]
+        changes = np.max(np.abs(np.diff(means, axis=0, prepend=prev_means[None])), axis=1)
+        # the very first walk has no means before it
+        for change in changes[1 if done == 0 else 0 :].tolist():
+            stable_streak = stable_streak + 1 if change < convergence_tol else 0
+        done += batch
+        sums = running[-1]
+        prev_means = means[-1]
 
     means = sums / done
     if done > 1:

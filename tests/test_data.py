@@ -206,6 +206,62 @@ class TestDatasetLabels:
         assert ds.labels.dtype == np.int64 and len(ds) == 0
 
 
+class TestDerivedDatasets:
+    """Datasets derived from a checked one are built without checking again."""
+
+    @staticmethod
+    def checked():
+        rng = np.random.default_rng(24)
+        labels = np.array([1] * 12 + [0] * 48)
+        return make_dataset(rng.normal(size=(60, 3)) + labels[:, None], labels)
+
+    def test_derived_paths_skip_the_checks(self, monkeypatch):
+        from fedledger.federation import _flip_labels
+
+        data = self.checked()
+
+        def checked_again(self):
+            raise AssertionError("a derived Dataset was checked again")
+
+        monkeypatch.setattr(Dataset, "__post_init__", checked_again)
+        derived = [
+            data.subset([5, 0, 59, 5]),
+            data.subset([]),
+            *split(data, 0.8, 1),
+            *partition(data, PartitionPlan(4), 2),
+            *partition(data, PartitionPlan(4, "label-skew", 0.5), 3),
+            *stratified_parts(data, 3, 4),
+            smote(data, SmoteConfig(k=3), 5),
+            _flip_labels(data, 0.3, 6),
+        ]
+        monkeypatch.undo()
+        for out in derived:
+            # as the checks would have stored them
+            again = Dataset(out.features, out.labels)
+            assert out.features.dtype == np.float64 and out.features.ndim == 2
+            assert out.labels.dtype == np.int64
+            assert np.array_equal(again.features, out.features)
+            assert np.array_equal(again.labels, out.labels)
+
+    @pytest.mark.parametrize("features, labels, message", [
+        ([[0.0], [math.inf]], [0, 1], "features must be finite"),
+        ([[0.0], [math.nan]], [0, 1], "features must be finite"),
+        ([[0.0], [1.0]], [0, 2], "labels must be 0 or 1"),
+    ])
+    def test_constructor_keeps_every_check(self, features, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(np.array(features), np.array(labels))
+
+    def test_smote_refuses_rows_that_overflow(self):
+        # finite rows whose differences overflow: row 1's neighbour is row 0,
+        # so its synthetic row x_1 + (x_0 - x_1) * r is not finite
+        feats = np.array([[1.5e308], [-1.5e308], [1.4e308], [0.0], [1.0], [2.0], [3.0], [4.0]])
+        data = make_dataset(feats, [1, 1, 1, 0, 0, 0, 0, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^features must be finite$"):
+                smote(data, SmoteConfig(k=1), 7)
+
+
 class TestSplit:
     def test_exact_stratification(self):
         labels = [1] * 10 + [0] * 90

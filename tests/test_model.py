@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -12,6 +13,7 @@ from fedledger.model import (
     ModelParams,
     TrainConfig,
     _bce,
+    _check_data,
     _sigmoid,
     _Step,
     average,
@@ -179,6 +181,63 @@ def parent_metrics(dims, w, data, threshold):
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     accuracy = np.count_nonzero(preds == y) / len(y)
     return Metrics(float(accuracy), float(_bce(probs, data.labels)), f1, precision)
+
+
+def parent_local_train_many(params, shards, cfg, seeds):
+    """local_train_many as it was before the shards moved through epochs
+    together, kept verbatim as the oracle for the schedule: its steps fall
+    into segments planned from the steps where some shard's batch changes
+    size."""
+    if len(seeds) != len(shards):
+        raise ValueError(f"{len(seeds)} seeds for {len(shards)} shards")
+    dims = params.layer_dims
+    _check_data(params.input_width, shards, "shard")
+    if not shards:
+        return []
+    layout = np.argsort([len(shard) for shard in shards], kind="stable")
+    x = np.concatenate([shards[i].features for i in layout])
+    y = np.concatenate([shards[i].labels for i in layout])
+    n = np.array([len(shards[i]) for i in layout])
+    epochs = cfg.epochs
+    # no wider than the largest shard: the same batches, and positions stay within int64
+    batch = min(cfg.batch_size, int(n[-1]))
+    per_epoch = -(-n // batch)
+    ends = epochs * per_epoch  # ascending, as the layout is
+    # order[begins[j] + e * n[j] + p] is row p of shard j's epoch e, as a row of x
+    begins = np.cumsum(epochs * n) - epochs * n
+    order = np.empty(epochs * len(x), dtype=np.intp)
+    for i, first, count, at in zip(layout.tolist(), np.cumsum(n) - n, n, begins):
+        epoch_rows = order[at : at + epochs * count].reshape(epochs, count)
+        epoch_rows[...] = np.arange(first, first + count)
+        np.random.default_rng(seeds[i]).permuted(epoch_rows, axis=1, out=epoch_rows)
+    epoch_starts = np.outer(np.arange(1, epochs + 1), per_epoch[n % batch != 0]).ravel()
+    events = sorted({0, *ends.tolist(), *(epoch_starts - 1).tolist(), *epoch_starts.tolist()})
+    weights = np.tile(params.weights, (len(shards), 1))
+    # cursor[j] is where shard j's next batch starts in `order`; a step moves
+    # it by the batch's rows, so a short last batch moves it to the next epoch
+    cursor = begins.copy()
+    # (first shard, end shard, rows) -> the kernel that steps that group
+    kernels: dict[tuple[int, int, int], _Step] = {}
+    for step, stop in zip(events, events[1:]):
+        lo = int(np.searchsorted(ends, step, side="right"))  # the shards before lo are done
+        rows = np.minimum(n[lo:] - step % per_epoch[lo:] * batch, batch)
+        cuts = [lo, *((rows[1:] != rows[:-1]).nonzero()[0] + lo + 1).tolist(), len(n)]
+        # shards never share a step's arithmetic, so the groups step in turn
+        for a, b in zip(cuts, cuts[1:]):
+            count = int(rows[a - lo])
+            if (a, b, count) not in kernels:
+                kernels[a, b, count] = _Step(dims, weights[a:b], count, cfg.weight_decay)
+            kernel = kernels[a, b, count]
+            pos = cursor[a:b, None] + np.arange(count)
+            w = kernel.w
+            for _ in range(stop - step):
+                idx = order[pos]
+                g = kernel(x.take(idx, axis=0), y.take(idx))
+                g *= cfg.learning_rate
+                w -= g
+                pos += batch
+            cursor[a:b] += (stop - step) * count
+    return [ModelParams(dims, weights[j]) for j in np.argsort(layout).tolist()]
 
 
 def one_model_cases(hidden):
@@ -422,6 +481,20 @@ class TestLocalTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("key", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, np.float64(8.0), "8"])
+    def test_non_integer_counts_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+            TrainConfig(**{key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int64(8))
+        ds = make_dataset(np.eye(3), [1, 0, 1])
+        params = init_params((3, 1), seed=1)
+        trained = local_train(params, ds, cfg, 5)
+        expected = local_train(params, ds, TrainConfig(epochs=2, batch_size=8), 5)
+        assert np.array_equal(trained.weights, expected.weights)
+
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", math.nan),
         ("learning_rate", math.inf),
@@ -431,6 +504,11 @@ class TestLocalTrain:
     def test_non_finite_rates_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             TrainConfig(**{key: value})
+
+
+# row counts like those of ten shards a synthetic_n = 50000 run rebalances,
+# two pairs equal, in no order
+LARGE_SHARDS = [2626, 2592, 2610, 2604, 2610, 2590, 2616, 2598, 2626, 2620]
 
 
 class TestLocalTrainMany:
@@ -471,6 +549,8 @@ class TestLocalTrainMany:
         # and a batch beyond int64 must not overflow position arithmetic
         ([1, 40, 300], 10**12),
         ([1, 40, 300], 10**30),
+        # ten shards of a large-shards round: 81 to 83 batches an epoch
+        (LARGE_SHARDS, 32),
     ])
     @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.001])
@@ -586,6 +666,77 @@ class TestLocalTrainMany:
         shard = make_dataset(np.ones((4, 3)), [0, 1, 0, 1])
         with pytest.raises(ValueError, match="1 seeds for 2 shards"):
             local_train_many(init_params((3, 1), seed=0), [shard, shard], TrainConfig(), [0])
+
+
+def step_shapes(train, sizes, batch, epochs):
+    """The (stack, rows) of every _Step call `train` makes for shards of these
+    sizes; the weights are not looked at."""
+    calls = []
+    step = _Step.__call__
+
+    def counted(kernel, x, y):
+        calls.append(x.shape[:-1])
+        return step(kernel, x, y)
+
+    shards = [make_dataset(np.zeros((n, 2)), np.zeros(n, dtype=np.int64)) for n in sizes]
+    cfg = TrainConfig(epochs=epochs, batch_size=batch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Step, "__call__", counted)
+        train(init_params((2, 1), seed=0), shards, cfg, list(range(len(sizes))))
+    return calls
+
+
+def batches_by_rows(calls):
+    """How many shard batches of each row count the calls took."""
+    totals = collections.Counter()
+    for stack, rows in calls:
+        totals[rows] += stack
+    return totals
+
+
+def seeded_layouts(count):
+    """(sizes, batch, epochs) of up to 11 shards of 1 to 59 rows."""
+    rng = np.random.default_rng(24)
+    for _ in range(count):
+        sizes = rng.integers(1, 60, size=int(rng.integers(1, 12))).tolist()
+        yield sizes, int(rng.integers(1, 20)), int(rng.integers(1, 4))
+
+
+class TestSchedule:
+    """local_train_many's passes against parent_local_train_many's. The bits
+    are subset_sgd's to check; this checks that the shards take as many
+    batches of each size as before, in no more _Step calls."""
+
+    @pytest.mark.parametrize("sizes, batch, epochs", [
+        ([1, 31, 32, 33, 2601], 32, 3),
+        ([95, 100, 130, 131, 200], 16, 3),
+        ([1, 7, 33, 60], 1, 3),
+        ([1, 40, 300], 10**12, 3),
+        ([20, 53, 1, 54, 64, 33, 53, 200], 16, 3),
+        ([61, 20, 41, 60, 21, 40], 16, 4),
+        ([48, 16, 50, 64], 16, 5),
+        ([54, 53, 53, 54, 53, 53, 53, 54, 53, 53], 32, 10),
+        ([70], 16, 3),
+        (LARGE_SHARDS, 32, 10),
+        ([5000] + [1] * 29, 1, 2),
+    ])
+    def test_same_batches_in_no_more_calls(self, sizes, batch, epochs):
+        got = step_shapes(local_train_many, sizes, batch, epochs)
+        want = step_shapes(parent_local_train_many, sizes, batch, epochs)
+        assert len(got) <= len(want)
+        assert batches_by_rows(got) == batches_by_rows(want)
+
+    def test_seeded_layouts(self):
+        for layout in seeded_layouts(200):
+            self.test_same_batches_in_no_more_calls(*layout)
+
+    def test_large_shards_round(self):
+        # 80 full batches an epoch for 2590 rows, 82 for 2626, 81 for the
+        # rest; then one pass per run of equally short last batches
+        calls = step_shapes(local_train_many, LARGE_SHARDS, 32, 10)
+        per_epoch = [(10, 32)] * 80 + [(9, 32), (2, 32), (1, 30), (1, 6), (1, 12),
+                                        (2, 18), (1, 24), (1, 28), (2, 2)]
+        assert calls == per_epoch * 10
 
 
 class TestStepKernel:

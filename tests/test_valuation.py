@@ -11,12 +11,14 @@ from fedledger import valuation
 from fedledger.data import Dataset
 from fedledger.model import ModelParams, average, loss
 from fedledger.valuation import (
+    STABLE_WALKS,
     CapacityError,
     FunctionGame,
     ShapleyResult,
     UtilityGame,
     check_axioms,
     exact_shapley,
+    _walk_marginals,
     tmc_shapley,
 )
 
@@ -387,6 +389,103 @@ class TestTmcLockStep:
         (key,) = kwargs
         with pytest.raises(ValueError, match=f"{key} must be non-negative and finite"):
             tmc_shapley(random_game(3, 0), **kwargs)
+
+
+def parent_tmc_shapley(game, truncation_tol, max_permutations, convergence_tol, seed):
+    """tmc_shapley as it was when it folded each batch of walks one walk at a
+    time, kept verbatim as the oracle for its cumulative sums."""
+    if not 0 <= truncation_tol < math.inf:
+        raise ValueError(
+            f"truncation_tol must be non-negative and finite, got {truncation_tol!r}")
+    if not 0 <= convergence_tol < math.inf:
+        raise ValueError(
+            f"convergence_tol must be non-negative and finite, got {convergence_tol!r}")
+    if max_permutations < 1:
+        raise ValueError("max_permutations must be at least 1")
+    players = game.players
+    n = len(players)
+    if n == 0:
+        return ShapleyResult({}, 0, "tmc", stderr={})
+    full_value = game.utility(players)
+    evaluations = 1
+    if n == 1:
+        # one permutation settles a single-player game exactly
+        return ShapleyResult({players[0]: full_value}, evaluations, "tmc",
+                             stderr={players[0]: 0.0})
+
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(n)
+    sumsq = np.zeros(n)
+    prev_means = np.zeros(n)
+    done = 0
+    stable_streak = 0
+    while done < max_permutations and stable_streak < STABLE_WALKS:
+        lacking = STABLE_WALKS + 1 if done == 0 else STABLE_WALKS - stable_streak
+        batch = min(lacking, max_permutations - done)
+        orders = np.array([rng.permutation(n) for _ in range(batch)])
+        walks, steps = _walk_marginals(game, orders, full_value, truncation_tol)
+        evaluations += steps
+        for marginals in walks:
+            done += 1
+            sums += marginals
+            sumsq += marginals * marginals
+            means = sums / done
+            if done > 1:
+                if np.max(np.abs(means - prev_means)) < convergence_tol:
+                    stable_streak += 1
+                else:
+                    stable_streak = 0
+            prev_means = means
+
+    means = sums / done
+    if done > 1:
+        variance = np.maximum(sumsq - done * means * means, 0.0) / (done - 1)
+        stderr_arr = np.sqrt(variance / done)
+    else:
+        stderr_arr = np.zeros(n)
+    return ShapleyResult(
+        {p: float(means[i]) for i, p in enumerate(players)},
+        evaluations,
+        "tmc",
+        stderr={p: float(stderr_arr[i]) for i, p in enumerate(players)},
+    )
+
+
+
+class TestTmcFold:
+    """tmc_shapley's cumulative-sum fold against the walk-by-walk loop."""
+
+    @staticmethod
+    def assert_same(make_game, truncation_tol, max_permutations, convergence_tol, seed):
+        want = parent_tmc_shapley(make_game(), truncation_tol, max_permutations,
+                                  convergence_tol, seed)
+        got = tmc_shapley(make_game(), truncation_tol, max_permutations, convergence_tol, seed)
+        players = list(want.values)
+        for field in ("values", "stderr"):
+            assert np.array_equal(bits([getattr(got, field)[p] for p in players]),
+                                  bits([getattr(want, field)[p] for p in players])), field
+        assert got.num_evaluations == want.num_evaluations
+
+    # 1 and 5 cap the first batch, 16 the second, 40 the fourth
+    @pytest.mark.parametrize("max_permutations", [1, 5, 11, 16, 40, 500])
+    @pytest.mark.parametrize("convergence_tol", [0.0, 1e-3, 0.05, 1e9])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_matches_walk_by_walk_loop(self, n, convergence_tol, max_permutations):
+        seed = 7 * n + max_permutations
+        for make in (random_game, saturating_game):
+            for truncation_tol in (0.0, 1e-4, 10.0):
+                self.assert_same(lambda: make(n, seed), truncation_tol, max_permutations,
+                                 convergence_tol, seed)
+
+    @pytest.mark.parametrize("max_permutations", [1, 11, 37])
+    @pytest.mark.parametrize("convergence_tol", [0.0, 1e9])
+    def test_nan_marginals(self, convergence_tol, max_permutations):
+        self.assert_same(lambda: nan_game(5, 8), 0.0, max_permutations, convergence_tol, 3)
+
+    def test_stops_after_the_streak(self):
+        # any change is below 1e9: the streak fills on walk 11, so one batch is all
+        res = tmc_shapley(random_game(4, 2), 0.0, 500, 1e9, 5)
+        assert res.num_evaluations == 1 + 11 * 4
 
 
 class TestCheckAxioms:
