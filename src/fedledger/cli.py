@@ -73,6 +73,9 @@ class ExperimentSpec(RunSettings):
 
     def __post_init__(self) -> None:
         """Refuse, before any job runs or writes, a value that a job would reject."""
+        # checked by SmoteConfig with smote off too: config_hash digests the keys either way
+        _checked("smote_k / smote_target_ratio", SmoteConfig,
+                 k=self.smote_k, target_ratio=self.smote_target_ratio)
         super().__post_init__()
         if self.data not in ("synthetic", "csv"):
             raise ConfigError(f"bad value for 'data': {self.data!r} (synthetic or csv)")
@@ -244,10 +247,7 @@ def synthetic_dataset(spec: ExperimentSpec) -> Dataset:
 
 
 def write_schema_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
-    if features.shape[1] != len(CREDIT_CARD_COLUMNS) - 1:
-        raise ValueError(
-            f"schema CSV needs {len(CREDIT_CARD_COLUMNS) - 1} feature columns"
-        )
+    """The rows under the credit-card header; features has the schema's width."""
     with open(path, "w") as fh:
         fh.write(",".join(CREDIT_CARD_COLUMNS) + "\n")
         for row, label in zip(features, labels):
@@ -281,13 +281,10 @@ def build_federation_config(
         batch_size=batch_size,
         weight_decay=spec.weight_decay,
     )
-    # checked even when smote is off: config_hash digests the keys either way
-    smote_cfg = _checked("smote_k / smote_target_ratio", SmoteConfig,
-                         k=spec.smote_k, target_ratio=spec.smote_target_ratio)
     return FederationConfig(
         policy=policy,
         train=train,
-        smote=smote_cfg if spec.smote else None,
+        smote=SmoteConfig(spec.smote_k, spec.smote_target_ratio) if spec.smote else None,
         master_seed=spec.seed,
         **{key: getattr(spec, key) for key in _RUN_KEYS},
     )

@@ -100,6 +100,13 @@ class Dataset:
         return len(self) - pos, pos
 
 
+def check_integer(key: str, value) -> None:
+    """Refuse, naming its key, a setting that is not an integer: a bool, a float
+    such as 3.0 or anything else. Python and numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """How to shard a training set across organizations.
@@ -114,6 +121,7 @@ class PartitionPlan:
     skew: float = 0.0
 
     def __post_init__(self) -> None:
+        check_integer("num_orgs", self.num_orgs)
         if self.num_orgs < 1:
             raise ValueError("num_orgs must be positive")
         if self.mode not in ("iid", "label-skew"):
@@ -128,8 +136,7 @@ class SmoteConfig:
     target_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+        check_integer("k", self.k)
         if self.k < 1:
             raise ValueError("k must be positive")
         if not 0.0 < self.target_ratio <= 1.0:
@@ -274,8 +281,6 @@ def partition(data: Dataset, plan: PartitionPlan, seed: int) -> list[Dataset]:
 
 def stratified_parts(data: Dataset, n_parts: int, seed: int) -> list[Dataset]:
     """Deal the dataset into n_parts shards of near-equal class composition."""
-    if n_parts < 1:
-        raise ValueError("n_parts must be positive")
     rng = np.random.default_rng(seed)
     by_class = [rng.permutation(np.flatnonzero(data.labels == cls)) for cls in (0, 1)]
     return [data.subset(np.sort(np.concatenate([idx[p::n_parts] for idx in by_class])))
@@ -299,9 +304,10 @@ def _nearest(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     `queries[q]`, nearest first.
 
     Euclidean distance, each row's from one `einsum("ij,ij->i")` over its differences
-    `points - points[query]`; a query's own distance is inf, and a stable sort breaks
-    ties by lower position. Queries run in blocks of at most `_KNN_BLOCK_CELLS`
-    difference cells, so many points never need all their pairs at once.
+    `points - points[query]`. A query's own distance is set to -inf, so a stable sort
+    puts it first, to be dropped, and breaks every other tie by lower position. Queries
+    run in blocks of at most `_KNN_BLOCK_CELLS` difference cells, so many points never
+    need all their pairs at once.
     """
     m, width = points.shape
     per_block = max(1, _KNN_BLOCK_CELLS // max(1, m * width))
@@ -310,8 +316,8 @@ def _nearest(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
         block = queries[start : start + per_block]
         diffs = (points - points[block, None, :]).reshape(block.size * m, width)
         dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).reshape(block.size, m)
-        dists[np.arange(block.size), block] = np.inf
-        table[start : start + block.size] = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        dists[np.arange(block.size), block] = -np.inf
+        table[start : start + block.size] = np.argsort(dists, axis=1, kind="stable")[:, 1 : k + 1]
     return table
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
+from functools import cache, cached_property
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import ledger as ledgermod
 from . import model as modelmod
 from . import selection as selmod
 from . import valuation as valmod
-from .data import Dataset, PartitionPlan, SmoteConfig
+from .data import Dataset, PartitionPlan, SmoteConfig, check_integer
 from .ledger import Block, ContentStore, LocalUpdateTx, ValidatorPanel
 from .model import Metrics, ModelParams, TrainConfig
 from .seeds import check_seed, derive_seed
@@ -49,9 +49,17 @@ class FederationAborted(RuntimeError):
 VALUATION_METHODS = ("exact", "tmc", "off")
 
 
+# the resolved type of each field of a RunSettings class, by name
+_field_types = cache(get_type_hints)
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunSettings:
-    """The run keys `FederationConfig` shares with the CLI spec, each checked here alone."""
+    """The run keys `FederationConfig` shares with the CLI spec, each checked here alone.
+
+    An int field of this class or a subclass, and each entry of a tuple[int, ...]
+    field, must be an integer, and a float field finite.
+    """
 
     num_orgs: int = 30
     rounds: int = 100
@@ -73,9 +81,15 @@ class RunSettings:
     label_noise: float = 0.0
 
     def __post_init__(self) -> None:
+        hints = _field_types(type(self))
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
+            if hints[key] is int:
+                check_integer(key, value)
+            elif hints[key] == tuple[int, ...]:
+                for entry in value:
+                    check_integer(f"{key} entry", entry)
         if self.num_orgs < 1:
             raise ValueError("num_orgs must be positive")
         if self.rounds < 1:
@@ -245,12 +259,7 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
     dims = (train.schema_width, *cfg.hidden_dims, 1)
     w0 = modelmod.init_params(dims, derive_seed(ms, "init"))
 
-    validator_ids = tuple(range(cfg.validators))
-    panel = ValidatorPanel(
-        validator_ids,
-        dict(zip(validator_ids, validator_shards)),
-        cfg.accuracy_floor,
-    )
+    panel = ValidatorPanel(dict(enumerate(validator_shards)), cfg.accuracy_floor)
 
     store = ContentStore()
     genesis = ledgermod.make_block(
@@ -312,12 +321,9 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
     # local training and submission; greedy charges its full candidate pool
     submissions = pretrained or state.train_round(t, sorted(selected))
     txs = []
-    bytes_off_chain = 0
     for org in sorted(submissions):
         payload = ledgermod.serialize_params(submissions[org])
         txs.append(LocalUpdateTx(t, org, state.store.put(payload), len(payload)))
-        bytes_off_chain += len(payload)
-    bytes_on_chain = (len(txs) + 1) * ledgermod.TX_WIRE_BYTES
 
     # from here on, every model is one a validator fetched from the store
     winner_digest, new_global, votes, accepted = ledgermod.cross_verify(
@@ -359,8 +365,8 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         selected=frozenset(selected),
         global_metrics=global_metrics,
         shapley=shapley,
-        bytes_on_chain=bytes_on_chain,
-        bytes_off_chain=bytes_off_chain,
+        bytes_on_chain=(len(txs) + 1) * ledgermod.TX_WIRE_BYTES,
+        bytes_off_chain=sum(tx.payload_bytes for tx in txs),
         global_params=new_global,
         raw_shards=tuple(state.raw_shards),
         threshold=cfg.threshold,
@@ -372,19 +378,16 @@ def rounds_to_threshold(reports: list[RoundReport]) -> int | None:
     accuracy (1-based count); the communication-efficiency summary metric."""
     if not reports:
         return None
-    final = reports[-1].global_metrics.accuracy
-    cutoff = 0.9 * final
-    for report in reports:
-        if report.global_metrics.accuracy >= cutoff:
-            return report.round_index + 1
-    return None
+    cutoff = 0.9 * reports[-1].global_metrics.accuracy
+    # an accuracy is never negative, so the final round itself reaches the cutoff
+    return next(r.round_index + 1 for r in reports if r.global_metrics.accuracy >= cutoff)
 
 
 def run(cfg: FederationConfig, dataset: Dataset) -> tuple[RunResult, FederationState]:
     """Iterate rounds until the accuracy target is met or rounds run out.
 
     Returns the result plus the final state, whose chain and store back the
-    CLI's ledger export.
+    CLI's ledger export; append_block checked each block as it was sealed.
     """
     state = init_round0(cfg, dataset)
     for t in range(cfg.rounds):
@@ -394,16 +397,10 @@ def run(cfg: FederationConfig, dataset: Dataset) -> tuple[RunResult, FederationS
             and report.global_metrics.accuracy >= cfg.accuracy_target
         ):
             break
-    verdict = ledgermod.validate_chain(state.chain)
-    if not verdict:
-        raise ledgermod.ChainIntegrityError(
-            f"chain invalid at height {verdict.first_failure_height} after run"
-        )
-    result = RunResult(
+    return RunResult(
         reports=state.reports,
         final_model_digest=state.chain[-1].global_model_digest,
         rounds_to_threshold=rounds_to_threshold(state.reports),
         contributions=dict(state.contributions),
-    )
-    return result, state
+    ), state
 

@@ -136,19 +136,21 @@ class VerificationOutcome:
 
 @dataclass(frozen=True)
 class ValidatorPanel:
-    """Validators and the held-out shards they score submissions on."""
+    """The held-out shard each validator scores submissions on, by validator id."""
 
-    validators: tuple[int, ...]
     test_shards: dict[int, Dataset]
     accuracy_floor: float = 0.5
 
     def __post_init__(self) -> None:
-        if len(self.validators) % 2 == 0:
+        if len(self.test_shards) % 2 == 0:
             raise ValueError("validator count must be odd so majority is defined")
-        if set(self.validators) != set(self.test_shards):
-            raise ValueError("every validator needs a test shard")
         if not 0.0 <= self.accuracy_floor <= 1.0:
             raise ValueError("accuracy_floor must lie in [0, 1]")
+
+    @property
+    def validators(self) -> tuple[int, ...]:
+        """The validator ids: the shard keys, in order."""
+        return tuple(self.test_shards)
 
 
 def verify_local_updates(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_integer
 
 PROB_FLOOR = 1e-12
 
@@ -68,9 +68,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         for key in ("epochs", "batch_size"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+            check_integer(key, getattr(self, key))
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:

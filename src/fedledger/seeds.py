@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 
 
-def derive_seed(*parts: int | str | bytes) -> int:
+def derive_seed(*parts: int | str) -> int:
     """Mix the given components into a 64-bit seed.
 
     Components are length-prefixed before hashing so that ("ab", "c") and
@@ -19,11 +19,9 @@ def derive_seed(*parts: int | str | bytes) -> int:
     """
     h = hashlib.sha256()
     for part in parts:
-        if isinstance(part, bytes):
-            raw = part
-        elif isinstance(part, str):
+        if isinstance(part, str):
             raw = part.encode("utf-8")
-        elif isinstance(part, (int,)):
+        elif isinstance(part, int):
             raw = int(part).to_bytes(16, "little", signed=True)
         else:
             raise TypeError(f"cannot derive seed from {type(part).__name__}")

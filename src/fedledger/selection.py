@@ -13,6 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .data import check_integer
 from .seeds import derive_seed
 from .valuation import CoalitionGame
 
@@ -28,6 +29,8 @@ class SelectionPolicy:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
+        for key in ("k", "exploration_period"):
+            check_integer(key, getattr(self, key))
         if self.k < 1:
             raise ValueError("k must be positive")
         if self.exploration_period < 1:

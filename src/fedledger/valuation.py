@@ -338,11 +338,11 @@ def tmc_shapley(
     permutations. Deterministic given the seed.
 
     Walks are drawn in batches that the stopping rule could not end early:
-    STABLE_WALKS + 1 first, since the first walk cannot extend the streak,
-    then as many as the streak lacks. A batch advances together (see
-    _walk_marginals) and is folded in walk order, so the result, the
-    evaluation count and the coalitions evaluated are those of walking the
-    permutations one at a time.
+    as many as the streak lacks. The streak starts at -1, since the first
+    walk has no means before it to compare with, so the first batch is
+    STABLE_WALKS + 1 walks. A batch advances together (see _walk_marginals)
+    and is folded in walk order, so the result, the evaluation count and the
+    coalitions evaluated are those of walking the permutations one at a time.
     """
     if not 0 <= truncation_tol < math.inf:
         raise ValueError(
@@ -366,12 +366,10 @@ def tmc_shapley(
     rng = np.random.default_rng(seed)
     sums = np.zeros(n)
     sumsq = np.zeros(n)
-    prev_means = np.zeros(n)
     done = 0
-    stable_streak = 0
+    stable_streak = -1  # the first walk's change, from no means, sets it to 0
     while done < max_permutations and stable_streak < STABLE_WALKS:
-        lacking = STABLE_WALKS + 1 if done == 0 else STABLE_WALKS - stable_streak
-        batch = min(lacking, max_permutations - done)
+        batch = min(STABLE_WALKS - stable_streak, max_permutations - done)
         orders = np.array([rng.permutation(n) for _ in range(batch)])
         walks, steps = _walk_marginals(game, orders, full_value, truncation_tol)
         evaluations += steps
@@ -380,13 +378,12 @@ def tmc_shapley(
         running = np.cumsum(np.vstack([sums, walks]), axis=0)[1:]
         sumsq = np.cumsum(np.vstack([sumsq, walks * walks]), axis=0)[-1]
         means = running / np.arange(done + 1, done + batch + 1)[:, None]
-        changes = np.max(np.abs(np.diff(means, axis=0, prepend=prev_means[None])), axis=1)
-        # the very first walk has no means before it
-        for change in changes[1 if done == 0 else 0 :].tolist():
+        before = sums / max(done, 1)  # as the last batch divided them; zeros at first
+        changes = np.max(np.abs(np.diff(means, axis=0, prepend=before[None])), axis=1)
+        for change in changes.tolist():
             stable_streak = stable_streak + 1 if change < convergence_tol else 0
         done += batch
         sums = running[-1]
-        prev_means = means[-1]
 
     means = sums / done
     if done > 1:

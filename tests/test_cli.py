@@ -343,6 +343,54 @@ class TestConfigChecks:
         with pytest.raises(ConfigError, match=f"smote_k / smote_target_ratio: {message}"):
             resolve_spec(env={}, overrides={"smote": False, key: value})
 
+    @pytest.mark.parametrize("text, message", [
+        ("num_orgs = 0", "num_orgs must be positive"),
+        ("accuracy_target = 1", "accuracy_target must lie in [0, 1)"),
+        ("label_noise_orgs = 31", "label_noise_orgs must lie in [0, num_orgs]"),
+        ("hidden_dims = 0", "hidden_dims widths must be positive"),
+        ("clients_per_round = 31", "clients per round (policy.k) cannot exceed num_orgs"),
+        ("partition_skew = 1.5", "partition_mode / partition_skew: skew must lie in [0, 1]"),
+        ("learning_rate = 0", "learning_rate must be positive"),
+        ("batch_size = 0", "batch_size must be at least 1"),
+        ("exploration_period = 0", "bad value for policies / clients_per_round / "
+                                   "exploration_period: exploration_period must be positive"),
+        ("label_noise = 1.5", "label_noise must lie in [0, 1]"),
+        ("weight_decay = -1", "weight_decay must be non-negative"),
+        ("synthetic_n = 10", "bad value for synthetic_n / synthetic_minority_fraction: "
+                             "both classes need at least 2 examples"),
+        ("rounds 3", "{conf}: line 1: expected key = value"),
+    ])
+    def test_run_prints_the_refusal(self, tmp_path, capsys, text, message):
+        # refusals no other test reaches, each through `fedledger run`
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text + "\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(conf=conf)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_orgs", 3.0), ("rounds", 2.5), ("rounds", True), ("validators", 3.0),
+        ("tmc_max_permutations", 5.5), ("label_noise_orgs", 0.0), ("synthetic_n", 300.0),
+        ("synthetic_features", "8"), ("clients_per_round", 2.0), ("epochs", 2.0),
+        ("batch_size", False), ("exploration_period", 2.5), ("seed", 5.0),
+        ("hidden_dims", (4.7,)), ("hidden_dims", (4, True)), ("epochs_sweep", (2, 3.0)),
+        ("batch_sweep", (np.float64(8),)),
+    ])
+    def test_non_integer_settings_refused(self, key, value):
+        # a float or bool int setting would run as something else, under a hash of
+        # its own, or die mid-run
+        with pytest.raises(ConfigError, match=f"^{key}( entry)? must be an integer, got "):
+            resolve_spec(env={}, overrides={key: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        plain = {"num_orgs": 3, "rounds": 2, "hidden_dims": (4, 2), "clients_per_round": 2,
+                 "seed": 5, "epochs_sweep": (1, 2)}
+        spec = resolve_spec(env={}, overrides={
+            key: tuple(map(np.int64, value)) if isinstance(value, tuple) else np.int32(value)
+            for key, value in plain.items()})
+        assert spec == resolve_spec(env={}, overrides=plain)
+
 
 class TestSeedRange:
     """A seed must fit derive_seed's 16 signed bytes: [-2**127, 2**127 - 1]."""
@@ -382,6 +430,11 @@ class TestSeedRange:
         monkeypatch.setenv("FEDLEDGER_SEED", str(-(2**127) - 1))
         out = tmp_path / "res"
         self.refused(["run", "--out", str(out)], -(2**127) - 1, out, capsys)
+
+    @pytest.mark.parametrize("part", [b"train", 1.0, None])
+    def test_derive_seed_takes_ints_and_strings_only(self, part):
+        with pytest.raises(TypeError, match=f"^cannot derive seed from {type(part).__name__}$"):
+            derive_seed(3, part)
 
 
 class TestRunCommand:

@@ -347,6 +347,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             PartitionPlan(0, "iid")
 
+    @pytest.mark.parametrize("num_orgs", [3.0, 2.5, True, "3"])
+    def test_non_integer_orgs_refused(self, num_orgs):
+        with pytest.raises(ValueError, match="^num_orgs must be an integer, got "):
+            PartitionPlan(num_orgs)
+
+    def test_numpy_integer_orgs_accepted(self):
+        ds = make_dataset(np.arange(12.0).reshape(6, 2), [1, 0] * 3)
+        same_shards(partition(ds, PartitionPlan(np.int64(3)), 4),
+                    partition(ds, PartitionPlan(3), 4))
+
 
 class TestStratifiedParts:
     def test_class_balance_and_exhaustive(self):
@@ -405,6 +415,16 @@ class TestKnnMinority:
         ds = make_dataset([[0.0], [1.0]], [1, 1])
         with pytest.raises(ValueError):
             knn_minority(ds, 0, 2)
+
+    def test_query_never_its_own_neighbour_when_distances_overflow(self):
+        # every difference squares past the largest float, so every distance is
+        # inf; the nearest of a row is the lowest other position, never the row
+        points = np.array([[1.5e308], [-1.5e308], [-1.4e308]])
+        ds = make_dataset(points, [1, 1, 1])
+        with np.errstate(over="ignore"):
+            assert datamod._nearest(points, np.arange(3), 1).tolist() == [[1], [0], [0]]
+            assert datamod._nearest(points, np.arange(3), 2).tolist() == [[1, 2], [0, 2], [0, 1]]
+            assert [knn_minority(ds, q, 1) for q in range(3)] == [[1], [0], [0]]
 
 
 class TestSmote:
@@ -807,3 +827,35 @@ class TestArrayCodeMatchesLoops:
             else:
                 assert (drawn[0][0], drawn[1][0]) == (choice, r)
         assert 50 < rejected < 150
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    return path
+
+
+_HEADER = ",".join(CREDIT_CARD_COLUMNS) + "\n"
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, each from its own input."""
+
+    @pytest.mark.parametrize("refused, error, match", [
+        (lambda tmp: Dataset(np.zeros(3), np.zeros(3)), ValueError,
+         "^features must be a 2-d array$"),
+        (lambda tmp: Dataset(np.zeros((3, 2)), np.zeros(2)), ValueError,
+         "^labels length must match feature rows$"),
+        (lambda tmp: load_csv(_csv(tmp, "")), ParseError,
+         "in.csv: empty file, expected a header row$"),
+        (lambda tmp: load_csv(_csv(tmp, _HEADER + ",".join(["0"] * 30 + ["2"]) + "\n")),
+         ParseError, r"in.csv: row 2, column Class: must be 0 or 1, got '2'$"),
+        (lambda tmp: load_csv(_csv(tmp, _HEADER)), ParseError,
+         "in.csv: no data rows after the header$"),
+        (lambda tmp: split(make_dataset(np.zeros((4, 1)), [0, 1, 0, 1]), 1.0, 0), ValueError,
+         "^train_fraction must lie strictly between 0 and 1$"),
+    ], ids=["1-d-features", "too-few-labels", "empty-csv", "class-of-2", "header-only",
+            "split-keeps-nothing"])
+    def test_refused(self, tmp_path, refused, error, match):
+        with pytest.raises(error, match=match):
+            refused(tmp_path)

@@ -64,6 +64,17 @@ class TestFederationConfig:
         with pytest.raises(ValueError, match="tmc_convergence_tol"):
             small_config(valuation="tmc", tmc_convergence_tol=-1.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("master_seed", 11.0), ("num_orgs", True), ("hidden_dims", (4.0,)),
+    ])
+    def test_non_integer_settings_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}( entry)? must be an integer, got "):
+            small_config(**{key: value})
+
+    def test_panel_validators_are_its_shard_keys(self):
+        state = init_round0(small_config(validators=5), small_dataset())
+        assert state.panel.validators == tuple(range(5)) == tuple(state.panel.test_shards)
+
 
 class TestInitRound0:
     def test_two_org_init(self):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def submit(store, params, org=0):
 
 def simple_panel(floor=0.5):
     shards = {v: balanced_shard(seed=v) for v in range(3)}
-    return ValidatorPanel((0, 1, 2), shards, accuracy_floor=floor)
+    return ValidatorPanel(shards, accuracy_floor=floor)
 
 
 class TestContentStore:
@@ -260,7 +261,7 @@ class TestCrossVerify:
             if v in flipped:
                 shard = Dataset(shard.features, 1 - shard.labels)
             shards[v] = shard
-        return ValidatorPanel((0, 1, 2), shards, accuracy_floor=0.5)
+        return ValidatorPanel(shards, accuracy_floor=0.5)
 
     def test_outcomes_carry_the_stored_model(self):
         store = ContentStore()
@@ -326,7 +327,6 @@ class TestCrossVerify:
         zero = ModelParams((2, 1), np.zeros(3))
         skewed = balanced_shard(seed=2, n=40).subset(range(30))  # 20 negatives, 10 positives
         panel = ValidatorPanel(
-            (0, 1, 2),
             {**self.panel(flipped=(1,)).test_shards, 2: skewed},
             accuracy_floor=0.5,
         )
@@ -610,4 +610,46 @@ class TestValidatorPanel:
     def test_even_panel_rejected(self):
         shards = {v: balanced_shard(seed=v) for v in range(2)}
         with pytest.raises(ValueError):
-            ValidatorPanel((0, 1), shards)
+            ValidatorPanel(shards)
+
+    def test_validators_are_the_shard_keys_in_order(self):
+        shards = {v: balanced_shard(seed=v) for v in (4, 0, 9)}
+        panel = ValidatorPanel(shards)
+        assert panel.validators == (4, 0, 9)
+        # the ids are the keys of the dict given, so none can lack a shard or repeat
+        assert panel.test_shards is shards
+
+
+class TestRefusals:
+    """Refusals that no round reaches, each from its own input."""
+
+    @pytest.mark.parametrize("cut, reason", [
+        (lambda blob: blob[:3], "model blob too short for a header"),
+        (lambda blob: blob[:-3], "model blob weight section is not 8-byte aligned"),
+    ], ids=["truncated-header", "misaligned-weights"])
+    def test_malformed_payload_rejected_and_prior_carried(self, cut, reason):
+        # stored under its own digest, so it resolves and passes the integrity check
+        store = ContentStore()
+        prior = ModelParams((2, 1), np.array([0.5, -0.5, 0.1]))
+        payload = cut(serialize_params(prior))
+        tx = LocalUpdateTx(0, 3, store.put(payload), len(payload))
+        panel = simple_panel()
+        [outcome] = verify_local_updates(panel, 0, [tx], store, (2, 1))
+        assert not outcome and outcome.reason == f"malformed payload: {reason}"
+        winner, new_global, votes, accepted = cross_verify(panel, [tx], store, prior)
+        assert new_global is prior and accepted == {}
+        assert winner == params_digest(prior)
+        assert votes == {v: winner for v in panel.validators}
+
+    @pytest.mark.parametrize("refused, error, match", [
+        (lambda chain: append_block(chain, replace(
+            make_block(2, chain[-1].block_hash, (), b"\x01" * 32, {}, {}),
+            block_hash=b"\x02" * 32)),
+         ChainIntegrityError, "block_hash mismatch at height 2"),
+        (lambda chain: LocalUpdateTx(0, 1, b"\x00" * 31, 8),
+         ValueError, "model_digest must be 32 bytes"),
+        (lambda chain: simple_panel(floor=1.5), ValueError, "accuracy_floor must lie in"),
+    ], ids=["altered-block-hash", "short-digest", "floor-above-one"])
+    def test_refused(self, refused, error, match):
+        with pytest.raises(error, match=match):
+            refused(build_chain(2))

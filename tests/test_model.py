@@ -974,3 +974,18 @@ class TestModelParams:
         perm = rng.permutation(9)
         shuffled = make_dataset(feats[perm], labels[perm])
         assert loss(params, ds) == pytest.approx(loss(params, shuffled), abs=1e-12)
+
+
+class TestRefusals:
+    """Refusals that no round reaches, each from its own input."""
+
+    @pytest.mark.parametrize("refused, match", [
+        (lambda data: average([]), "cannot average zero models"),
+        (lambda data: stacked_loss((3, 1), np.zeros((2, 5)), data),
+         r"stack shape \(2, 5\) does not match layer_dims \(3, 1\) \(expected \(m, 4\)\)"),
+        (lambda data: ModelParams((3,), np.zeros(3)),
+         "layer_dims needs at least input and output widths >= 1"),
+    ], ids=["average-of-none", "stack-of-wrong-width", "no-output-layer"])
+    def test_refused(self, refused, match):
+        with pytest.raises(ValueError, match=match):
+            refused(make_dataset(np.eye(3), [1, 0, 1]))

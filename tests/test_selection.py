@@ -129,6 +129,23 @@ class TestSelectByContribution:
         with pytest.raises(ValueError):
             SelectionPolicy("random", k=0)
 
+    @pytest.mark.parametrize("key", ["k", "exploration_period"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
+    def test_non_integer_counts_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+            SelectionPolicy("contribution", **{"k": 2, key: value})
+
+    def test_more_than_the_pool_refused(self):
+        policy = SelectionPolicy("contribution", k=3)
+        with pytest.raises(ValueError, match="^cannot select k=3 from 2 organizations$"):
+            select_by_contribution({0: 0.5, 1: 0.3}, 3, round_index=1, policy=policy, seed=0)
+
+    def test_numpy_integer_counts_accepted(self):
+        policy = SelectionPolicy("contribution", k=np.int64(2), exploration_period=np.int32(5))
+        scores = {0: 0.5, 1: 0.3, 2: 0.2}
+        assert select_by_contribution(scores, 2, round_index=1, policy=policy,
+                                      seed=0) == {0, 1}
+
 
 def _explore_seed(policy_seed, round_index):
     from fedledger.seeds import derive_seed

@@ -983,3 +983,24 @@ class TestCoalitionTable:
             tracemalloc.stop()
         assert table.shape == (1 << 14,)
         assert peak < means_bytes / 4
+
+
+class TestRefusals:
+    """Inputs that no round gives the valuation routines."""
+
+    @pytest.mark.parametrize("refused, match", [
+        (lambda game: tmc_shapley(game, max_permutations=0),
+         "max_permutations must be at least 1"),
+        (lambda game: check_axioms(game, tmc_shapley(game, seed=3)),
+         "check_axioms requires an exact_shapley result"),
+        (lambda game: UtilityGame(ModelParams((2, 1), np.zeros(3)), {
+            0: ModelParams((2, 1), np.zeros(3)), 1: ModelParams((2, 2, 1), np.zeros(9))},
+            Dataset(np.zeros((2, 2)), np.array([0, 1]))),
+         "models must share layer_dims to be averaged"),
+    ], ids=["no-permutations", "axioms-of-tmc", "mixed-architectures"])
+    def test_refused(self, refused, match):
+        with pytest.raises(ValueError, match=match):
+            refused(additive_game([1.0, 2.0, 3.0]))
+
+    def test_tmc_of_no_players_is_empty(self):
+        assert tmc_shapley(FunctionGame([], len)) == ShapleyResult({}, 0, "tmc", stderr={})
