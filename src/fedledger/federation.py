@@ -58,7 +58,9 @@ class RunSettings:
     """The run keys `FederationConfig` shares with the CLI spec, each checked here alone.
 
     An int field of this class or a subclass, and each entry of a tuple[int, ...]
-    field, must be an integer, and a float field finite.
+    field, must be an integer, and a float field finite. A numpy integer is
+    stored as the Python int of its value, so that every setting serializes
+    as cli.config_hash serializes it.
     """
 
     num_orgs: int = 30
@@ -82,14 +84,16 @@ class RunSettings:
 
     def __post_init__(self) -> None:
         hints = _field_types(type(self))
-        for key, value in vars(self).items():
+        for key, value in list(vars(self).items()):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
             if hints[key] is int:
                 check_integer(key, value)
+                object.__setattr__(self, key, int(value))
             elif hints[key] == tuple[int, ...]:
                 for entry in value:
                     check_integer(f"{key} entry", entry)
+                object.__setattr__(self, key, tuple(map(int, value)))
         if self.num_orgs < 1:
             raise ValueError("num_orgs must be positive")
         if self.rounds < 1:

@@ -282,15 +282,18 @@ def majority_global(
     losing candidates are the round's faulty updates. No strict majority
     raises ConsensusError. Returns the winning digest, its model and every
     validator's vote (the digest of its candidate). A candidate object that
-    several validators submit is digested once.
+    several validators submit is serialized and digested once, and the
+    winner's payload is the one that was digested.
     """
     if set(candidates) != set(panel.validators):
         raise ValueError("need exactly one candidate per validator")
-    digests: dict[int, bytes] = {}  # by id() of a candidate, all held in candidates
+    # by id() of a candidate, all held in candidates: its payload and digest
+    encoded: dict[int, tuple[bytes, bytes]] = {}
     for candidate in candidates.values():
-        if id(candidate) not in digests:
-            digests[id(candidate)] = params_digest(candidate)
-    votes = {vid: digests[id(candidates[vid])] for vid in panel.validators}
+        if id(candidate) not in encoded:
+            payload = serialize_params(candidate)
+            encoded[id(candidate)] = payload, hashlib.sha256(payload).digest()
+    votes = {vid: encoded[id(candidates[vid])][1] for vid in panel.validators}
     tally: dict[bytes, int] = {}
     for digest in votes.values():
         tally[digest] = tally.get(digest, 0) + 1
@@ -303,7 +306,7 @@ def majority_global(
     winner_params = next(
         candidates[vid] for vid in panel.validators if votes[vid] == winner
     )
-    store.put(serialize_params(winner_params))
+    store.put(encoded[id(winner_params)][0])
     return winner, winner_params, votes
 
 

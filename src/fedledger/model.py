@@ -109,24 +109,41 @@ def _layer_views(dims: tuple[int, ...], stack: np.ndarray) -> list[tuple[np.ndar
     return out
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function that cannot overflow: exp only sees -|z| <= 0.
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function of z into `out`, that cannot overflow: exp only sees
+    -|z| <= 0. z is spent: it is left holding the numerator.
 
-    Bit for bit equal to 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
-    otherwise. The exponent is picked with where() rather than -abs(z) so
-    that a NaN logit keeps its sign bit, as it does in those two forms.
+    e = exp(minimum(z, -z)), then maximum(e, z >= 0) / (1 + e): bit for bit
+    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) otherwise. For z >= 0,
+    e <= 1 and the numerator is 1; otherwise e >= 0 and it is e. minimum and
+    maximum return their first NaN operand, so a NaN logit keeps its sign
+    bit, as it does in those two forms; the comparison's bools are written
+    into z as 1.0 and 0.0.
     """
-    pos = z >= 0
-    e = np.exp(np.where(pos, -z, z))
-    denom = 1.0 + e
-    return np.where(pos, 1.0, e) / denom
+    np.negative(z, out=out)
+    np.minimum(z, out, out=out)
+    np.exp(out, out=out)
+    np.greater_equal(z, 0.0, out=z)
+    np.maximum(out, z, out=z)
+    np.add(out, 1.0, out=out)
+    return np.divide(z, out, out=out)
+
+
+def _buffers(
+    dims: tuple[int, ...], m: int, rows: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """_forward's empty buffers for m models on `rows` rows: hidden (m, rows,
+    width) per hidden layer, logits (m, rows, 1) and probabilities (m, rows)."""
+    return ([np.empty((m, rows, width)) for width in dims[1:-1]], np.empty((m, rows, 1)),
+            np.empty((m, rows)))
 
 
 def _forward(
     layers: list[tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
-    hidden: list[np.ndarray] | None = None,
-    logits: np.ndarray | None = None,
+    hidden: list[np.ndarray],
+    logits: np.ndarray,
+    probs: np.ndarray,
 ) -> np.ndarray:
     """ReLU hidden layers, sigmoid output. Returns the probabilities.
 
@@ -134,21 +151,22 @@ def _forward(
     same x (n, din), or model i on its own rows x[i] when x is (m, n, din);
     probabilities are (m, n). A stacked matmul computes each slice with the
     same BLAS call as that model alone on its rows, so each row is bit for
-    bit what that pair alone gives, whatever the stack's size. The bias add
-    and ReLU write into the product. Given buffers, hidden[i] (m, n, width)
-    and logits (m, n, 1), each product is written into them with
-    np.matmul(out=), the same arithmetic as @, and the hidden activations
-    stay there for the caller.
+    bit what that pair alone gives, whatever the stack's size. Every step
+    writes into the given buffers (see _buffers): each product into
+    hidden[i] (m, n, width) or logits (m, n, 1) with np.matmul(out=), the
+    same arithmetic as @, the bias add and ReLU into the product, and the
+    sigmoid into probs (m, n). The hidden activations stay there for the
+    caller; the logits are spent by _sigmoid.
     """
     a = x
-    for (w, b), out in zip(layers, hidden or [None] * (len(layers) - 1)):
+    for (w, b), out in zip(layers, hidden):
         a = np.matmul(a, w, out=out)
         a += b
         np.maximum(a, 0.0, out=a)
     w_out, b_out = layers[-1]
     z = np.matmul(a, w_out, out=logits)
     z += b_out
-    return _sigmoid(z[..., 0])
+    return _sigmoid(z[..., 0], probs)
 
 
 def _check_data(width: int, datasets: Sequence[Dataset], name: str = "dataset") -> None:
@@ -179,22 +197,68 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
             f"feature width {x.shape[1]} does not match model input "
             f"width {params.input_width}"
         )
-    return _forward(_layer_views(params.layer_dims, params.weights[None]), x)[0]
+    dims = params.layer_dims
+    return _forward(_layer_views(dims, params.weights[None]), x, *_buffers(dims, 1, len(x)))[0]
 
 
-def _bce(probs: np.ndarray, labels: np.ndarray) -> np.floating | np.ndarray:
-    """Mean BCE over the last axis: a scalar for (n,) probabilities, one value
-    per model for (..., n). Each row is averaged by the same pairwise sum as
-    a single (n,) vector.
+def _bce(probs: np.ndarray, sign: np.ndarray, offset: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mean BCE over the last axis of `probs` (..., n) into `out` (...), one
+    value per model; each row is averaged by the same pairwise sum as a
+    single (n,) vector. probs is spent. sign and offset are _Loss's label
+    terms: +1 and 0 where the label is 1, -1 and 1 where it is 0.
 
-    One log per row: the log of the probability given to the true label.
-    For finite probabilities this is bit for bit the two-log form
-    -mean(y*log(p) + (1-y)*log(1-p)): clamped away from 0 and 1, every log
-    is negative, and adding the other term's 0*log = -0.0 changes nothing.
+    One log per row: the log of the probability given to the true label,
+    p*sign + offset, that is p or 1 - p bit for bit. For finite probabilities
+    this is bit for bit the two-log form -mean(y*log(p) + (1-y)*log(1-p)):
+    clamped away from 0 and 1 by maximum then minimum, as np.clip clamps,
+    every log is negative, and adding the other term's 0*log = -0.0 changes
+    nothing.
     """
-    probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    log_true = np.log(np.where(labels == 1, probs, 1.0 - probs))
-    return -(log_true.sum(axis=-1) / labels.shape[-1])
+    np.maximum(probs, PROB_FLOOR, out=probs)
+    np.minimum(probs, 1.0 - PROB_FLOOR, out=probs)
+    np.multiply(probs, sign, out=probs)
+    np.add(probs, offset, out=probs)
+    np.log(probs, out=probs)
+    np.add.reduce(probs, axis=-1, out=out)
+    np.divide(out, probs.shape[-1], out=out)
+    return np.negative(out, out=out)
+
+
+class _Loss:
+    """The one loss kernel: the BCE of a block of models on one dataset, from
+    views and buffers built once and reused by every call, as _Step is for
+    the gradient.
+
+    Its layer views alias the C-contiguous weight block `w` (m, P), which
+    the caller may rewrite between calls (UtilityGame._table() writes each
+    chunk's means into its block). A call values rows start: of the block
+    through _forward and _bce, every step written into the kernel's buffers,
+    and returns its loss buffer's rows start:, which the next call
+    overwrites. Each loss is bit for bit that model's loss alone. Nothing is
+    checked here: the public functions check their inputs first.
+    """
+
+    def __init__(self, dims: tuple[int, ...], w: np.ndarray, data: Dataset):
+        m = len(w)
+        self.x = data.features
+        self.layers = _layer_views(dims, w)
+        self.hidden, self.logits, self.probs = _buffers(dims, m, len(data))
+        self.offset = np.subtract(1.0, data.labels)  # 1 where the label is 0
+        self.sign = np.subtract(data.labels, self.offset)  # +1 or -1
+        self.losses = np.empty(m)
+
+    def forward(self, start: int = 0) -> np.ndarray:
+        """The probabilities (m - start, n) of rows start: of the block."""
+        layers, hidden, logits, probs = self.layers, self.hidden, self.logits, self.probs
+        if start:
+            layers = [(w[start:], b[start:]) for w, b in layers]
+            hidden = [h[start:] for h in hidden]
+            logits, probs = logits[start:], probs[start:]
+        return _forward(layers, self.x, hidden, logits, probs)
+
+    def __call__(self, start: int = 0) -> np.ndarray:
+        """The losses (m - start,) of rows start: of the block."""
+        return _bce(self.forward(start), self.sign, self.offset, self.losses[start:])
 
 
 def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float:
@@ -208,12 +272,11 @@ def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float
     return float(bce)
 
 
-def _stacked_probs(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
-    """Probabilities (m, n) of the m models of `stack` on `data`, one stacked pass.
+def _stacked_kernel(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> _Loss:
+    """The _Loss kernel of the m models of `stack` on `data`, its inputs checked.
 
-    Row i is bit for bit predict_batch(ModelParams(layer_dims, stack[i]),
-    data.features); memory grows with m * len(data) * the widest layer, so
-    callers bound m.
+    Its rows are bit for bit those of each model alone; memory grows with
+    m * len(data) * the widest layer, so callers bound m.
     """
     dims = tuple(int(d) for d in layer_dims)
     _check_data(dims[0], [data])
@@ -222,7 +285,7 @@ def _stacked_probs(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) 
             f"stack shape {stack.shape} does not match layer_dims {dims} "
             f"(expected (m, {param_count(dims)}))"
         )
-    return _forward(_layer_views(dims, stack), data.features)
+    return _Loss(dims, stack, data)
 
 
 def stacked_loss(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
@@ -233,7 +296,7 @@ def stacked_loss(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) ->
     from one stacked forward pass; its memory grows with m * len(data) *
     the widest layer, so callers bound m.
     """
-    return _bce(_stacked_probs(layer_dims, stack, data), data.labels)
+    return _stacked_kernel(layer_dims, stack, data)()
 
 
 def stacked_accuracy(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
@@ -243,7 +306,8 @@ def stacked_accuracy(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset
     data).accuracy, at its default threshold of 0.5, from one stacked forward
     pass as in stacked_loss(); no loss is computed.
     """
-    return _accuracy(_stacked_probs(layer_dims, stack, data) >= 0.5, data.labels.astype(bool))
+    probs = _stacked_kernel(layer_dims, stack, data).forward()
+    return _accuracy(probs >= 0.5, data.labels.astype(bool))
 
 
 class _Step:
@@ -255,12 +319,12 @@ class _Step:
     y (m, rows), model i on its own batch x[i]; local_train_many() passes
     slices of its weight block, gradient() a copy. A call fills and returns
     the gradient buffer, which the next call overwrites; it only reads `w`.
-    The forward pass is _forward, given the kernel's hidden and logit
-    buffers; every backward product is written with out= into a buffer of
-    shape (m, rows, width), and the bias gradients are summed straight into
-    their views of the gradient. The arithmetic is that of a plain forward
-    and backward pass, so each row of the gradient is bit for bit that
-    model's gradient alone, as in _forward.
+    The forward pass is _forward, given the kernel's buffers; every backward
+    product is written with out= into a buffer of shape (m, rows, width),
+    and the bias gradients are summed straight into their views of the
+    gradient. The arithmetic is that of a plain forward and backward pass,
+    so each row of the gradient is bit for bit that model's gradient alone,
+    as in _forward.
     """
 
     def __init__(self, dims: tuple[int, ...], w: np.ndarray, rows: int, weight_decay: float):
@@ -274,16 +338,16 @@ class _Step:
         grad_layers = _layer_views(dims, self.grad)
         self.weight_grads = [gw for gw, _ in grad_layers]
         self.bias_grads = [gb[:, 0] for _, gb in grad_layers]
-        self.hidden = [np.empty((m, rows, width)) for width in dims[1:-1]]
+        self.hidden, self.logits, self.probs = _buffers(dims, m, rows)
         self.hidden_t = [a.swapaxes(-1, -2) for a in self.hidden]
-        self.logits = np.empty((m, rows, 1))
         # deltas[li] is the loss gradient at layer li's output
         self.deltas = [np.empty((m, rows, width)) for width in dims[1:]]
         self.decay = np.empty_like(w) if weight_decay else None
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         delta = self.deltas[-1]
-        np.subtract(_forward(self.layers, x, self.hidden, self.logits), y, out=delta[..., 0])
+        probs = _forward(self.layers, x, self.hidden, self.logits, self.probs)
+        np.subtract(probs, y, out=delta[..., 0])
         delta /= x.shape[-2]
         inputs_t = [x.swapaxes(-1, -2), *self.hidden_t]
         for li in range(len(self.layers) - 1, -1, -1):
@@ -427,8 +491,9 @@ def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metr
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    probs = _stacked_probs(params.layer_dims, params.weights[None], data)[0]
-    preds = probs >= threshold
+    kernel = _stacked_kernel(params.layer_dims, params.weights[None], data)
+    probs = kernel.forward()
+    preds = probs[0] >= threshold
     y = data.labels.astype(bool)
     tp = int(np.count_nonzero(preds & y))
     fp = int(np.count_nonzero(preds & ~y))
@@ -436,7 +501,8 @@ def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metr
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Metrics(float(_accuracy(preds, y)), float(_bce(probs, data.labels)), f1, precision)
+    bce = _bce(probs, kernel.sign, kernel.offset, kernel.losses)[0]
+    return Metrics(float(_accuracy(preds, y)), float(bce), f1, precision)
 
 
 def average(models: Sequence[ModelParams]) -> ModelParams:

@@ -116,9 +116,9 @@ class UtilityGame(CoalitionGame):
     BATCH_ACTIVATIONS hidden activations at a time; utility() is a batch of
     one. The full table (_table) builds each coalition's mean from a smaller
     coalition's sum with one add, bypassing the cache, and values its chunks
-    on two threads when it can. Every value is bit for bit base_loss -
-    model.loss(model.average(members), server_test) with the members in
-    sorted org_id order, on either thread.
+    through one model._Loss kernel per thread, on two threads when it can.
+    Every value is bit for bit base_loss - model.loss(model.average(members),
+    server_test) with the members in sorted org_id order, on either thread.
 
     base_loss is model.loss(prior_global, server_test); a caller that
     already holds that value passes it as _base_loss and saves the pass.
@@ -189,10 +189,16 @@ class UtilityGame(CoalitionGame):
 
         The sums over the lowest `low` players are tabled once, each from a
         smaller mask's sum plus one weight row. Each aligned chunk of 2^low
-        masks copies that table, adds its higher members in ascending order
-        and divides each row by its count: a mean summed as model.average
-        sums, from +0.0 in ascending player order. One stacked pass per chunk
-        values it; the empty coalition gets no row and stays 0.0.
+        masks copies that table, or adds its first higher member to it, adds
+        the rest in ascending order and divides each row by its count, a
+        float column tabled per count of higher members: a mean summed as
+        model.average sums, from +0.0 in ascending player order. One call of
+        the thread's model._Loss kernel, built once on its block, values the
+        chunk, and base_loss minus its losses is written straight into the
+        table; the empty coalition gets no row and stays 0.0. The kernel's
+        buffers hold what one chunk's temporaries did. A chunk makes as few
+        numpy calls as it can, because the set-up of each call holds the
+        interpreter lock, which the two threads share.
 
         A table of two chunks or more is valued on two threads when the
         process may run on two CPUs: the caller and one pool worker, closed
@@ -203,34 +209,39 @@ class UtilityGame(CoalitionGame):
         bit, whichever thread computes it.
         """
         n = len(self._players)
-        weights = self._weights
+        weights = list(self._weights)  # one row view per player, taken once
         low = min(n, self._batch.bit_length() - 1)
         threaded = low < n and _usable_cpus() >= 2
         if threaded:
             low = max(low - 1, 0)
         size = 1 << low
-        sums = np.zeros((size, weights.shape[1]))
+        sums = np.zeros((size, self._weights.shape[1]))
         for i in range(low):
             np.add(sums[: 1 << i], weights[i], out=sums[1 << i : 2 << i])
-        low_counts = np.bitwise_count(np.arange(size))
+        # divisors[h]: each row's member count in a chunk with h higher members
+        divisors = np.add.outer(np.arange(n - low + 1.0), np.bitwise_count(np.arange(size)))
         table = np.zeros(1 << n)
         starts = iter(range(0, 1 << n, size))
 
         def value_chunks() -> None:
-            block = np.empty_like(sums)
             try:
+                block = np.empty_like(sums)
+                kernel = model._Loss(self._dims, block, self.server_test)
                 for start in starts:
-                    np.copyto(block, sums)
-                    for i in range(low, n):
-                        if start >> i & 1:
-                            block += weights[i]
                     first = 1 if start == 0 else 0  # skip the empty coalition
                     if first == size:
                         continue
+                    high = [weights[i] for i in range(low, n) if start >> i & 1]
+                    if high:
+                        np.add(sums, high[0], out=block)
+                        for row in high[1:]:
+                            block += row
+                    else:
+                        np.copyto(block, sums)
                     means = block[first:]
-                    means /= (low_counts[first:] + start.bit_count())[:, None]
-                    losses = model.stacked_loss(self._dims, means, self.server_test)
-                    table[start + first : start + size] = self._base_loss - losses
+                    means /= divisors[len(high), first:, None]
+                    np.subtract(self._base_loss, kernel(first),
+                                out=table[start + first : start + size])
             except BaseException:
                 for _ in starts:  # leave the other thread no chunk to start
                     pass

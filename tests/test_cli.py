@@ -391,6 +391,17 @@ class TestConfigChecks:
             for key, value in plain.items()})
         assert spec == resolve_spec(env={}, overrides=plain)
 
+    @pytest.mark.parametrize("key, value, plain", [
+        ("num_orgs", np.int64(30), 30),
+        ("hidden_dims", (np.int32(16), np.uint8(4)), (16, 4)),
+    ])
+    def test_numpy_integer_settings_hash_as_python_ints(self, key, value, plain):
+        # a numpy integer is stored as its Python int, which json serializes
+        spec = resolve_spec(env={}, overrides={key: value})
+        stored = getattr(spec, key)
+        assert all(type(v) is int for v in (stored if isinstance(stored, tuple) else (stored,)))
+        assert config_hash(spec) == config_hash(resolve_spec(env={}, overrides={key: plain}))
+
 
 class TestSeedRange:
     """A seed must fit derive_seed's 16 signed bytes: [-2**127, 2**127 - 1]."""

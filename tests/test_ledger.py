@@ -237,6 +237,24 @@ class TestMajorityGlobal:
         assert digest == params_digest(a)
         assert votes == {0: digest, 1: digest, 2: params_digest(b)}
 
+    def test_stores_the_payload_it_digested(self, monkeypatch):
+        # each distinct candidate is serialized once; the winner's blob is that payload
+        payloads = []
+        serialize = ledgermod.serialize_params
+
+        def recording(params):
+            payloads.append(serialize(params))
+            return payloads[-1]
+
+        monkeypatch.setattr(ledgermod, "serialize_params", recording)
+        store = ContentStore()
+        a = init_params((2, 1), seed=1)
+        b = init_params((2, 1), seed=2)
+        digest, winner, _ = majority_global(simple_panel(), {0: b, 1: a, 2: a}, store)
+        assert winner is a and len(payloads) == 2
+        assert store.blobs[digest] is payloads[1]
+        assert digest == hashlib.sha256(payloads[1]).digest() == params_digest(a)
+
     def test_three_way_split_fails(self):
         store = ContentStore()
         panel = simple_panel()
@@ -364,25 +382,27 @@ class TestCrossVerify:
             kept = [o.params for o in verify_local_updates(panel, vid, txs, store, (2, 1)) if o]
             expected[vid] = params_digest(average(kept) if kept else prior)
         averaged, digested = [], []
-        real_average, real_digest = ledgermod.model.average, ledgermod.params_digest
+        real_average, real_serialize = ledgermod.model.average, ledgermod.serialize_params
 
         def counted_average(models):
             averaged.append(len(models))
             return real_average(models)
 
-        def counted_digest(params):
+        def counted_serialize(params):
+            # majority_global digests, and stores for the winner, one payload per candidate
             digested.append(params)
-            return real_digest(params)
+            return real_serialize(params)
 
         monkeypatch.setattr(ledgermod.model, "average", counted_average)
-        monkeypatch.setattr(ledgermod, "params_digest", counted_digest)
+        monkeypatch.setattr(ledgermod, "serialize_params", counted_serialize)
         digest, new_global, votes, accepted = cross_verify(panel, txs, store, prior)
+        # counted before params_digest below serializes new_global once more
+        assert len(averaged) == distinct
+        assert len(digested) == distinct
         assert votes == expected
         assert digest == max(expected.values(), key=list(expected.values()).count)
         assert params_digest(new_global) == digest
         assert sorted(accepted) == accepted_orgs
-        assert len(averaged) == distinct
-        assert len(digested) == distinct
 
     def test_each_payload_decoded_once(self, monkeypatch):
         # every validator fetches every payload, but a payload is decoded once

@@ -14,6 +14,7 @@ from fedledger.model import (
     TrainConfig,
     _bce,
     _check_data,
+    _Loss,
     _sigmoid,
     _Step,
     average,
@@ -58,6 +59,55 @@ def finite_difference_gradient(params, batch, weight_decay=0.0, step=1e-5):
         lo = loss(ModelParams(params.layer_dims, down), batch, weight_decay)
         out[j] = (hi - lo) / (2 * step)
     return out
+
+
+def parent_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function that cannot overflow: exp only sees -|z| <= 0.
+
+    Bit for bit equal to 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
+    otherwise. The exponent is picked with where() rather than -abs(z) so
+    that a NaN logit keeps its sign bit, as it does in those two forms.
+    """
+    # model._sigmoid as it was before the _Loss kernel, kept verbatim as the
+    # oracle for its out= form
+    pos = z >= 0
+    e = np.exp(np.where(pos, -z, z))
+    denom = 1.0 + e
+    return np.where(pos, 1.0, e) / denom
+
+
+def parent_bce(probs: np.ndarray, labels: np.ndarray) -> np.floating | np.ndarray:
+    """Mean BCE over the last axis: a scalar for (n,) probabilities, one value
+    per model for (..., n). Each row is averaged by the same pairwise sum as
+    a single (n,) vector.
+
+    One log per row: the log of the probability given to the true label.
+    For finite probabilities this is bit for bit the two-log form
+    -mean(y*log(p) + (1-y)*log(1-p)): clamped away from 0 and 1, every log
+    is negative, and adding the other term's 0*log = -0.0 changes nothing.
+    """
+    # model._bce as it was before the _Loss kernel, kept verbatim as the
+    # oracle for its out= form
+    probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    log_true = np.log(np.where(labels == 1, probs, 1.0 - probs))
+    return -(log_true.sum(axis=-1) / labels.shape[-1])
+
+
+def sigmoid(z):
+    """model._sigmoid of z into a new array, z left as it was."""
+    z = np.asarray(z, dtype=np.float64)
+    return _sigmoid(z.copy(), np.empty_like(z))
+
+
+def bce(probs, labels):
+    """model._bce of probabilities (..., n) and their labels (n,), into a new
+    array of shape (...); probs left as they were. The label terms are
+    built here from their definition: sign +1 and offset 0 where the label
+    is 1, sign -1 and offset 1 where it is 0."""
+    probs = np.asarray(probs, dtype=np.float64)
+    sign = np.where(labels == 1, 1.0, -1.0)
+    offset = np.where(labels == 1, 0.0, 1.0)
+    return _bce(probs.copy(), sign, offset, np.empty(probs.shape[:-1]))
 
 
 def masked_sigmoid(z):
@@ -117,7 +167,7 @@ def parent_forward(layers, x):
     w_out, b_out = layers[-1]
     z = a @ w_out
     z += b_out
-    return activations, _sigmoid(z[..., 0])
+    return activations, parent_sigmoid(z[..., 0])
 
 
 def parent_grad(dims, flat, x, y, weight_decay):
@@ -162,7 +212,7 @@ def parent_probs(dims, w, x):
 
 def parent_loss(dims, w, data, weight_decay):
     """loss() as it was before it became a stack of one."""
-    bce = _bce(parent_probs(dims, w, data.features), data.labels)
+    bce = parent_bce(parent_probs(dims, w, data.features), data.labels)
     if weight_decay:
         bce += 0.5 * weight_decay * float(w @ w)
     return float(bce)
@@ -180,7 +230,7 @@ def parent_metrics(dims, w, data, threshold):
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     accuracy = np.count_nonzero(preds == y) / len(y)
-    return Metrics(float(accuracy), float(_bce(probs, data.labels)), f1, precision)
+    return Metrics(float(accuracy), float(parent_bce(probs, data.labels)), f1, precision)
 
 
 def parent_local_train_many(params, shards, cfg, seeds):
@@ -286,14 +336,128 @@ class TestSigmoid:
         edges = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0,
                  1e308, -1e308, np.nan, -np.nan]
         z = np.concatenate([edges, np.random.default_rng(0).normal(scale=20.0, size=5000)])
-        got = _sigmoid(z)
+        got = sigmoid(z)
         assert np.array_equal(got.view(np.uint64), masked_sigmoid(z).view(np.uint64))
 
     def test_extremes_stay_in_unit_interval(self):
         with np.errstate(over="raise"):
-            got = _sigmoid(np.array([-1e308, -745.0, 745.0, 1e308]))
+            got = sigmoid(np.array([-1e308, -745.0, 745.0, 1e308]))
         assert got[0] == 0.0 and got[-1] == 1.0
         assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def float_bits(*patterns):
+    """float64 values from their uint64 bit patterns."""
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+# NaNs of either sign bit, quiet and with payloads
+NANS = float_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF800000000BEEF,
+                  0xFFFC000000000001)
+SUBNORMALS = float_bits(1, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,
+                        0x0000000100000000)
+
+
+class TestCheaperForms:
+    """model._sigmoid and model._bce against the parent's forms, kept
+    verbatim above as parent_sigmoid and parent_bce, bit for bit."""
+
+    EDGES = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 36.7, -36.7, 745.2, -745.2, 800.0, -800.0], NANS,
+        SUBNORMALS])
+
+    def test_sigmoid_edges(self):
+        with np.errstate(all="ignore"):
+            expected = parent_sigmoid(self.EDGES)
+        np.testing.assert_array_equal(bits(sigmoid(self.EDGES)), bits(expected))
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0, 400.0])
+    def test_sigmoid_random_logits(self, scale):
+        z = np.random.default_rng(int(scale)).normal(scale=scale, size=(3, 4000))
+        with np.errstate(all="ignore"):
+            expected = parent_sigmoid(z)
+        np.testing.assert_array_equal(bits(sigmoid(z)), bits(expected))
+
+    def test_sigmoid_of_the_logit_buffer_view(self):
+        # _forward passes the view z[..., 0] of its (m, n, 1) logit buffer
+        logits = np.random.default_rng(2).normal(scale=30.0, size=(4, 50, 1))
+        logits[1, 7] = np.nan
+        expected = parent_sigmoid(logits[..., 0])
+        got = _sigmoid(logits[..., 0], np.empty((4, 50)))
+        np.testing.assert_array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_bce_edges_per_label(self, label):
+        edges = np.concatenate([[0.0, -0.0, 1.0, PROB_FLOOR, 1.0 - PROB_FLOOR, 0.5, np.inf,
+                                 -np.inf, 2.0], SUBNORMALS, NANS])
+        labels = np.array([label])
+        for p in edges:
+            with np.errstate(all="ignore"):
+                expected = parent_bce(np.array([p]), labels)
+            np.testing.assert_array_equal(bits(bce(np.array([p]), labels)), bits(expected))
+
+    def test_bce_random_probabilities_both_labels(self):
+        rng = np.random.default_rng(9)
+        probs = np.concatenate([
+            np.repeat([0.0, 1.0, PROB_FLOOR, 1.0 - PROB_FLOOR], 2), rng.random(300),
+            rng.random(300) ** 60, 1.0 - rng.random(300) ** 60])
+        labels = np.concatenate([np.tile([0, 1], 4), rng.integers(0, 2, size=900)])
+        stack = np.stack([probs, probs[::-1], 1.0 - probs])
+        np.testing.assert_array_equal(bits(bce(stack, labels)), bits(parent_bce(stack, labels)))
+        np.testing.assert_array_equal(bits(bce(probs, labels)), bits(parent_bce(probs, labels)))
+
+
+def parent_stacked_loss(dims, stack, data):
+    """stacked_loss as it was before the _Loss kernel: the parent forward
+    pass and BCE on fresh arrays."""
+    probs = parent_forward(parent_layer_views(dims, stack), data.features)[1]
+    return parent_bce(probs, data.labels)
+
+
+class TestLossKernel:
+    """The _Loss kernel against parent_stacked_loss, bit for bit."""
+
+    @staticmethod
+    def case(hidden, members, seed, rows=37, nan=False):
+        dims = (5, *hidden, 1)
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(-2.0, 2.0, size=(members, param_count(dims)))
+        if nan:
+            stack[members // 2, 2] = np.nan
+        data = make_dataset(rng.normal(size=(rows, 5)) * 3.0, rng.integers(0, 2, size=rows))
+        return dims, stack, data
+
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    @pytest.mark.parametrize("members", [1, 15, 16])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_stack_bit_identical_to_parent(self, hidden, members, nan):
+        dims, stack, data = self.case(hidden, members, seed=members + len(hidden), nan=nan)
+        expected = parent_stacked_loss(dims, stack, data)
+        got = _Loss(dims, stack, data)()
+        np.testing.assert_array_equal(bits(got), bits(expected))
+        np.testing.assert_array_equal(bits(stacked_loss(dims, stack, data)), bits(expected))
+
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+    def test_first_chunk_without_its_first_row(self, hidden):
+        # a table's first chunk values rows 1: of its block; row 0, the empty
+        # coalition, holds no model, here NaNs that must reach no other row
+        dims, block, data = self.case(hidden, 16, seed=3)
+        block[0] = np.nan
+        kernel = _Loss(dims, block, data)
+        got = kernel(1)
+        assert got.shape == (15,)
+        np.testing.assert_array_equal(bits(got), bits(parent_stacked_loss(dims, block[1:], data)))
+
+    def test_block_rewritten_between_calls(self):
+        # the table writes each chunk's means into the block the kernel was
+        # built on; every call values what the block holds then
+        dims, block, data = self.case((16,), 16, seed=4)
+        kernel = _Loss(dims, block, data)
+        rng = np.random.default_rng(5)
+        for start in (1, 0, 0, 1, 0):
+            block[...] = rng.uniform(-2.0, 2.0, size=block.shape)
+            expected = parent_stacked_loss(dims, block[start:], data)
+            np.testing.assert_array_equal(bits(kernel(start)), bits(expected))
 
 
 class TestPredict:
@@ -851,14 +1015,14 @@ class TestBce:
         probs = np.concatenate([edges, edges, rng.random(50), rng.random(50) ** 40])
         labels = np.concatenate([np.zeros(7), np.ones(7), rng.integers(0, 2, size=100)])
         labels = labels.astype(np.int64)
-        np.testing.assert_array_equal(bits(_bce(probs, labels)),
+        np.testing.assert_array_equal(bits(bce(probs, labels)),
                                       bits(two_log_bce(probs, labels)))
         # stacked: one value per row, each the same bits as that row alone
         stack = np.stack([probs, probs[::-1], 1.0 - probs])
-        got = _bce(stack, labels)
+        got = bce(stack, labels)
         assert got.shape == (3,)
         np.testing.assert_array_equal(bits(got), bits(two_log_bce(stack, labels)))
-        np.testing.assert_array_equal(bits(got), bits([_bce(row, labels) for row in stack]))
+        np.testing.assert_array_equal(bits(got), bits([bce(row, labels) for row in stack]))
 
 
 class TestEvaluateOracle:

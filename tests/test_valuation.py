@@ -870,23 +870,24 @@ class TestCoalitionTable:
 
     @staticmethod
     def count_passes(monkeypatch, cpus):
-        """The stack size of each stacked pass an exact_shapley of 10
-        players makes with `cpus` CPUs, in call order; the game's batch is 40."""
+        """The rows each loss-kernel call of an exact_shapley of 10 players
+        values with `cpus` CPUs, in call order; the game's batch is 40."""
         monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", 40 * 37 * 16)
         monkeypatch.setattr(valuation, "_usable_cpus", lambda: cpus)
         game = model_game((16,), 37, tuple(range(0, 30, 3)), seed=4)
         assert game._batch == 40
         rows = []
-        stacked_loss = valuation.model.stacked_loss
+        call = valuation.model._Loss.__call__
 
-        def counting(dims, stack, data):
-            rows.append(len(stack))
-            return stacked_loss(dims, stack, data)
+        def counting(kernel, start=0):
+            losses = call(kernel, start)
+            rows.append(len(losses))
+            return losses
 
         def refused(self, masks):
             raise AssertionError("the exact table must not evaluate masks in batches")
 
-        monkeypatch.setattr(valuation.model, "stacked_loss", counting)
+        monkeypatch.setattr(valuation.model._Loss, "__call__", counting)
         monkeypatch.setattr(UtilityGame, "_evaluate_masks", refused)
         assert exact_shapley(game).num_evaluations == 1024
         return rows
@@ -902,25 +903,25 @@ class TestCoalitionTable:
 
     @staticmethod
     def failing_game(monkeypatch, fails):
-        """A 10-player game on two CPUs whose stacked passes raise on the
-        thread `fails` names; the other thread's passes run as usual."""
+        """A 10-player game on two CPUs whose loss-kernel calls raise on the
+        thread `fails` names; the other thread's calls run as usual."""
         monkeypatch.setattr(valuation, "_usable_cpus", lambda: 2)
         game = model_game((16,), 37, tuple(range(10)), seed=5)
         assert game._batch.bit_length() - 1 < 10  # two chunks or more: two threads
-        stacked_loss = valuation.model.stacked_loss
+        call = valuation.model._Loss.__call__
         main = threading.main_thread()
         main_ran, worker_ran = threading.Event(), threading.Event()
 
-        def failing(dims, stack, data):
+        def failing(kernel, start=0):
             on_main = threading.current_thread() is main
             (main_ran if on_main else worker_ran).set()
             if on_main == (fails == "caller"):
                 raise RuntimeError(f"chunk failed on the {fails}")
             # neither thread takes every chunk before the other has started one
             assert (worker_ran if on_main else main_ran).wait(timeout=10)
-            return stacked_loss(dims, stack, data)
+            return call(kernel, start)
 
-        monkeypatch.setattr(valuation.model, "stacked_loss", failing)
+        monkeypatch.setattr(valuation.model._Loss, "__call__", failing)
         return game
 
     @pytest.mark.parametrize("fails", ["caller", "worker"])
@@ -936,18 +937,18 @@ class TestCoalitionTable:
         game = model_game((16,), 37, tuple(range(10)), seed=5)
         before = threading.active_count()
         threads = set()
-        stacked_loss = valuation.model.stacked_loss
+        call = valuation.model._Loss.__call__
         main_ran, worker_ran = threading.Event(), threading.Event()
 
-        def recording(dims, stack, data):
+        def recording(kernel, start=0):
             threads.add(threading.current_thread())
             on_main = threading.current_thread() is threading.main_thread()
             (main_ran if on_main else worker_ran).set()
             # each thread takes a chunk: neither goes on until the other has one
             assert (worker_ran if on_main else main_ran).wait(timeout=10)
-            return stacked_loss(dims, stack, data)
+            return call(kernel, start)
 
-        monkeypatch.setattr(valuation.model, "stacked_loss", recording)
+        monkeypatch.setattr(valuation.model._Loss, "__call__", recording)
         game._table()
         assert threading.main_thread() in threads
         workers = threads - {threading.main_thread()}
