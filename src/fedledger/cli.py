@@ -27,7 +27,8 @@ import numpy as np
 from . import ledger as ledgermod
 from .data import (CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, load_csv, read_utf8,
                    standardize)
-from .federation import FederationAborted, FederationConfig, RunResult, RunSettings, run
+from .federation import (FederationAborted, FederationConfig, RunResult, RunSettings,
+                         _field_types, run)
 from .model import TrainConfig
 from .seeds import check_seed, derive_seed
 from .selection import SelectionPolicy
@@ -119,7 +120,7 @@ def _parse(hint, v: str):
     return hint(v)
 
 
-_FIELD_TYPES = typing.get_type_hints(ExperimentSpec)
+_FIELD_TYPES = _field_types(ExperimentSpec)
 _RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunSettings))
 
 

@@ -11,6 +11,7 @@ seal the round in a new block.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, get_type_hints
@@ -58,9 +59,12 @@ class RunSettings:
     """The run keys `FederationConfig` shares with the CLI spec, each checked here alone.
 
     An int field of this class or a subclass, and each entry of a tuple[int, ...]
-    field, must be an integer, and a float field finite. A numpy integer is
-    stored as the Python int of its value, so that every setting serializes
-    as cli.config_hash serializes it.
+    field, must be an integer. A float field, and a float | None field that is
+    set, must be a finite real number that is not a bool, and a bool field a
+    bool. A numpy integer is stored as the Python int of its value, a real
+    number as the Python float of its value and a numpy bool as a bool, so
+    that every setting serializes as cli.config_hash serializes it, and 1 and
+    1.0 run under one hash.
     """
 
     num_orgs: int = 30
@@ -85,15 +89,24 @@ class RunSettings:
     def __post_init__(self) -> None:
         hints = _field_types(type(self))
         for key, value in list(vars(self).items()):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-            if hints[key] is int:
+            hint = hints[key]
+            if hint is int:
                 check_integer(key, value)
                 object.__setattr__(self, key, int(value))
-            elif hints[key] == tuple[int, ...]:
+            elif hint == tuple[int, ...]:
                 for entry in value:
                     check_integer(f"{key} entry", entry)
                 object.__setattr__(self, key, tuple(map(int, value)))
+            elif hint is float or (hint == float | None and value is not None):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{key} must be a real number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ValueError(f"{key} must be finite, got {value!r}")
+                object.__setattr__(self, key, float(value))
+            elif hint is bool:
+                if not isinstance(value, (bool, np.bool_)):
+                    raise ValueError(f"{key} must be a bool, got {value!r}")
+                object.__setattr__(self, key, bool(value))
         if self.num_orgs < 1:
             raise ValueError("num_orgs must be positive")
         if self.rounds < 1:

@@ -340,11 +340,12 @@ def _canonical_dict(block: Block) -> dict:
     }
 
 
+def _canonical_json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def compute_block_hash(block: Block) -> bytes:
-    payload = json.dumps(
-        _canonical_dict(block), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.sha256(payload).digest()
+    return hashlib.sha256(_canonical_json(_canonical_dict(block)).encode("utf-8")).digest()
 
 
 def make_block(
@@ -397,18 +398,27 @@ def validate_chain(chain: list[Block]) -> ChainValidation:
     return ChainValidation(True)
 
 
+def _record(block: Block) -> dict:
+    """The exported record of a block: its canonical dict and its hash."""
+    record = _canonical_dict(block)
+    record["block_hash"] = block.block_hash.hex()
+    return record
+
+
 def export_chain(chain: list[Block]) -> str:
     """Newline-delimited records, one block per line, digests hex-encoded."""
-    lines = []
-    for block in chain:
-        record = _canonical_dict(block)
-        record["block_hash"] = block.block_hash.hex()
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+    return "".join(_canonical_json(_record(block)) + "\n" for block in chain)
 
 
 def import_chain(text: str) -> list[Block]:
-    """Parse an exported chain; integrity is checked by validate_chain."""
+    """Parse an exported chain; integrity is checked by validate_chain.
+
+    Each line must hold the canonical record of the block it parses to, as
+    export_chain writes it up to whitespace and key order: a record that
+    reads as its block only after a coercion (a height of 1.0 or "1", hex
+    with spaces, a contribution as a string) or with a key the block lacks
+    is refused, so that one block has one record.
+    """
     blocks = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -437,5 +447,7 @@ def import_chain(text: str) -> list[Block]:
             )
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"line {line_no}: not a valid block record: {exc}") from exc
+        if _canonical_json(record) != _canonical_json(_record(block)):
+            raise ValueError(f"line {line_no}: not the canonical record of its block")
         blocks.append(block)
     return blocks

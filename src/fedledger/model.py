@@ -229,16 +229,25 @@ class _Loss:
     views and buffers built once and reused by every call, as _Step is for
     the gradient.
 
-    Its layer views alias the C-contiguous weight block `w` (m, P), which
-    the caller may rewrite between calls (UtilityGame._table() writes each
-    chunk's means into its block). A call values rows start: of the block
-    through _forward and _bce, every step written into the kernel's buffers,
-    and returns its loss buffer's rows start:, which the next call
-    overwrites. Each loss is bit for bit that model's loss alone. Nothing is
-    checked here: the public functions check their inputs first.
+    Its inputs are checked once, here: `data` must be a non-empty dataset of
+    the model's input width and `w` a (m, P) block for `dims`. The layer
+    views alias the C-contiguous block, which the caller may rewrite between
+    calls (a UtilityGame writes each batch's means into its block, and
+    _table() each chunk's). A call values rows start: of the block through
+    _forward and _bce, every step written into the kernel's buffers, and
+    returns its loss buffer's rows start:, which the next call overwrites.
+    Each loss is bit for bit that model's loss alone; memory grows with
+    m * len(data) * the widest layer, so callers bound m.
     """
 
-    def __init__(self, dims: tuple[int, ...], w: np.ndarray, data: Dataset):
+    def __init__(self, dims: Sequence[int], w: np.ndarray, data: Dataset):
+        dims = tuple(int(d) for d in dims)
+        _check_data(dims[0], [data])
+        if w.ndim != 2 or w.shape[1] != param_count(dims):
+            raise ValueError(
+                f"stack shape {w.shape} does not match layer_dims {dims} "
+                f"(expected (m, {param_count(dims)}))"
+            )
         m = len(w)
         self.x = data.features
         self.layers = _layer_views(dims, w)
@@ -266,47 +275,21 @@ def loss(params: ModelParams, data: Dataset, weight_decay: float = 0.0) -> float
 
     Probabilities are clamped away from 0 and 1 so the value stays finite.
     """
-    bce = stacked_loss(params.layer_dims, params.weights[None], data)[0]
+    bce = _Loss(params.layer_dims, params.weights[None], data)()[0]
     if weight_decay:
         bce += 0.5 * weight_decay * float(params.weights @ params.weights)
     return float(bce)
 
 
-def _stacked_kernel(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> _Loss:
-    """The _Loss kernel of the m models of `stack` on `data`, its inputs checked.
-
-    Its rows are bit for bit those of each model alone; memory grows with
-    m * len(data) * the widest layer, so callers bound m.
-    """
-    dims = tuple(int(d) for d in layer_dims)
-    _check_data(dims[0], [data])
-    if stack.ndim != 2 or stack.shape[1] != param_count(dims):
-        raise ValueError(
-            f"stack shape {stack.shape} does not match layer_dims {dims} "
-            f"(expected (m, {param_count(dims)}))"
-        )
-    return _Loss(dims, stack, data)
-
-
-def stacked_loss(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
-    """loss() of many models of one architecture at once, one per row of `stack`.
-
-    `stack` is (m, P): row i is the flat weight vector of model i. Entry i
-    of the result is bit for bit loss(ModelParams(layer_dims, stack[i]), data),
-    from one stacked forward pass; its memory grows with m * len(data) *
-    the widest layer, so callers bound m.
-    """
-    return _stacked_kernel(layer_dims, stack, data)()
-
-
 def stacked_accuracy(layer_dims: Sequence[int], stack: np.ndarray, data: Dataset) -> np.ndarray:
     """evaluate().accuracy of many models of one architecture at once.
 
-    Entry i is bit for bit evaluate(ModelParams(layer_dims, stack[i]),
+    `stack` is (m, P): row i is the flat weight vector of model i, and entry
+    i is bit for bit evaluate(ModelParams(layer_dims, stack[i]),
     data).accuracy, at its default threshold of 0.5, from one stacked forward
-    pass as in stacked_loss(); no loss is computed.
+    pass of the _Loss kernel; no loss is computed.
     """
-    probs = _stacked_kernel(layer_dims, stack, data).forward()
+    probs = _Loss(layer_dims, stack, data).forward()
     return _accuracy(probs >= 0.5, data.labels.astype(bool))
 
 
@@ -491,7 +474,7 @@ def evaluate(params: ModelParams, data: Dataset, threshold: float = 0.5) -> Metr
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    kernel = _stacked_kernel(params.layer_dims, params.weights[None], data)
+    kernel = _Loss(params.layer_dims, params.weights[None], data)
     probs = kernel.forward()
     preds = probs[0] >= threshold
     y = data.labels.astype(bool)

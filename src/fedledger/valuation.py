@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from typing import Callable, Iterable
 
@@ -112,9 +113,10 @@ class UtilityGame(CoalitionGame):
     utility(S) = L(prior_global, server_test) - L(mean of S's models,
     server_test) for non-empty S, and 0 for the empty coalition.
 
-    Coalitions are evaluated in batches through model.stacked_loss, up to
-    BATCH_ACTIVATIONS hidden activations at a time; utility() is a batch of
-    one. The full table (_table) builds each coalition's mean from a smaller
+    Coalitions are evaluated in batches of up to BATCH_ACTIVATIONS hidden
+    activations, utility() a batch of one, each by one call of the game's
+    own model._Loss kernel, which only the thread reading the game uses. The
+    full table (_table) builds each coalition's mean from a smaller
     coalition's sum with one add, bypassing the cache, and values its chunks
     through one model._Loss kernel per thread, on two threads when it can.
     Every value is bit for bit base_loss - model.loss(model.average(members),
@@ -151,16 +153,28 @@ class UtilityGame(CoalitionGame):
         # row i: the weights of the i-th player in sorted order
         self._weights = np.array([m.weights for m in models]).reshape(
             len(models), model.param_count(self._dims))
+        model._check_data(self._dims[0], [server_test])
         self._batch = max(1, BATCH_ACTIVATIONS // (len(server_test) * max(self._dims[1:])))
 
-    def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
-        """Utilities of at most _batch non-empty coalitions from one stacked pass."""
-        masks = sorted(masks, key=int.bit_count)
-        losses = model.stacked_loss(self._dims, self._means(masks), self.server_test)
-        return zip(masks, (self._base_loss - losses).tolist())
+    @cached_property
+    def _kernel(self) -> tuple[np.ndarray, model._Loss]:
+        """The game's (_batch, P) weight block and the loss kernel on it, built
+        at the first miss: a game valued only by _table() never holds them."""
+        block = np.empty((self._batch, self._weights.shape[1]))
+        return block, model._Loss(self._dims, block, self.server_test)
 
-    def _means(self, masks: list[int]) -> np.ndarray:
-        """Mean weight vector of each coalition, for masks sorted by size.
+    def _evaluate_masks(self, masks: list[int]) -> Iterable[tuple[int, float]]:
+        """Utilities of at most _batch non-empty coalitions from one kernel
+        call, their means written into the block's last len(masks) rows."""
+        masks = sorted(masks, key=int.bit_count)
+        block, kernel = self._kernel
+        start = len(block) - len(masks)
+        self._means(masks, block[start:])
+        return zip(masks, (self._base_loss - kernel(start)).tolist())
+
+    def _means(self, masks: list[int], means: np.ndarray) -> None:
+        """Mean weight vector of each coalition into the rows of `means`, for
+        masks sorted by size.
 
         The sum runs as in model.average: from zeros, the members in sorted
         player order, then one division by the count. Coalitions of one size
@@ -172,7 +186,7 @@ class UtilityGame(CoalitionGame):
         width = (len(self._players) + 7) // 8
         packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
         bits = np.unpackbits(packed.reshape(len(masks), width), axis=1, bitorder="little")
-        means = np.zeros((len(masks), weights.shape[1]))
+        means.fill(0.0)
         start = 0
         for size, group in groupby(masks, key=int.bit_count):
             count = len(list(group))
@@ -182,7 +196,6 @@ class UtilityGame(CoalitionGame):
                 block += weights.take(position, axis=0)
             block /= size
             start += count
-        return means
 
     def _table(self) -> np.ndarray:
         """Every coalition's utility, indexed by mask, from subset sums.

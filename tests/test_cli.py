@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from fedledger.cli import (
 )
 from fedledger.data import CREDIT_CARD_COLUMNS, SmoteConfig, load_csv, split
 from fedledger.federation import FederationConfig, RunSettings, init_round0
-from fedledger.ledger import serialize_params
+from fedledger.ledger import export_chain, import_chain, serialize_params
 from fedledger.model import TrainConfig, evaluate, init_params, local_train
 from fedledger.seeds import derive_seed
 from fedledger.selection import SelectionPolicy
@@ -402,6 +403,50 @@ class TestConfigChecks:
         assert all(type(v) is int for v in (stored if isinstance(stored, tuple) else (stored,)))
         assert config_hash(spec) == config_hash(resolve_spec(env={}, overrides={key: plain}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", np.float32(0.01)), ("tmc_truncation_tol", np.float16(0.5)),
+        ("accuracy_target", np.float64(0.9)), ("smote_target_ratio", np.float32(0.25)),
+        ("learning_rate", 1), ("learning_rate", np.int64(1)), ("accuracy_target", 0),
+        ("partition_skew", np.uint8(1)),
+    ])
+    def test_real_float_settings_stored_as_python_floats(self, key, value):
+        # a numpy float used to reach config_hash, which json cannot serialize,
+        # and an int ran the job of its float under a hash of its own
+        spec = resolve_spec(env={}, overrides={key: value})
+        assert type(getattr(spec, key)) is float
+        plain = resolve_spec(env={}, overrides={key: float(value)})
+        assert getattr(spec, key) == getattr(plain, key)
+        assert config_hash(spec) == config_hash(plain)
+
+    @pytest.mark.parametrize("key, value", [
+        ("partition_skew", True), ("learning_rate", True), ("accuracy_target", False),
+        ("weight_decay", "0.001"), ("tmc_convergence_tol", 1j), ("label_noise", [0.0]),
+        ("synthetic_separation", np.bool_(True)),
+    ])
+    def test_non_real_float_settings_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be a real number, got "):
+            resolve_spec(env={}, overrides={key: value})
+
+    @pytest.mark.parametrize("value", [math.nan, "off", 0])
+    def test_non_bool_smote_refused(self, value):
+        # each would run SMOTE, or not, by its truthiness, under a hash of its own
+        with pytest.raises(ConfigError, match="^smote must be a bool, got "):
+            resolve_spec(env={}, overrides={"smote": value})
+
+    def test_numpy_bool_smote_stored_as_bool(self):
+        spec = resolve_spec(env={}, overrides={"smote": np.bool_(False)})
+        assert spec.smote is False
+        assert config_hash(spec) == config_hash(resolve_spec(env={}, overrides={"smote": False}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("tmc_truncation_tol", np.float32("nan")), ("tmc_convergence_tol", np.float16("inf")),
+        ("learning_rate", np.float32("-inf")), ("accuracy_target", np.float32("nan")),
+    ])
+    def test_non_finite_numpy_float_settings_refused(self, key, value):
+        # a numpy NaN tolerance used to pass every check and stop the run mid-way
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got "):
+            resolve_spec(env={}, overrides={key: value})
+
 
 class TestSeedRange:
     """A seed must fit derive_seed's 16 signed bytes: [-2**127, 2**127 - 1]."""
@@ -622,6 +667,56 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: line 1: not a valid block record: ")
         assert captured.out == ""
+
+    @pytest.fixture(scope="class")
+    def two_round_export(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("two_rounds")
+        cmd_run(ExperimentSpec(**{**TOY.__dict__, "out": str(out), "rounds": 2}))
+        return (out / "chain_random_e2_b16.jsonl").read_text()
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(height=1.9),
+        lambda r: r.update(height=True),
+        lambda r: r.update(height="1"),
+        lambda r: r["txs"][0].update(org_id=r["txs"][0]["org_id"] + 0.5),
+        lambda r: r["txs"][0].update(payload_bytes=str(r["txs"][0]["payload_bytes"])),
+        lambda r: r["contributions"].update(
+            {org: repr(value) for org, value in list(r["contributions"].items())[:1]}),
+        lambda r: r.update(prev_hash=" ".join(
+            r["prev_hash"][i : i + 2] for i in range(0, len(r["prev_hash"]), 2))),
+        lambda r: r["votes"].update({" 0": r["votes"].pop("0")}),
+        lambda r: r.update(note="extra"),
+    ], ids=["height-1.9", "height-true", "height-string", "org-id-plus-half",
+            "payload-bytes-string", "contribution-string", "prev-hash-spaced",
+            "vote-key-spaced", "extra-key"])
+    def test_non_canonical_record_refused(self, tmp_path, capsys, two_round_export, edit):
+        # each edit used to be coerced back to block 1 and validate
+        lines = two_round_export.splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record)
+        path = tmp_path / "edited.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: not the canonical record of its block\n"
+        assert captured.out == ""
+
+    def test_whitespace_and_key_order_free(self, tmp_path, capsys, two_round_export):
+        lines = [json.dumps(dict(reversed(json.loads(line).items())), indent=None,
+                            separators=(" , ", " : "))
+                 for line in two_round_export.splitlines()]
+        path = tmp_path / "spaced.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "valid chain of 3 block(s)\n"
+
+    @pytest.mark.parametrize("chain", [GOLDEN_CHAIN, GOLDEN_TMC_CHAIN],
+                             ids=["contribution-toy", "tmc-default"])
+    def test_golden_chains_canonical(self, chain):
+        text = chain.read_text()
+        assert export_chain(import_chain(text)) == text
+        assert main(["validate", str(chain)]) == 0
 
     def test_non_utf8_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

@@ -27,7 +27,6 @@ from fedledger.model import (
     param_count,
     predict_batch,
     stacked_accuracy,
-    stacked_loss,
 )
 
 
@@ -435,7 +434,7 @@ class TestLossKernel:
         expected = parent_stacked_loss(dims, stack, data)
         got = _Loss(dims, stack, data)()
         np.testing.assert_array_equal(bits(got), bits(expected))
-        np.testing.assert_array_equal(bits(stacked_loss(dims, stack, data)), bits(expected))
+        np.testing.assert_array_equal(bits(_Loss(dims, stack, data)()), bits(expected))
 
     @pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
     def test_first_chunk_without_its_first_row(self, hidden):
@@ -1069,12 +1068,12 @@ class TestStackedAccuracy:
     (lambda p, good, d: local_train_many(p, [good, d], TrainConfig(), [0, 1]), "shard 1: "),
     (lambda p, good, d: local_train_many(p, [d], TrainConfig(), [0]), ""),
     (lambda p, good, d: evaluate(p, d), ""),
-    (lambda p, good, d: stacked_loss(p.layer_dims, np.stack([p.weights] * 2), d), ""),
+    (lambda p, good, d: _Loss(p.layer_dims, np.stack([p.weights] * 2), d), ""),
     (lambda p, good, d: stacked_accuracy(p.layer_dims, np.stack([p.weights] * 2), d), ""),
     (lambda p, good, d: loss(p, d), ""),
     (lambda p, good, d: gradient(p, d), ""),
 ], ids=["local_train_many", "local_train_many-one", "evaluate",
-        "stacked_loss", "stacked_accuracy", "loss", "gradient"])
+        "_Loss", "stacked_accuracy", "loss", "gradient"])
 def test_empty_and_width_messages(call, where):
     params = init_params((3, 1), seed=0)
     good = make_dataset(np.ones((4, 3)), [0, 1, 0, 1])
@@ -1145,7 +1144,7 @@ class TestRefusals:
 
     @pytest.mark.parametrize("refused, match", [
         (lambda data: average([]), "cannot average zero models"),
-        (lambda data: stacked_loss((3, 1), np.zeros((2, 5)), data),
+        (lambda data: _Loss((3, 1), np.zeros((2, 5)), data),
          r"stack shape \(2, 5\) does not match layer_dims \(3, 1\) \(expected \(m, 4\)\)"),
         (lambda data: ModelParams((3,), np.zeros(3)),
          "layer_dims needs at least input and output widths >= 1"),

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -803,6 +804,198 @@ class TestBatchedUtilities:
     def test_unknown_org_rejected(self, small_model_game):
         with pytest.raises(ValueError):
             small_model_game.utilities([[1], [99]])
+
+
+def stacked_loss(layer_dims, stack, data):
+    """model.stacked_loss as it was before each game owned its kernel: a
+    new, checked loss kernel on the stack, called once."""
+    return valuation.model._Loss(layer_dims, stack, data)()
+
+
+class ParentGame(UtilityGame):
+    """UtilityGame with the _evaluate_masks and _means it had before it owned
+    its kernel, kept verbatim as the oracle: each call builds a means array
+    and, through stacked_loss, a checked kernel of its own."""
+
+    def _evaluate_masks(self, masks):
+        """Utilities of at most _batch non-empty coalitions from one stacked pass."""
+        masks = sorted(masks, key=int.bit_count)
+        losses = stacked_loss(self._dims, self._means(masks), self.server_test)
+        return zip(masks, (self._base_loss - losses).tolist())
+
+    def _means(self, masks):
+        """Mean weight vector of each coalition, for masks sorted by size.
+
+        The sum runs as in model.average: from zeros, the members in sorted
+        player order, then one division by the count. Coalitions of one size
+        fill one block of rows, one member position at a time.
+        """
+        weights = self._weights
+        # row i holds the bits of masks[i], lowest first, so that the nonzero
+        # columns of a row are its coalition's member positions in ascending order
+        width = (len(self._players) + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+        bits = np.unpackbits(packed.reshape(len(masks), width), axis=1, bitorder="little")
+        means = np.zeros((len(masks), weights.shape[1]))
+        start = 0
+        for size, group in groupby(masks, key=int.bit_count):
+            count = len(list(group))
+            members = np.nonzero(bits[start : start + count])[1].reshape(count, size)
+            block = means[start : start + count]
+            for position in members.T:
+                block += weights.take(position, axis=0)
+            block /= size
+            start += count
+        return means
+
+
+def parent_of(game):
+    """A ParentGame on the same inputs as `game`, with the same batch."""
+    oracle = ParentGame(game.prior_global, game.submissions, game.server_test)
+    oracle._batch = game._batch
+    return oracle
+
+
+def assert_batches_match_parent(game, batches):
+    """Each batch of masks through game._evaluate_masks, in turn on the one
+    game, gives bit for bit what the parent's _evaluate_masks gives."""
+    oracle = parent_of(game)
+    for masks in batches:
+        got = list(game._evaluate_masks(list(masks)))
+        want = list(oracle._evaluate_masks(list(masks)))
+        assert [m for m, _ in got] == [m for m, _ in want]
+        np.testing.assert_array_equal(bits([v for _, v in got]), bits([v for _, v in want]))
+
+
+class TestGameKernel:
+    """A UtilityGame values its misses on the one _Loss kernel it builds, on
+    the last rows of its own block, bit for bit as the parent's fresh arrays."""
+
+    @pytest.mark.parametrize("hidden_dims", [(), (16,), (8, 4)])
+    def test_mixed_size_batches(self, hidden_dims):
+        # batches of every length in turn on one block, longer ones first, so
+        # that a short batch follows rows a longer one left behind
+        game = model_game(hidden_dims, 37, tuple(range(9)), seed=len(hidden_dims))
+        rng = np.random.default_rng(7)
+        masks = rng.permutation(np.arange(1, 1 << 9)).tolist()
+        batches = [masks[:31], masks[31:33], masks[33:50], masks[50:51], masks[51:200]]
+        assert max(map(len, batches)) <= game._batch
+        assert_batches_match_parent(game, batches)
+
+    def test_one_mask(self):
+        game = model_game((16,), 37, PLAYERS, seed=2)
+        assert_batches_match_parent(game, [[0b10110], [0b1], [0b11111]])
+
+    def test_exactly_batch_masks(self, monkeypatch):
+        # a full batch starts at the block's first row
+        monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", 8 * 37 * 16)
+        game = model_game((16,), 37, PLAYERS, seed=3)
+        assert game._batch == 8
+        masks = np.random.default_rng(3).permutation(np.arange(1, 32)).tolist()
+        assert_batches_match_parent(game, [masks[:8], masks[8:16], masks[16:19], masks[19:27]])
+
+    def test_nan_weight(self):
+        base = model_game((16,), 37, PLAYERS, seed=4)
+        submissions = dict(base.submissions)
+        weights = submissions[7].weights.copy()
+        weights[5] = np.nan
+        submissions[7] = ModelParams(base.prior_global.layer_dims, weights)
+        game = UtilityGame(base.prior_global, submissions, base.server_test)
+        masks = list(range(1, 32))
+        assert_batches_match_parent(game, [masks[::2], masks[1::2], masks])
+        assert np.isnan(game.utility([7])) and not np.isnan(game.utility([2, 5]))
+
+    def test_more_than_64_players(self):
+        # masks span nine bytes: the packed-bits path of _means
+        players = tuple(range(0, 140, 2))
+        game = model_game((3,), 5, players, seed=9)
+        rng = np.random.default_rng(9)
+        masks = [1, 1 << 69, (1 << 70) - 1, 1 << 3 | 1 << 64 | 1 << 65 | 1 << 68,
+                 *(int(m) << 8 for m in rng.integers(1, 1 << 62, size=20))]
+        assert_batches_match_parent(game, [masks, masks[3:4], masks[::-1][:7]])
+
+    def test_batch_set_after_construction(self, monkeypatch):
+        # _batch = 3 after the block was sized: TMC's steps of up to 11 live
+        # walks are split over several passes of at most 3 rows each
+        game = model_game((4,), 20, range(8), seed=6)
+        oracle = parent_of(game)
+        game._batch = oracle._batch = 3
+        rows = []
+        call = valuation.model._Loss.__call__
+
+        def counting(kernel, start=0):
+            losses = call(kernel, start)
+            rows.append(len(losses))
+            return losses
+
+        reads = []
+        read = game._mask_utilities
+
+        def counting_reads(masks):
+            reads.append(masks)
+            return read(masks)
+
+        monkeypatch.setattr(valuation.model._Loss, "__call__", counting)
+        monkeypatch.setattr(game, "_mask_utilities", counting_reads)
+        got = tmc_shapley(game, truncation_tol=0.0, max_permutations=37, seed=9)
+        passes = len(rows)
+        want = tmc_shapley(oracle, truncation_tol=0.0, max_permutations=37, seed=9)
+        assert max(rows[:passes]) == 3 and passes > len(reads)
+        assert rows[:passes] == rows[passes:]
+        assert got.num_evaluations == want.num_evaluations
+        players = game.players
+        for field in ("values", "stderr"):
+            np.testing.assert_array_equal(
+                bits([getattr(got, field)[p] for p in players]),
+                bits([getattr(want, field)[p] for p in players]))
+        assert game._cache.keys() == oracle._cache.keys()
+        np.testing.assert_array_equal(bits(list(game._cache.values())),
+                                      bits([oracle._cache[m] for m in game._cache]))
+
+    def test_one_kernel_per_game(self, monkeypatch):
+        # the game's whole TMC valuation builds one kernel, and calls it often
+        base = model_game((16,), 37, tuple(range(10)), seed=5)
+        base_loss = loss(base.prior_global, base.server_test)
+        built, called = [], []
+        init, call = valuation.model._Loss.__init__, valuation.model._Loss.__call__
+
+        def counting_init(kernel, *args):
+            built.append(kernel)
+            init(kernel, *args)
+
+        def counting_call(kernel, start=0):
+            called.append(kernel)
+            return call(kernel, start)
+
+        monkeypatch.setattr(valuation.model._Loss, "__init__", counting_init)
+        monkeypatch.setattr(valuation.model._Loss, "__call__", counting_call)
+        game = UtilityGame(base.prior_global, base.submissions, base.server_test,
+                           _base_loss=base_loss)
+        res = tmc_shapley(game, truncation_tol=0.0, max_permutations=40, seed=2)
+        assert res.num_evaluations > 40
+        assert len(built) == 1
+        assert len(called) > 10 and set(called) == set(built)
+
+    def test_no_kernel_for_a_table(self):
+        # exact_shapley reads the table, whose threads keep their own kernels
+        game = model_game((16,), 37, PLAYERS, seed=3)
+        exact_shapley(game)
+        assert "_kernel" not in vars(game)
+        game.utility([2, 5])
+        assert "_kernel" in vars(game)
+
+    def test_empty_server_test_refused_at_construction(self):
+        prior = logistic([0.1, -0.2], 0.3)
+        empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            UtilityGame(prior, {1: prior, 2: prior}, empty, _base_loss=0.5)
+
+    def test_wrong_width_server_test_refused_at_construction(self):
+        prior = logistic([0.1, -0.2], 0.3)
+        narrow = make_dataset([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]], [0, 1])
+        with pytest.raises(
+                ValueError, match="^feature width 3 does not match model input width 2$"):
+            UtilityGame(prior, {1: prior, 2: prior}, narrow, _base_loss=0.5)
 
 
 class TestAverageOrder:
