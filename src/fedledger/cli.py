@@ -25,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ledger as ledgermod
-from .data import (CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, load_csv, read_utf8,
-                   standardize)
-from .federation import (FederationAborted, FederationConfig, RunResult, RunSettings,
-                         _field_types, run)
+from .data import (CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, _field_types, load_csv,
+                   read_utf8, standardize)
+from .federation import FederationAborted, FederationConfig, RunResult, RunSettings, run
 from .model import TrainConfig
 from .seeds import check_seed, derive_seed
 from .selection import SelectionPolicy

@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -107,6 +110,42 @@ def check_integer(key: str, value) -> None:
         raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+# the resolved type of each field of a config class, by name
+_field_types = cache(get_type_hints)
+
+
+def check_fields(config) -> None:
+    """Check, naming its key, each typed setting of a config dataclass and store it
+    as the Python int, float or bool of its value; every config class calls this first.
+
+    An int field, and each entry of a tuple[int, ...] field, must be an integer. A
+    float field, and a float | None field that is set, must be a finite real number
+    that is not a bool, and a bool field a bool. Stored so, every setting serializes
+    as cli.config_hash serializes it, and 1 and 1.0 run under one hash. Fields of
+    any other type are the class's own to check.
+    """
+    hints = _field_types(type(config))
+    for key, value in list(vars(config).items()):
+        hint = hints[key]
+        if hint is int:
+            check_integer(key, value)
+            object.__setattr__(config, key, int(value))
+        elif hint == tuple[int, ...]:
+            for entry in value:
+                check_integer(f"{key} entry", entry)
+            object.__setattr__(config, key, tuple(map(int, value)))
+        elif hint is float or (hint == float | None and value is not None):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            object.__setattr__(config, key, float(value))
+        elif hint is bool:
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{key} must be a bool, got {value!r}")
+            object.__setattr__(config, key, bool(value))
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """How to shard a training set across organizations.
@@ -121,7 +160,7 @@ class PartitionPlan:
     skew: float = 0.0
 
     def __post_init__(self) -> None:
-        check_integer("num_orgs", self.num_orgs)
+        check_fields(self)
         if self.num_orgs < 1:
             raise ValueError("num_orgs must be positive")
         if self.mode not in ("iid", "label-skew"):
@@ -136,7 +175,7 @@ class SmoteConfig:
     target_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        check_integer("k", self.k)
+        check_fields(self)
         if self.k < 1:
             raise ValueError("k must be positive")
         if not 0.0 < self.target_ratio <= 1.0:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .data import Dataset
+from .data import Dataset, check_fields
 from .model import ModelParams
 
 ZERO_DIGEST = b"\x00" * 32
@@ -142,6 +142,7 @@ class ValidatorPanel:
     accuracy_floor: float = 0.5
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if len(self.test_shards) % 2 == 0:
             raise ValueError("validator count must be odd so majority is defined")
         if not 0.0 <= self.accuracy_floor <= 1.0:

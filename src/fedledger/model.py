@@ -8,13 +8,12 @@ keeps state between calls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, check_integer
+from .data import Dataset, check_fields
 
 PROB_FLOOR = 1e-12
 
@@ -61,14 +60,9 @@ class TrainConfig:
     weight_decay: float = 0.001
 
     def __post_init__(self) -> None:
-        for key in ("learning_rate", "weight_decay"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
+        check_fields(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        for key in ("epochs", "batch_size"):
-            check_integer(key, getattr(self, key))
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:

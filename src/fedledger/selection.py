@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import check_integer
+from .data import check_fields
 from .seeds import derive_seed
 from .valuation import CoalitionGame
 
@@ -27,10 +27,9 @@ class SelectionPolicy:
     exploration_period: int = 5
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
-        for key in ("k", "exploration_period"):
-            check_integer(key, getattr(self, key))
         if self.k < 1:
             raise ValueError("k must be positive")
         if self.exploration_period < 1:
