@@ -320,6 +320,7 @@ def partition(data: Dataset, plan: PartitionPlan, seed: int) -> list[Dataset]:
 
 def stratified_parts(data: Dataset, n_parts: int, seed: int) -> list[Dataset]:
     """Deal the dataset into n_parts shards of near-equal class composition."""
+    check_integer("n_parts", n_parts)
     rng = np.random.default_rng(seed)
     by_class = [rng.permutation(np.flatnonzero(data.labels == cls)) for cls in (0, 1)]
     return [data.subset(np.sort(np.concatenate([idx[p::n_parts] for idx in by_class])))

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import check_fields
+from .data import check_fields, check_integer
 from .seeds import derive_seed
 from .valuation import CoalitionGame
 
@@ -38,6 +38,7 @@ class SelectionPolicy:
 
 def select_random(orgs: Iterable[int], k: int, round_seed: int) -> set[int]:
     """Uniform k-subset of orgs, without replacement, seeded."""
+    check_integer("k", k)
     pool = sorted(orgs)
     for a, b in zip(pool, pool[1:]):
         if a == b:
@@ -58,6 +59,7 @@ def select_greedy(game: CoalitionGame, k: int) -> set[int]:
     lowest remaining org_id. Each step asks the game for all its candidate
     coalitions in one utilities() call.
     """
+    check_integer("k", k)
     pool = sorted(game.players)
     if k > len(pool):
         raise ValueError(f"cannot select k={k} from a pool of {len(pool)}")
@@ -86,6 +88,7 @@ def select_by_contribution(
     random selection, seeded by (seed, "explore", round_index), so unseen
     organizations can accrue scores.
     """
+    check_integer("k", k)
     pool = sorted(scores)
     if k > len(pool):
         raise ValueError(f"cannot select k={k} from {len(pool)} organizations")

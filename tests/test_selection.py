@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedledger.data import Dataset
+from fedledger.data import Dataset, stratified_parts
 from fedledger.model import ModelParams, loss
 from fedledger.selection import (
     SelectionPolicy,
@@ -11,7 +11,7 @@ from fedledger.selection import (
     select_greedy,
     select_random,
 )
-from fedledger.valuation import FunctionGame, UtilityGame
+from fedledger.valuation import FunctionGame, UtilityGame, tmc_shapley
 
 
 def additive_game(gains):
@@ -134,6 +134,23 @@ class TestSelectByContribution:
     def test_non_integer_counts_refused(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
             SelectionPolicy("contribution", **{"k": 2, key: value})
+
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0])
+    @pytest.mark.parametrize("key, call", [
+        ("k", lambda n: select_random(range(4), n, round_seed=0)),
+        ("k", lambda n: select_greedy(additive_game([0.1, 0.2, 0.3]), n)),
+        ("k", lambda n: select_by_contribution({0: 0.1, 1: 0.2, 2: 0.3}, n, round_index=1,
+                                               policy=SelectionPolicy("contribution", k=2),
+                                               seed=0)),
+        ("max_permutations",
+         lambda n: tmc_shapley(additive_game([0.1, 0.2, 0.3]), max_permutations=n)),
+        ("n_parts", lambda n: stratified_parts(Dataset(np.eye(4), np.array([0, 1, 0, 1])), n, 0)),
+    ], ids=["select_random", "select_greedy", "select_by_contribution", "tmc_shapley",
+            "stratified_parts"])
+    def test_count_arguments_refuse_non_integers(self, key, call, value):
+        # True ran as one and 2.5 died inside range()
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+            call(value)
 
     def test_more_than_the_pool_refused(self):
         policy = SelectionPolicy("contribution", k=3)
