@@ -24,30 +24,47 @@ from fedledger.cli import (
     synthesize_raw,
     synthetic_dataset,
 )
-from fedledger.data import CREDIT_CARD_COLUMNS, SmoteConfig, load_csv, split
+from fedledger.data import (CREDIT_CARD_COLUMNS, Dataset, PartitionPlan, SmoteConfig,
+                            _field_types, load_csv, split)
 from fedledger.federation import FederationConfig, RunSettings, init_round0
-from fedledger.ledger import export_chain, import_chain, serialize_params
+from fedledger.ledger import ValidatorPanel, export_chain, import_chain, serialize_params
 from fedledger.model import TrainConfig, evaluate, init_params, local_train
 from fedledger.seeds import derive_seed
 from fedledger.selection import SelectionPolicy
 from fedledger.valuation import EXACT_MAX_PLAYERS
 
-GOLDEN = Path(__file__).parent / "golden_rounds_toy.csv"
-GOLDEN_SUMMARY = Path(__file__).parent / "golden_summary_toy.csv"
-GOLDEN_CHAIN = Path(__file__).parent / "golden_chain_contribution_toy.jsonl"
-GOLDEN_TMC_CHAIN = Path(__file__).parent / "golden_chain_tmc_default.jsonl"
+TESTS = Path(__file__).parent
+GOLDEN = TESTS / "golden_rounds_toy.csv"
+GOLDEN_SUMMARY = TESTS / "golden_summary_toy.csv"
+
+# The pins below are bytes of dgemm results, which differ between OpenBLAS
+# kernels, so each maps a kernel name (conftest.blas_kernel) to its value, and
+# tests/record_pins.py records them for a kernel that has none.
+# The golden chains of the contribution and shipped-scale runs:
+GOLDEN_CHAIN = {"SkylakeX": TESTS / "golden_chain_contribution_toy.jsonl",
+                "Haswell": TESTS / "golden_chain_contribution_toy.Haswell.jsonl"}
+GOLDEN_TMC_CHAIN = {"SkylakeX": TESTS / "golden_chain_tmc_default.jsonl",
+                    "Haswell": TESTS / "golden_chain_tmc_default.Haswell.jsonl"}
 
 # The four benchmark workloads (benchmarks/run.py), restated here: rounds and
 # config overrides, and the SHA-256 of each one's exported chain at seed 1.
 BENCHMARK_CHAINS = {
-    "default-tmc": (100, {},
-                    "66cd45e3511447d6be2a9fc720df85d7ebb76f0ad9e1ab507280ed351426160c"),
-    "exact-shapley": (40, {"policies": ("random",), "valuation": "exact"},
-                      "54e935538de9933b03c1edab67ff22c101781b92a23ea6c525c0af71c7c8cc56"),
-    "greedy-pool": (40, {"policies": ("greedy",)},
-                    "efa2d8226a98a41a6a7e0bf50d0d43a53a5b04f43ce4145fb3c21b0170dd4624"),
-    "large-shards": (7, {"synthetic_n": 50000, "policies": ("random",), "valuation": "off"},
-                     "ff00fae2072aa75bfc665d8feef42dbf578a6fa81729cf5e2ad154e3ca442e62"),
+    "default-tmc": (100, {}, {
+        "SkylakeX": "66cd45e3511447d6be2a9fc720df85d7ebb76f0ad9e1ab507280ed351426160c",
+        "Haswell": "f9a680a14d82fa390856e42c8a89cd5fa7748b0008ef2d089cbc54d89c72f59c",
+    }),
+    "exact-shapley": (40, {"policies": ("random",), "valuation": "exact"}, {
+        "SkylakeX": "54e935538de9933b03c1edab67ff22c101781b92a23ea6c525c0af71c7c8cc56",
+        "Haswell": "9370295590e7951a1d8c80475bcb0e94fc82b9fa1b90fa886cad32727cce4d05",
+    }),
+    "greedy-pool": (40, {"policies": ("greedy",)}, {
+        "SkylakeX": "efa2d8226a98a41a6a7e0bf50d0d43a53a5b04f43ce4145fb3c21b0170dd4624",
+        "Haswell": "905e1043655426ec859e7bd2780b30e7fa8e323f5ca4e119f0ec0f068e409a2a",
+    }),
+    "large-shards": (7, {"synthetic_n": 50000, "policies": ("random",), "valuation": "off"}, {
+        "SkylakeX": "ff00fae2072aa75bfc665d8feef42dbf578a6fa81729cf5e2ad154e3ca442e62",
+        "Haswell": "fa6924e8895a789d61d2da48ee9b9b833e6cb197c729eddf53edc206d1b99fac",
+    }),
 }
 
 # SHA-256 of everything init_round0 builds for large-shards at seed 1, the only
@@ -73,6 +90,29 @@ TOY = ExperimentSpec(
     accuracy_floor=0.0,
     seed=5,
 )
+
+
+def contribution_chain(out: Path) -> bytes:
+    """The exported chain of a toy contribution run. Rounds 0 and 2 explore, so its
+    transactions pin how the run derives the exploration seed from the master seed."""
+    cmd_run(ExperimentSpec(**{**TOY.__dict__, "out": str(out), "num_orgs": 6, "rounds": 4,
+                              "exploration_period": 2, "policies": ("contribution",)}))
+    return (out / "chain_contribution_e2_b16.jsonl").read_bytes()
+
+
+def tmc_chain(out: Path) -> bytes:
+    """The exported chain of 6 rounds at the shipped defaults: 30 orgs, k = 10, TMC
+    over 10 players a round, and rounds 1-4 rank by the TMC values before them."""
+    cmd_run(ExperimentSpec(rounds=6, out=str(out)))
+    return (out / "chain_contribution_e10_b32.jsonl").read_bytes()
+
+
+def workload_chain_digest(name: str) -> str:
+    """The SHA-256 of a benchmark workload's exported chain at seed 1."""
+    rounds, overrides, _ = BENCHMARK_CHAINS[name]
+    spec = resolve_spec(env={}, overrides={**overrides, "rounds": rounds, "seed": 1})
+    job = execute_job((spec, spec.policies[0], spec.epochs, spec.batch_size))
+    return hashlib.sha256(job["chain_jsonl"].encode("utf-8")).hexdigest()
 
 
 class TestGenerate:
@@ -448,6 +488,44 @@ class TestConfigChecks:
             resolve_spec(env={}, overrides={key: value})
 
 
+def config(cls, **settings):
+    """An instance of config class `cls` at its defaults and `settings`."""
+    required = {
+        FederationConfig: {"policy": SelectionPolicy("random", k=10), "train": TrainConfig()},
+        PartitionPlan: {"num_orgs": 3},
+        SelectionPolicy: {"kind": "random", "k": 2},
+        ValidatorPanel: {"test_shards": {0: Dataset(np.zeros((1, 1)), np.zeros(1))}},
+    }
+    return cls(**{**required.get(cls, {}), **settings})
+
+
+CONFIG_CLASSES = [FederationConfig, ExperimentSpec, TrainConfig, SmoteConfig, PartitionPlan,
+                  SelectionPolicy, ValidatorPanel]
+
+
+class TestCheckFields:
+    """data.check_fields, the one type rule of every config class."""
+
+    @pytest.mark.parametrize("cls, key", [
+        pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
+        if _field_types(cls)[f.name] in (int, float, float | None)])
+    def test_typed_fields(self, cls, key):
+        kind = int if _field_types(cls)[key] is int else float
+        default = getattr(config(cls), key)
+        if kind is int:
+            refused, message, stored = (True, 2.5), "must be an integer", np.int64(default)
+        else:
+            refused, message = (True, "0.1", math.nan), "must be (a real number|finite)"
+            stored = np.float32(0.5 if default is None else default)
+        for value in refused:
+            # a smote key is named as the spec names it, with SmoteConfig's own
+            with pytest.raises(ValueError, match=f"{key}.* {message}, got "):
+                config(cls, **{key: value})
+        got = getattr(config(cls, **{key: stored}), key)
+        assert type(got) is kind and got == stored
+
+
 class TestSeedRange:
     """A seed must fit derive_seed's 16 signed bytes: [-2**127, 2**127 - 1]."""
 
@@ -541,39 +619,19 @@ class TestRunCommand:
         # the summary pins the per-org accuracy column too
         assert (tmp_path / "res" / "summary.csv").read_text() == GOLDEN_SUMMARY.read_text()
 
-    def test_golden_contribution_chain(self, tmp_path):
-        # rounds 0 and 2 explore, so the chain's transactions pin how the run
-        # derives the exploration seed from the master seed
-        spec = ExperimentSpec(**{
-            **TOY.__dict__,
-            "out": str(tmp_path / "res"),
-            "num_orgs": 6,
-            "rounds": 4,
-            "exploration_period": 2,
-            "policies": ("contribution",),
-        })
-        cmd_run(spec)
-        got = (tmp_path / "res" / "chain_contribution_e2_b16.jsonl").read_text()
-        assert got == GOLDEN_CHAIN.read_text()
+    def test_golden_contribution_chain(self, tmp_path, kernel_pin):
+        golden = kernel_pin(GOLDEN_CHAIN)
+        assert contribution_chain(tmp_path / "res") == golden.read_bytes()
 
-    def test_golden_tmc_chain_at_shipped_scale(self, tmp_path):
-        # shipped defaults: 30 orgs, k = 10, TMC over 10 players per round,
-        # and rounds 1-4 rank by the TMC contributions of the rounds before
-        spec = ExperimentSpec(rounds=6, out=str(tmp_path / "res"))
-        cmd_run(spec)
-        got = (tmp_path / "res" / "chain_contribution_e10_b32.jsonl").read_bytes()
-        assert got == GOLDEN_TMC_CHAIN.read_bytes()
+    def test_golden_tmc_chain_at_shipped_scale(self, tmp_path, kernel_pin):
+        golden = kernel_pin(GOLDEN_TMC_CHAIN)
+        assert tmc_chain(tmp_path / "res") == golden.read_bytes()
 
-    def test_benchmark_workload_chains_pinned(self):
+    def test_benchmark_workload_chains_pinned(self, kernel_pin):
         # large-shards is the only byte-compare of a run with SMOTE and with
         # lock-step SGD groups that keep their shape for many steps
-        got, expected = {}, {}
-        for name, (rounds, overrides, digest) in BENCHMARK_CHAINS.items():
-            spec = resolve_spec(env={}, overrides={**overrides, "rounds": rounds, "seed": 1})
-            job = execute_job((spec, spec.policies[0], spec.epochs, spec.batch_size))
-            got[name] = hashlib.sha256(job["chain_jsonl"].encode("utf-8")).hexdigest()
-            expected[name] = digest
-        assert got == expected
+        expected = {name: kernel_pin(pins) for name, (*_, pins) in BENCHMARK_CHAINS.items()}
+        assert {name: workload_chain_digest(name) for name in BENCHMARK_CHAINS} == expected
 
     def test_large_shards_setup_pinned(self):
         # 50,000 rows standardized, 30 shards rebalanced by SMOTE from 26-27
@@ -711,8 +769,10 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out == "valid chain of 3 block(s)\n"
 
-    @pytest.mark.parametrize("chain", [GOLDEN_CHAIN, GOLDEN_TMC_CHAIN],
-                             ids=["contribution-toy", "tmc-default"])
+    @pytest.mark.parametrize("chain", [
+        pytest.param(path, id=name if kernel == "SkylakeX" else f"{name}-{kernel}")
+        for name, pins in (("contribution-toy", GOLDEN_CHAIN), ("tmc-default", GOLDEN_TMC_CHAIN))
+        for kernel, path in pins.items()])
     def test_golden_chains_canonical(self, chain):
         text = chain.read_text()
         assert export_chain(import_chain(text)) == text
