@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ledger as ledgermod
-from .data import (CREDIT_CARD_COLUMNS, Dataset, DataError, SmoteConfig, _field_types, load_csv,
-                   read_utf8, standardize)
+from .data import (CREDIT_CARD_COLUMNS, Count, Dataset, DataError, SmoteConfig, _field_types,
+                   load_csv, read_utf8, standardize)
 from .federation import FederationAborted, FederationConfig, RunResult, RunSettings, run
 from .model import TrainConfig
 from .seeds import check_seed, derive_seed
@@ -52,22 +52,22 @@ class ExperimentSpec(RunSettings):
     data: str = "synthetic"  # "synthetic" | "csv"
     csv_path: str = ""
     synthetic_n: int = 2000
-    synthetic_features: int = 30
+    synthetic_features: Count = 30
     synthetic_minority_fraction: float = 0.02
     synthetic_separation: float = 2.0
-    clients_per_round: int = 10
+    clients_per_round: Count = 10
     learning_rate: float = TrainConfig.learning_rate
     # deliberately not TrainConfig's 1 (one pass): a run trains 10 local epochs a round
-    epochs: int = 10
-    batch_size: int = TrainConfig.batch_size
+    epochs: Count = 10
+    batch_size: Count = TrainConfig.batch_size
     weight_decay: float = TrainConfig.weight_decay
-    exploration_period: int = SelectionPolicy.exploration_period
+    exploration_period: Count = SelectionPolicy.exploration_period
     smote: bool = True
-    smote_k: int = SmoteConfig.k
+    smote_k: Count = SmoteConfig.k
     smote_target_ratio: float = SmoteConfig.target_ratio
     seed: int = 0
-    epochs_sweep: tuple[int, ...] = ()
-    batch_sweep: tuple[int, ...] = ()
+    epochs_sweep: tuple[Count, ...] = ()
+    batch_sweep: tuple[Count, ...] = ()
     policies: tuple[str, ...] = ("contribution",)
     out: str = "results"
 
@@ -81,9 +81,6 @@ class ExperimentSpec(RunSettings):
             raise ConfigError(f"bad value for 'data': {self.data!r} (synthetic or csv)")
         if self.data == "csv" and not Path(self.csv_path).is_file():
             raise ConfigError(f"bad value for 'csv_path': no file {self.csv_path!r}")
-        if self.synthetic_features < 1:
-            raise ConfigError(
-                f"bad value for 'synthetic_features': {self.synthetic_features!r} (at least 1)")
         if not self.policies:
             raise ConfigError("bad value for 'policies': empty (at least one policy)")
         for key in ("policies", "epochs_sweep", "batch_sweep"):
@@ -269,7 +266,7 @@ def build_federation_config(
     spec: ExperimentSpec, policy_kind: str, epochs: int, batch_size: int
 ) -> FederationConfig:
     policy = _checked(
-        "policies / clients_per_round / exploration_period",
+        "policies",
         SelectionPolicy,
         kind=policy_kind,
         k=spec.clients_per_round,

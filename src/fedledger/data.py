@@ -110,8 +110,23 @@ def check_integer(key: str, value) -> None:
         raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def check_count(key: str, value) -> None:
+    """Refuse, naming its key, a count that is not an integer of at least 1."""
+    check_integer(key, value)
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value!r}")
+
+
+class Count(int):
+    """The annotation of a config field that counts something, checked by
+    `check_count`; text parses to it as to int, and the plain int is stored."""
+
+
 # the resolved type of each field of a config class, by name
 _field_types = cache(get_type_hints)
+# the check of an integer field, and of each entry of a tuple of integers
+_INTEGER_CHECKS = {int: check_integer, Count: check_count}
+_ENTRY_CHECKS = {tuple[int, ...]: check_integer, tuple[Count, ...]: check_count}
 
 
 def check_fields(config) -> None:
@@ -119,20 +134,22 @@ def check_fields(config) -> None:
     as the Python int, float or bool of its value; every config class calls this first.
 
     An int field, and each entry of a tuple[int, ...] field, must be an integer. A
-    float field, and a float | None field that is set, must be a finite real number
-    that is not a bool, and a bool field a bool. Stored so, every setting serializes
-    as cli.config_hash serializes it, and 1 and 1.0 run under one hash. Fields of
-    any other type are the class's own to check.
+    Count field, and each entry of a tuple[Count, ...] field, must be an integer of
+    at least 1, else "{key} must be at least 1, got {value!r}" ("{key} entry" for an
+    entry). A float field, and a float | None field that is set, must be a finite
+    real number that is not a bool, and a bool field a bool. Stored so, every setting
+    serializes as cli.config_hash serializes it, and 1 and 1.0 run under one hash.
+    Fields of any other type are the class's own to check.
     """
     hints = _field_types(type(config))
     for key, value in list(vars(config).items()):
         hint = hints[key]
-        if hint is int:
-            check_integer(key, value)
+        if (check := _INTEGER_CHECKS.get(hint)) is not None:
+            check(key, value)
             object.__setattr__(config, key, int(value))
-        elif hint == tuple[int, ...]:
+        elif (check := _ENTRY_CHECKS.get(hint)) is not None:
             for entry in value:
-                check_integer(f"{key} entry", entry)
+                check(f"{key} entry", entry)
             object.__setattr__(config, key, tuple(map(int, value)))
         elif hint is float or (hint == float | None and value is not None):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -155,14 +172,12 @@ class PartitionPlan:
     ceil(num_orgs/3) shards, the rest is dealt evenly across all shards.
     """
 
-    num_orgs: int
+    num_orgs: Count
     mode: str = "iid"
     skew: float = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.num_orgs < 1:
-            raise ValueError("num_orgs must be positive")
         if self.mode not in ("iid", "label-skew"):
             raise ValueError(f"unknown partition mode: {self.mode!r}")
         if not 0.0 <= self.skew <= 1.0:
@@ -171,13 +186,11 @@ class PartitionPlan:
 
 @dataclass(frozen=True)
 class SmoteConfig:
-    k: int = 5
+    k: Count = 5
     target_ratio: float = 1.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.k < 1:
-            raise ValueError("k must be positive")
         if not 0.0 < self.target_ratio <= 1.0:
             raise ValueError("target_ratio must lie in (0, 1]")
 
@@ -320,7 +333,7 @@ def partition(data: Dataset, plan: PartitionPlan, seed: int) -> list[Dataset]:
 
 def stratified_parts(data: Dataset, n_parts: int, seed: int) -> list[Dataset]:
     """Deal the dataset into n_parts shards of near-equal class composition."""
-    check_integer("n_parts", n_parts)
+    check_count("n_parts", n_parts)
     rng = np.random.default_rng(seed)
     by_class = [rng.permutation(np.flatnonzero(data.labels == cls)) for cls in (0, 1)]
     return [data.subset(np.sort(np.concatenate([idx[p::n_parts] for idx in by_class])))
@@ -371,6 +384,7 @@ def knn_minority(data: Dataset, point_index: int, k: int) -> list[int]:
     minority = data.minority_indices()
     if point_index not in minority:
         raise ValueError(f"index {point_index} is not a minority example")
+    check_integer("k", k)
     if k < 1:
         raise ValueError("k must be positive")
     if k >= minority.size:

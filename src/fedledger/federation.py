@@ -21,7 +21,7 @@ from . import ledger as ledgermod
 from . import model as modelmod
 from . import selection as selmod
 from . import valuation as valmod
-from .data import Dataset, PartitionPlan, SmoteConfig, check_fields
+from .data import Count, Dataset, PartitionPlan, SmoteConfig, check_fields
 from .ledger import Block, ContentStore, LocalUpdateTx, ValidatorPanel
 from .model import Metrics, ModelParams, TrainConfig
 from .seeds import check_seed, derive_seed
@@ -51,19 +51,19 @@ VALUATION_METHODS = ("exact", "tmc", "off")
 @dataclass(frozen=True, kw_only=True)
 class RunSettings:
     """The run keys `FederationConfig` shares with the CLI spec, each checked here
-    alone: its type by `data.check_fields`, then its range."""
+    alone: its type, and a count's lower bound, by `data.check_fields`, then its range."""
 
-    num_orgs: int = 30
-    rounds: int = 100
+    num_orgs: Count = 30
+    rounds: Count = 100
     valuation: str = "tmc"
     tmc_truncation_tol: float = 1e-4
-    tmc_max_permutations: int = 200
+    tmc_max_permutations: Count = 200
     tmc_convergence_tol: float = 1e-3
     accuracy_target: float | None = None
     # an odd count, so that a strict majority of validators is defined
-    validators: int = 3
+    validators: Count = 3
     accuracy_floor: float = 0.5
-    hidden_dims: tuple[int, ...] = (16,)
+    hidden_dims: tuple[Count, ...] = (16,)
     partition_mode: str = "iid"
     partition_skew: float = 0.8
     threshold: float = 0.5
@@ -74,10 +74,6 @@ class RunSettings:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.num_orgs < 1:
-            raise ValueError("num_orgs must be positive")
-        if self.rounds < 1:
-            raise ValueError("rounds must be positive")
         if self.valuation not in VALUATION_METHODS:
             raise ValueError(
                 f"valuation must be one of {VALUATION_METHODS}, got {self.valuation!r}")
@@ -85,11 +81,9 @@ class RunSettings:
             raise ValueError("tmc_truncation_tol must be non-negative")
         if self.tmc_convergence_tol < 0:
             raise ValueError("tmc_convergence_tol must be non-negative")
-        if self.tmc_max_permutations < 1:
-            raise ValueError("tmc_max_permutations must be at least 1")
         if self.accuracy_target is not None and not 0.0 <= self.accuracy_target < 1.0:
             raise ValueError("accuracy_target must lie in [0, 1)")
-        if self.validators < 1 or self.validators % 2 == 0:
+        if self.validators % 2 == 0:
             raise ValueError("validators must be odd so majority is defined")
         if not 0.0 <= self.accuracy_floor <= 1.0:
             raise ValueError("accuracy_floor must lie in [0, 1]")
@@ -99,8 +93,6 @@ class RunSettings:
             raise ValueError("label_noise must lie in [0, 1]")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly between 0 and 1")
-        if any(width < 1 for width in self.hidden_dims):
-            raise ValueError("hidden_dims widths must be positive")
         try:
             PartitionPlan(self.num_orgs, self.partition_mode, self.partition_skew)
         except ValueError as exc:

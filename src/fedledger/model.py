@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, check_fields
+from .data import Count, Dataset, check_fields
 
 PROB_FLOOR = 1e-12
 
@@ -55,18 +55,14 @@ class ModelParams:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
-    epochs: int = 1
-    batch_size: int = 32
+    epochs: Count = 1
+    batch_size: Count = 32
     weight_decay: float = 0.001
 
     def __post_init__(self) -> None:
         check_fields(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
 

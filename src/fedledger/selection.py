@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import check_fields, check_integer
+from .data import Count, check_fields, check_integer
 from .seeds import derive_seed
 from .valuation import CoalitionGame
 
@@ -23,17 +23,13 @@ POLICY_KINDS = ("random", "greedy", "contribution")
 @dataclass(frozen=True)
 class SelectionPolicy:
     kind: str
-    k: int
-    exploration_period: int = 5
+    k: Count
+    exploration_period: Count = 5
 
     def __post_init__(self) -> None:
         check_fields(self)
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.exploration_period < 1:
-            raise ValueError("exploration_period must be positive")
 
 
 def select_random(orgs: Iterable[int], k: int, round_seed: int) -> set[int]:
@@ -43,7 +39,7 @@ def select_random(orgs: Iterable[int], k: int, round_seed: int) -> set[int]:
     for a, b in zip(pool, pool[1:]):
         if a == b:
             raise ValueError(f"organization {a!r} is repeated")
-    if k > len(pool):
+    if not 0 <= k <= len(pool):
         raise ValueError(f"cannot select k={k} from {len(pool)} organizations")
     rng = np.random.default_rng(round_seed)
     picked = rng.choice(len(pool), size=k, replace=False)
@@ -61,7 +57,7 @@ def select_greedy(game: CoalitionGame, k: int) -> set[int]:
     """
     check_integer("k", k)
     pool = sorted(game.players)
-    if k > len(pool):
+    if not 0 <= k <= len(pool):
         raise ValueError(f"cannot select k={k} from a pool of {len(pool)}")
     chosen: list[int] = []
     for _ in range(k):
@@ -90,7 +86,7 @@ def select_by_contribution(
     """
     check_integer("k", k)
     pool = sorted(scores)
-    if k > len(pool):
+    if not 0 <= k <= len(pool):
         raise ValueError(f"cannot select k={k} from {len(pool)} organizations")
     if round_index % policy.exploration_period == 0:
         return select_random(pool, k, derive_seed(seed, "explore", round_index))

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import model
-from .data import Dataset, check_integer
+from .data import Dataset, check_count
 from .model import ModelParams
 
 
@@ -374,9 +374,7 @@ def tmc_shapley(
     if not 0 <= convergence_tol < math.inf:
         raise ValueError(
             f"convergence_tol must be non-negative and finite, got {convergence_tol!r}")
-    check_integer("max_permutations", max_permutations)
-    if max_permutations < 1:
-        raise ValueError("max_permutations must be at least 1")
+    check_count("max_permutations", max_permutations)
     players = game.players
     n = len(players)
     if n == 0:

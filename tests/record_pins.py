@@ -11,22 +11,20 @@ add to test_cli.py's GOLDEN_CHAIN, GOLDEN_TMC_CHAIN and BENCHMARK_CHAINS are
 printed. Check the new values with tier-1 under the same kernel.
 """
 
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+from check_demos import REPO, demo_stdout, demos, expected_path, kernel_expected
 from conftest import blas_kernel
-from test_cli import (BENCHMARK_CHAINS, GOLDEN_CHAIN, GOLDEN_TMC_CHAIN, contribution_chain,
-                      tmc_chain, workload_chain_digest)
-
-REPO = Path(__file__).resolve().parent.parent
+from test_cli import (BENCHMARK, BENCHMARK_CHAINS, GOLDEN_CHAIN, GOLDEN_TMC_CHAIN,
+                      contribution_chain, tmc_chain, workload_chain_digest)
 
 
 def main() -> int:
     kernel = blas_kernel()
     pinned = {*GOLDEN_CHAIN, *GOLDEN_TMC_CHAIN,
-              *(k for *_, pins in BENCHMARK_CHAINS.values() for k in pins)}
+              *(k for pins in BENCHMARK_CHAINS.values() for k in pins)}
     if kernel == "unknown" or kernel in pinned:
         print(f"BLAS kernel {kernel!r}: "
               f"{'has no name to pin under' if kernel == 'unknown' else 'already pinned'}",
@@ -41,16 +39,15 @@ def main() -> int:
                 path = path.with_suffix(f".{kernel}.jsonl")
                 path.write_bytes(got)
             print(f"{name}: {kernel!r}: TESTS / {path.name!r}")
-    for name in BENCHMARK_CHAINS:
+    for name in BENCHMARK.WORKLOADS:
         print(f"BENCHMARK_CHAINS[{name!r}]: {kernel!r}: {workload_chain_digest(name)!r}")
-    for demo in sorted((REPO / "demos").glob("*.py")):
-        out = subprocess.run([sys.executable, str(demo)], cwd=REPO, capture_output=True,
-                             check=True).stdout
-        expected = REPO / "demos" / "expected" / f"{demo.stem}.txt"
-        if out != expected.read_bytes():
-            expected = expected.with_suffix(f".{kernel}.txt")
-            expected.write_bytes(out)
-            print(f"wrote {expected.relative_to(REPO)}")
+    for demo in demos():
+        out = demo_stdout(demo)
+        # no kernel_expected file exists yet, so this compares with <demo>.txt
+        if out != expected_path(demo, kernel).read_bytes():
+            path = kernel_expected(demo, kernel)
+            path.write_bytes(out)
+            print(f"wrote {path.relative_to(REPO)}")
     return 0
 
 

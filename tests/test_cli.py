@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedledger import cli
 from fedledger.cli import (
     ConfigError,
     ExperimentSpec,
@@ -24,7 +27,7 @@ from fedledger.cli import (
     synthesize_raw,
     synthetic_dataset,
 )
-from fedledger.data import (CREDIT_CARD_COLUMNS, Dataset, PartitionPlan, SmoteConfig,
+from fedledger.data import (CREDIT_CARD_COLUMNS, Count, Dataset, PartitionPlan, SmoteConfig,
                             _field_types, load_csv, split)
 from fedledger.federation import FederationConfig, RunSettings, init_round0
 from fedledger.ledger import ValidatorPanel, export_chain, import_chain, serialize_params
@@ -46,25 +49,25 @@ GOLDEN_CHAIN = {"SkylakeX": TESTS / "golden_chain_contribution_toy.jsonl",
 GOLDEN_TMC_CHAIN = {"SkylakeX": TESTS / "golden_chain_tmc_default.jsonl",
                     "Haswell": TESTS / "golden_chain_tmc_default.Haswell.jsonl"}
 
-# The four benchmark workloads (benchmarks/run.py), restated here: rounds and
-# config overrides, and the SHA-256 of each one's exported chain at seed 1.
+# The SHA-256 of each benchmark workload's exported chain at seed 1. The
+# workloads themselves are benchmarks/run.py's WORKLOADS, read from that file.
 BENCHMARK_CHAINS = {
-    "default-tmc": (100, {}, {
+    "default-tmc": {
         "SkylakeX": "66cd45e3511447d6be2a9fc720df85d7ebb76f0ad9e1ab507280ed351426160c",
         "Haswell": "f9a680a14d82fa390856e42c8a89cd5fa7748b0008ef2d089cbc54d89c72f59c",
-    }),
-    "exact-shapley": (40, {"policies": ("random",), "valuation": "exact"}, {
+    },
+    "exact-shapley": {
         "SkylakeX": "54e935538de9933b03c1edab67ff22c101781b92a23ea6c525c0af71c7c8cc56",
         "Haswell": "9370295590e7951a1d8c80475bcb0e94fc82b9fa1b90fa886cad32727cce4d05",
-    }),
-    "greedy-pool": (40, {"policies": ("greedy",)}, {
+    },
+    "greedy-pool": {
         "SkylakeX": "efa2d8226a98a41a6a7e0bf50d0d43a53a5b04f43ce4145fb3c21b0170dd4624",
         "Haswell": "905e1043655426ec859e7bd2780b30e7fa8e323f5ca4e119f0ec0f068e409a2a",
-    }),
-    "large-shards": (7, {"synthetic_n": 50000, "policies": ("random",), "valuation": "off"}, {
+    },
+    "large-shards": {
         "SkylakeX": "ff00fae2072aa75bfc665d8feef42dbf578a6fa81729cf5e2ad154e3ca442e62",
         "Haswell": "fa6924e8895a789d61d2da48ee9b9b833e6cb197c729eddf53edc206d1b99fac",
-    }),
+    },
 }
 
 # SHA-256 of everything init_round0 builds for large-shards at seed 1, the only
@@ -107,10 +110,22 @@ def tmc_chain(out: Path) -> bytes:
     return (out / "chain_contribution_e10_b32.jsonl").read_bytes()
 
 
+def load_benchmark():
+    """benchmarks/run.py as a module, imported without running its main."""
+    spec = importlib.util.spec_from_file_location("benchmark_run",
+                                                  TESTS.parent / "benchmarks" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their class's module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK = load_benchmark()
+
+
 def workload_chain_digest(name: str) -> str:
     """The SHA-256 of a benchmark workload's exported chain at seed 1."""
-    rounds, overrides, _ = BENCHMARK_CHAINS[name]
-    spec = resolve_spec(env={}, overrides={**overrides, "rounds": rounds, "seed": 1})
+    spec = BENCHMARK.workload_spec(cli, name, 1)
     job = execute_job((spec, spec.policies[0], spec.epochs, spec.batch_size))
     return hashlib.sha256(job["chain_jsonl"].encode("utf-8")).hexdigest()
 
@@ -374,7 +389,7 @@ class TestConfigChecks:
             resolve_spec(env={}, overrides={"smote_k": k})
 
     @pytest.mark.parametrize("key, value, message", [
-        ("smote_k", 0, "k must be positive"),
+        ("smote_k", 0, "k must be at least 1, got 0"),
         ("smote_k", 2.5, "k must be an integer"),
         ("smote_target_ratio", 0.0, "target_ratio must lie in"),
     ])
@@ -385,16 +400,15 @@ class TestConfigChecks:
             resolve_spec(env={}, overrides={"smote": False, key: value})
 
     @pytest.mark.parametrize("text, message", [
-        ("num_orgs = 0", "num_orgs must be positive"),
+        ("num_orgs = 0", "num_orgs must be at least 1, got 0"),
         ("accuracy_target = 1", "accuracy_target must lie in [0, 1)"),
         ("label_noise_orgs = 31", "label_noise_orgs must lie in [0, num_orgs]"),
-        ("hidden_dims = 0", "hidden_dims widths must be positive"),
+        ("hidden_dims = 0", "hidden_dims entry must be at least 1, got 0"),
         ("clients_per_round = 31", "clients per round (policy.k) cannot exceed num_orgs"),
         ("partition_skew = 1.5", "partition_mode / partition_skew: skew must lie in [0, 1]"),
         ("learning_rate = 0", "learning_rate must be positive"),
-        ("batch_size = 0", "batch_size must be at least 1"),
-        ("exploration_period = 0", "bad value for policies / clients_per_round / "
-                                   "exploration_period: exploration_period must be positive"),
+        ("batch_size = 0", "batch_size must be at least 1, got 0"),
+        ("exploration_period = 0", "exploration_period must be at least 1, got 0"),
         ("label_noise = 1.5", "label_noise must lie in [0, 1]"),
         ("weight_decay = -1", "weight_decay must be non-negative"),
         ("synthetic_n = 10", "bad value for synthetic_n / synthetic_minority_fraction: "
@@ -509,21 +523,35 @@ class TestCheckFields:
     @pytest.mark.parametrize("cls, key", [
         pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
         for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
-        if _field_types(cls)[f.name] in (int, float, float | None)])
+        if _field_types(cls)[f.name] in (int, Count, float, float | None)])
     def test_typed_fields(self, cls, key):
-        kind = int if _field_types(cls)[key] is int else float
+        hint = _field_types(cls)[key]
+        kind = int if hint in (int, Count) else float
         default = getattr(config(cls), key)
         if kind is int:
-            refused, message, stored = (True, 2.5), "must be an integer", np.int64(default)
+            refused = {"must be an integer": (True, 2.5)}
+            if hint is Count:
+                refused["must be at least 1"] = (0, -1)
+            stored = (np.int64(default), Count(default))
         else:
-            refused, message = (True, "0.1", math.nan), "must be (a real number|finite)"
-            stored = np.float32(0.5 if default is None else default)
-        for value in refused:
-            # a smote key is named as the spec names it, with SmoteConfig's own
-            with pytest.raises(ValueError, match=f"{key}.* {message}, got "):
-                config(cls, **{key: value})
-        got = getattr(config(cls, **{key: stored}), key)
-        assert type(got) is kind and got == stored
+            refused = {"must be (a real number|finite)": (True, "0.1", math.nan)}
+            stored = (np.float32(0.5 if default is None else default),)
+        for message, values in refused.items():
+            for value in values:
+                # a smote key is named as the spec names it, with SmoteConfig's own
+                with pytest.raises(ValueError, match=f"{key}.* {message}, got "):
+                    config(cls, **{key: value})
+        for value in stored:
+            got = getattr(config(cls, **{key: value}), key)
+            assert type(got) is kind and got == value
+
+    @pytest.mark.parametrize("cls, key", [
+        pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
+        if _field_types(cls)[f.name] == tuple[Count, ...]])
+    def test_count_entries(self, cls, key):
+        with pytest.raises(ValueError, match=f"^{key} entry must be at least 1, got 0$"):
+            config(cls, **{key: (2, 0)})
 
 
 class TestSeedRange:
@@ -630,14 +658,13 @@ class TestRunCommand:
     def test_benchmark_workload_chains_pinned(self, kernel_pin):
         # large-shards is the only byte-compare of a run with SMOTE and with
         # lock-step SGD groups that keep their shape for many steps
-        expected = {name: kernel_pin(pins) for name, (*_, pins) in BENCHMARK_CHAINS.items()}
-        assert {name: workload_chain_digest(name) for name in BENCHMARK_CHAINS} == expected
+        expected = {name: kernel_pin(pins) for name, pins in BENCHMARK_CHAINS.items()}
+        assert {name: workload_chain_digest(name) for name in BENCHMARK.WORKLOADS} == expected
 
     def test_large_shards_setup_pinned(self):
         # 50,000 rows standardized, 30 shards rebalanced by SMOTE from 26-27
         # minority rows each: every array of the set-up, byte for byte
-        rounds, overrides, _ = BENCHMARK_CHAINS["large-shards"]
-        spec = resolve_spec(env={}, overrides={**overrides, "rounds": rounds, "seed": 1})
+        spec = BENCHMARK.workload_spec(cli, "large-shards", 1)
         cfg = build_federation_config(spec, spec.policies[0], spec.epochs, spec.batch_size)
         state = init_round0(cfg, load_experiment_data(spec))
         digest = hashlib.sha256()

@@ -785,6 +785,13 @@ class TestArrayCodeMatchesLoops:
         with pytest.raises(ValueError, match=f"^{want.value}$"):
             knn_minority(data, point_index, k)
 
+    @pytest.mark.parametrize("k", [True, 2.5])
+    def test_knn_non_integer_k_refused(self, k):
+        # each died with a TypeError
+        data = make_dataset([[0.0], [1.0], [2.0], [5.0]], [1, 1, 0, 1])
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            knn_minority(data, 0, k)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_standardize(self, seed):
         rng = np.random.default_rng(3000 + seed)

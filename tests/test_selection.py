@@ -19,6 +19,23 @@ def additive_game(gains):
     return FunctionGame(range(len(gains)), lambda s: sum(table[p] for p in s))
 
 
+# each selector, asked for k of three organizations
+SELECTORS = {
+    "select_random": lambda k: select_random(range(3), k, round_seed=0),
+    "select_greedy": lambda k: select_greedy(additive_game([0.1, 0.2, 0.3]), k),
+    "select_by_contribution": lambda k: select_by_contribution(
+        {0: 0.1, 1: 0.2, 2: 0.3}, k, round_index=1,
+        policy=SelectionPolicy("contribution", k=2), seed=0),
+}
+# the other functions that take a count, by name: the count's name and a call
+COUNTED = {
+    "tmc_shapley": ("max_permutations",
+                    lambda n: tmc_shapley(additive_game([0.1, 0.2, 0.3]), max_permutations=n)),
+    "stratified_parts": ("n_parts", lambda n: stratified_parts(
+        Dataset(np.eye(4), np.array([0, 1, 0, 1])), n, 0)),
+}
+
+
 class TestSelectRandom:
     def test_full_pool(self):
         assert select_random(range(4), 4, round_seed=0) == {0, 1, 2, 3}
@@ -137,19 +154,28 @@ class TestSelectByContribution:
 
     @pytest.mark.parametrize("value", [True, 2.5, 2.0])
     @pytest.mark.parametrize("key, call", [
-        ("k", lambda n: select_random(range(4), n, round_seed=0)),
-        ("k", lambda n: select_greedy(additive_game([0.1, 0.2, 0.3]), n)),
-        ("k", lambda n: select_by_contribution({0: 0.1, 1: 0.2, 2: 0.3}, n, round_index=1,
-                                               policy=SelectionPolicy("contribution", k=2),
-                                               seed=0)),
-        ("max_permutations",
-         lambda n: tmc_shapley(additive_game([0.1, 0.2, 0.3]), max_permutations=n)),
-        ("n_parts", lambda n: stratified_parts(Dataset(np.eye(4), np.array([0, 1, 0, 1])), n, 0)),
-    ], ids=["select_random", "select_greedy", "select_by_contribution", "tmc_shapley",
-            "stratified_parts"])
+        *(pytest.param("k", call, id=name) for name, call in SELECTORS.items()),
+        *(pytest.param(key, call, id=name) for name, (key, call) in COUNTED.items()),
+    ])
     def test_count_arguments_refuse_non_integers(self, key, call, value):
         # True ran as one and 2.5 died inside range()
         with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+            call(value)
+
+    @pytest.mark.parametrize("call", SELECTORS.values(), ids=SELECTORS)
+    def test_negative_k_refused(self, call):
+        # select_by_contribution returned all but the lowest ranked, select_greedy
+        # nothing, and select_random died inside numpy; k = 0 selects nobody
+        with pytest.raises(ValueError,
+                           match="^cannot select k=-1 from (3 organizations|a pool of 3)$"):
+            call(-1)
+        assert call(0) == set()
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key, call", COUNTED.values(), ids=COUNTED)
+    def test_counts_below_one_refused(self, key, call, value):
+        # stratified_parts dealt no shards
+        with pytest.raises(ValueError, match=f"^{key} must be at least 1, got {value}$"):
             call(value)
 
     def test_more_than_the_pool_refused(self):
