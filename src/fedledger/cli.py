@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ledger as ledgermod
+from . import valuation
 from .data import (CREDIT_CARD_COLUMNS, Count, Dataset, DataError, SmoteConfig, _field_types,
                    load_csv, read_utf8, standardize)
 from .federation import FederationAborted, FederationConfig, RunResult, RunSettings, run
@@ -184,9 +185,12 @@ def _checked(keys: str, make, **kwargs):
 
 
 def config_hash(spec: ExperimentSpec) -> str:
-    """Digest of every experiment-defining setting (output location excluded)."""
+    """Digest of every experiment-defining setting (output location excluded)
+    and, for a CSV run, of the file's bytes."""
     payload = dataclasses.asdict(spec)
     del payload["out"]
+    if spec.data == "csv":
+        payload["csv_sha256"] = hashlib.sha256(Path(spec.csv_path).read_bytes()).hexdigest()
     canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -341,7 +345,7 @@ def cmd_run(spec: ExperimentSpec, parallel: bool = False) -> list[Path]:
     """Run every job, then write their outputs; a failed job leaves no --out."""
     jobs = _run_jobs(spec)
     if parallel and len(jobs) > 1:
-        with ProcessPoolExecutor() as pool:
+        with ProcessPoolExecutor(max_workers=min(len(jobs), valuation._usable_cpus())) as pool:
             outcomes = list(pool.map(execute_job, jobs))
     else:
         outcomes = [execute_job(job) for job in jobs]
@@ -382,13 +386,8 @@ def cmd_generate(spec: ExperimentSpec) -> Path:
 
 def cmd_validate(path) -> int:
     try:
-        text = read_utf8(path)
-    except (OSError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        chain = ledgermod.import_chain(text)
-    except ValueError as exc:
+        chain = ledgermod.import_chain(read_utf8(path))
+    except (OSError, ValueError) as exc:  # read_utf8's DataError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not chain:  # every export starts with a genesis block
@@ -408,11 +407,8 @@ def cmd_validate(path) -> int:
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     config = parse_config_file(args.config) if args.config else {}
-    overrides: dict[str, object] = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
+    # resolve_spec skips an override of None, a flag not given
+    overrides: dict[str, object] = {"seed": args.seed, "out": args.out}
     if getattr(args, "policy", None) is not None:
         overrides["policies"] = (args.policy,)
     if getattr(args, "epochs", None) is not None:

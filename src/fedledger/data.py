@@ -344,7 +344,7 @@ def imbalance_stats(data: Dataset) -> tuple[int, float]:
     """Count and fraction of minority (label 1) examples."""
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    minority = int(np.count_nonzero(data.labels == 1))
+    minority = data.class_counts()[1]
     return minority, minority / len(data)
 
 

@@ -123,10 +123,10 @@ class RoundReport:
 
     per_org_metrics, the global model's metrics on each organization's raw
     shard, is computed on first read and then kept; a run reads only its
-    final round's. It is computed from the round's own global model, the raw
-    shards as they were when the round ran, and the threshold, so a later
-    read, or one from a pickled copy, gives what the round itself would
-    have. Those three inputs take no part in == or repr.
+    final round's. It is computed from the round's own global model, the
+    run's tuple of raw shards and the threshold, so a later read, or one
+    from a pickled copy, gives what the round itself would have. Those three
+    inputs take no part in == or repr.
     """
 
     round_index: int
@@ -159,16 +159,16 @@ class FederationState:
 
     `shards` is what organizations train on (after any SMOTE rebalancing);
     `raw_shards` is the data they actually hold, used for the org-level
-    metrics: each round's report keeps a snapshot of the list, so replacing
-    a shard changes no earlier round's per_org_metrics. `global_loss` is
-    `global_params`' loss on `server_test`, the `global_metrics.loss` of the
-    round that produced it (init_round0 computes the first); the valuation
-    games take it as their base loss instead of recomputing it.
+    metrics: a tuple, made once, that each round's report references.
+    `global_loss` is `global_params`' loss on `server_test`, the
+    `global_metrics.loss` of the round that produced it (init_round0
+    computes the first); the valuation games take it as their base loss
+    instead of recomputing it.
     """
 
     cfg: FederationConfig
     shards: list[Dataset]
-    raw_shards: list[Dataset]
+    raw_shards: tuple[Dataset, ...]
     server_test: Dataset
     panel: ValidatorPanel
     store: ContentStore
@@ -221,13 +221,12 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
             shards[org] = _flip_labels(
                 shards[org], cfg.label_noise, derive_seed(ms, "noise", int(org))
             )
-    raw_shards = list(shards)
+    raw_shards = tuple(shards)
     if cfg.smote is not None:
         rebalanced = []
         for org, shard in enumerate(shards):
-            minority = int(np.count_nonzero(shard.labels == 1))
             # shards too minority-poor for k neighbors are left as-is
-            if minority > cfg.smote.k:
+            if shard.class_counts()[1] > cfg.smote.k:
                 shard = datamod.smote(shard, cfg.smote, derive_seed(ms, "smote", org))
             rebalanced.append(shard)
         shards = rebalanced
@@ -238,10 +237,7 @@ def init_round0(cfg: FederationConfig, dataset: Dataset) -> FederationState:
     panel = ValidatorPanel(dict(enumerate(validator_shards)), cfg.accuracy_floor)
 
     store = ContentStore()
-    genesis = ledgermod.make_block(
-        0, ledgermod.ZERO_DIGEST, (), store.put(ledgermod.serialize_params(w0)), {}, {}
-    )
-    chain = ledgermod.append_block([], genesis)
+    chain = ledgermod.seal_block([], (), store.put(ledgermod.serialize_params(w0)), {}, {})
     return FederationState(cfg, shards, raw_shards, server_test, panel, store, chain, w0,
                            modelmod.loss(w0, server_test))
 
@@ -326,15 +322,8 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         for org, value in shapley.values.items():
             state.contributions[org] = state.contributions.get(org, 0.0) + value
 
-    block = ledgermod.make_block(
-        height=len(state.chain),
-        prev_hash=state.chain[-1].block_hash,
-        txs=tuple(txs),
-        global_model_digest=winner_digest,
-        votes=votes,
-        contributions=shapley.values if shapley else {},
-    )
-    state.chain = ledgermod.append_block(state.chain, block)
+    state.chain = ledgermod.seal_block(state.chain, txs, winner_digest, votes,
+                                       shapley.values if shapley else {})
     state.global_params, state.global_loss = new_global, global_metrics.loss
     return RoundReport(
         round_index=t,
@@ -344,7 +333,7 @@ def _attempt_round(state: FederationState, t: int, forced_random: bool) -> Round
         bytes_on_chain=(len(txs) + 1) * ledgermod.TX_WIRE_BYTES,
         bytes_off_chain=sum(tx.payload_bytes for tx in txs),
         global_params=new_global,
-        raw_shards=tuple(state.raw_shards),
+        raw_shards=state.raw_shards,
         threshold=cfg.threshold,
     )
 
@@ -363,7 +352,7 @@ def run(cfg: FederationConfig, dataset: Dataset) -> tuple[RunResult, FederationS
     """Iterate rounds until the accuracy target is met or rounds run out.
 
     Returns the result plus the final state, whose chain and store back the
-    CLI's ledger export; append_block checked each block as it was sealed.
+    CLI's ledger export; seal_block checked each block as it was sealed.
     """
     state = init_round0(cfg, dataset)
     for t in range(cfg.rounds):

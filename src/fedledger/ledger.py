@@ -125,18 +125,21 @@ class LocalUpdateTx:
 
 @dataclass(frozen=True)
 class VerificationOutcome:
-    ok: bool
+    """A validator's verdict on one payload: accepted iff it has no reason."""
+
     reason: str = ""
     # the model an accepted payload deserialized to; None when rejected
     params: ModelParams | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.reason
 
 
 @dataclass(frozen=True)
 class ValidatorPanel:
-    """The held-out shard each validator scores submissions on, by validator id."""
+    """The held-out shard each validator scores submissions on, by validator id.
+    A submission's accuracy there, at threshold 0.5 whatever the run's
+    `threshold`, must reach `accuracy_floor`."""
 
     test_shards: dict[int, Dataset]
     accuracy_floor: float = 0.5
@@ -165,12 +168,13 @@ def verify_local_updates(
 
     A payload is accepted iff it resolves, deserializes to finite weights of
     the validator's feature width and of the global model's architecture
-    `layer_dims`, and scores at or above the panel's accuracy floor on this
-    validator's shard; an accepted outcome carries the model it deserialized
-    to. The other checks run on each payload on its own. The models that
-    pass them are scored together in one stacked forward pass over the
-    shard, whose accuracies are bit for bit model.evaluate's; its memory
-    grows with len(txs) * len(shard) * the widest layer.
+    `layer_dims`, and its accuracy on this validator's shard at threshold 0.5,
+    whatever the run's `threshold`, is at or above the panel's accuracy floor;
+    an accepted outcome carries the model it deserialized to. The other
+    checks run on each payload on its own. The models that pass them are
+    scored together in one stacked forward pass over the shard, whose
+    accuracies are bit for bit model.evaluate's; its memory grows with
+    len(txs) * len(shard) * the widest layer.
     """
     return _verify(panel, validator_id, txs, store, tuple(layer_dims), {})
 
@@ -206,7 +210,7 @@ def _verify(
         try:
             payload = store.get(tx.model_digest)
         except (BlobNotFoundError, BlobCorruptionError) as exc:
-            outcomes.append(VerificationOutcome(False, f"payload unavailable: {exc}"))
+            outcomes.append(VerificationOutcome(f"payload unavailable: {exc}"))
             continue
         params = decoded.get(tx.model_digest)
         if params is None:
@@ -221,16 +225,16 @@ def _verify(
                       f"the global model's {layer_dims}")
         else:
             scored.append(len(outcomes))
-            outcomes.append(VerificationOutcome(True, params=params))
+            outcomes.append(VerificationOutcome(params=params))
             continue
-        outcomes.append(VerificationOutcome(False, reason))
+        outcomes.append(VerificationOutcome(reason))
     if scored:
         stack = np.array([outcomes[i].params.weights for i in scored])
         floor = panel.accuracy_floor
         for i, accuracy in zip(scored, model.stacked_accuracy(layer_dims, stack, shard).tolist()):
             if accuracy < floor:
                 outcomes[i] = VerificationOutcome(
-                    False, f"accuracy {accuracy:.4f} below floor {floor:.4f}")
+                    f"accuracy {accuracy:.4f} below floor {floor:.4f}")
     return outcomes
 
 
@@ -362,41 +366,50 @@ def make_block(
     return replace(block, block_hash=compute_block_hash(block))
 
 
+def _block_failure(block: Block, height: int, prev_hash: bytes) -> str | None:
+    """Why `block` cannot stand at `height` after the block hashed `prev_hash`
+    (ZERO_DIGEST for genesis), or None: the one rule of a chain."""
+    if block.height != height:
+        return f"block height {block.height} does not extend chain of length {height}"
+    if block.prev_hash != prev_hash:
+        return f"prev_hash mismatch at height {block.height}"
+    if compute_block_hash(block) != block.block_hash:
+        return f"block_hash mismatch at height {block.height}"
+    return None
+
+
 def append_block(chain: list[Block], block: Block) -> list[Block]:
     """Extend the chain after re-verifying height, linkage, and hash."""
-    if block.height != len(chain):
-        raise ChainIntegrityError(
-            f"block height {block.height} does not extend chain of length {len(chain)}"
-        )
-    expected_prev = chain[-1].block_hash if chain else ZERO_DIGEST
-    if block.prev_hash != expected_prev:
-        raise ChainIntegrityError(f"prev_hash mismatch at height {block.height}")
-    if compute_block_hash(block) != block.block_hash:
-        raise ChainIntegrityError(f"block_hash mismatch at height {block.height}")
+    failure = _block_failure(block, len(chain), chain[-1].block_hash if chain else ZERO_DIGEST)
+    if failure:
+        raise ChainIntegrityError(failure)
     return chain + [block]
+
+
+def seal_block(chain: list[Block], txs: Sequence[LocalUpdateTx], global_model_digest: bytes,
+               votes: dict[int, bytes], contributions: dict[int, float]) -> list[Block]:
+    """The chain extended by a block of this content, linked to its head."""
+    head = chain[-1].block_hash if chain else ZERO_DIGEST
+    return append_block(chain, make_block(len(chain), head, txs, global_model_digest,
+                                          votes, contributions))
 
 
 @dataclass(frozen=True)
 class ChainValidation:
-    ok: bool
     first_failure_height: int | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.first_failure_height is None
 
 
 def validate_chain(chain: list[Block]) -> ChainValidation:
-    """Recheck heights, prev_hash links, and every block hash."""
+    """Recheck every block by append_block's rule, in one pass."""
     prev = ZERO_DIGEST
-    for i, block in enumerate(chain):
-        if (
-            block.height != i
-            or block.prev_hash != prev
-            or compute_block_hash(block) != block.block_hash
-        ):
-            return ChainValidation(False, i)
+    for height, block in enumerate(chain):
+        if _block_failure(block, height, prev):
+            return ChainValidation(height)
         prev = block.block_hash
-    return ChainValidation(True)
+    return ChainValidation()
 
 
 def _record(block: Block) -> dict:

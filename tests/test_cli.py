@@ -4,13 +4,14 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedledger import cli
+from fedledger import cli, valuation
 from fedledger.cli import (
     ConfigError,
     ExperimentSpec,
@@ -76,23 +77,8 @@ LARGE_SHARDS_SETUP = "7f2628ccc46bfe4c99258dec9fe82aaf0aa8e2543a44c2cb05058e4183
 
 BOM = "\ufeff".encode()
 
-TOY = ExperimentSpec(
-    synthetic_n=300,
-    synthetic_features=8,
-    synthetic_minority_fraction=0.1,
-    synthetic_separation=3.0,
-    num_orgs=3,
-    clients_per_round=2,
-    rounds=3,
-    learning_rate=0.1,
-    epochs=2,
-    batch_size=16,
-    hidden_dims=(4,),
-    policies=("random",),
-    valuation="exact",
-    accuracy_floor=0.0,
-    seed=5,
-)
+# the toy experiment of the golden rounds and summary files, read as a config file is
+TOY = resolve_spec(config=parse_config_file(TESTS / "toy.conf"), env={})
 
 
 def contribution_chain(out: Path) -> bytes:
@@ -163,6 +149,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             synthesize_raw(100, 30, 0.7, 2.0, 0)
 
+    def test_out_without_suffix_is_a_directory(self, tmp_path):
+        # the default out = results names a directory: the file goes inside it
+        spec = ExperimentSpec(synthetic_n=200, seed=8)
+        path = cmd_generate(dataclasses.replace(spec, out=str(tmp_path / "gen")))
+        assert path == tmp_path / "gen" / "synthetic.csv"
+        named = cmd_generate(dataclasses.replace(spec, out=str(tmp_path / "named.csv")))
+        assert path.read_bytes() == named.read_bytes()
+
 
 class TestConfigResolution:
     def test_file_env_flag_precedence(self, tmp_path):
@@ -206,6 +200,19 @@ class TestConfigResolution:
         b = ExperimentSpec(seed=2)
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(ExperimentSpec(seed=1))
+
+    def test_config_hash_covers_csv_contents(self, tmp_path):
+        # two files at one path are two experiments: the hash reads the bytes
+        path = cmd_generate(ExperimentSpec(synthetic_n=200, seed=3,
+                                           out=str(tmp_path / "data.csv")))
+        spec = resolve_spec(env={}, overrides={"data": "csv", "csv_path": str(path)})
+        before = config_hash(spec)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[0] = repr(float(cells[0]) + 1.0)
+        lines[1] = ",".join(cells)
+        path.write_text("".join(lines))
+        assert config_hash(spec) != before
 
 
 # a valid value other than the default for every run key the spec shares
@@ -701,6 +708,31 @@ class TestRunCommand:
             assert s.name == p.name
             assert s.read_bytes() == p.read_bytes(), s.name
 
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 3)])
+    def test_parallel_pool_sized_by_jobs_and_usable_cpus(self, tmp_path, monkeypatch,
+                                                          cpus, workers):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(valuation, "_usable_cpus", lambda: cpus)
+        spec = ExperimentSpec(**{**TOY.__dict__, "out": str(tmp_path / "res"), "rounds": 1,
+                                 "policies": ("random", "contribution", "greedy")})
+        cmd_run(spec, parallel=True)
+        assert sizes == [workers]
+
 
 class TestValidateCommand:
     def test_fresh_chain_valid(self, tmp_path, capsys):
@@ -815,6 +847,18 @@ class TestValidateCommand:
 
 
 class TestMainEntry:
+    def test_module_entry_point(self):
+        # `python -m fedledger.cli` runs cli.entrypoint, the console script's target
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                           os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "fedledger.cli", "validate",
+             str(TESTS / "golden_chain_tmc_default.jsonl")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "valid chain of 7 block(s)\n")
+
     def test_generate_and_validate_via_main(self, tmp_path, monkeypatch, capsys):
         conf = tmp_path / "toy.conf"
         conf.write_text(
@@ -895,7 +939,7 @@ class TestByteOrderMark:
             self.run(tmp_path, path.stem, f"data = csv\ncsv_path = {path}\n{self.TOY_CONF}"
                      .encode())
             for path in (plain_csv, marked_csv)]
-        # csv_path enters config_hash, the first line of each CSV output
+        # csv_path and the file's bytes enter config_hash, the first line of each CSV output
         plain, marked = ({name: text.partition("\n")[2] if name.endswith(".csv") else text
                           for name, text in out.items()} for out in outputs)
         assert marked == plain

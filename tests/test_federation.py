@@ -196,9 +196,10 @@ class TestRunRound:
 
     def test_per_org_metrics_equal_evaluate_per_shard(self):
         state = init_round0(small_config(num_orgs=5), small_dataset())
-        raw = state.raw_shards
+        raw = list(state.raw_shards)
         raw[1] = raw[1].subset(range(30))
         raw[3] = raw[3].subset(range(40))
+        state.raw_shards = tuple(raw)
         sizes = [len(shard) for shard in raw]
         assert len(set(sizes)) == 3
         report = run_round(state, 0)
@@ -226,8 +227,8 @@ class TestRunRound:
             run_round(state, t)
             assert len(calls) == t + 1  # the global model's evaluate only
             seen.append((state.global_params, raw))
-            state.raw_shards[t] = state.raw_shards[t].subset(range(20 + t))
-        state.raw_shards[4] = empty
+            state.raw_shards = (*raw[:t], raw[t].subset(range(20 + t)), *raw[t + 1:])
+        state.raw_shards = (*state.raw_shards[:4], empty)
         for report, (params, raw) in zip(state.reports, seen):
             assert report.global_params is params
             expected = {org: real(params, shard, 0.5) for org, shard in enumerate(raw)}
@@ -356,6 +357,10 @@ class TestRun:
         result, _ = run(small_config(rounds=1), small_dataset())
         assert len(result.reports) == 1
         assert result.rounds_to_threshold == 1
+
+    def test_rounds_to_threshold_of_no_rounds(self):
+        # a run whose round 0 aborted has no reports
+        assert fed.rounds_to_threshold([]) is None
 
     def test_zero_accuracy_target_stops_after_first_round(self):
         result, _ = run(small_config(rounds=50, accuracy_target=0.0), small_dataset())

@@ -563,6 +563,31 @@ class TestChain:
         with pytest.raises(ChainIntegrityError):
             append_block(chain, block)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda block: replace(block, height=5),
+         "block height 5 does not extend chain of length 2"),
+        (lambda block: replace(block, prev_hash=b"\x09" * 32), "prev_hash mismatch at height 2"),
+        (lambda block: replace(block, global_model_digest=b"\x02" * 32),
+         "block_hash mismatch at height 2"),
+    ])
+    def test_one_rule_seals_and_audits(self, edit, message):
+        # append_block refuses a block for the reason validate_chain flags its height
+        chain = build_chain(2)
+        block = edit(make_block(2, chain[-1].block_hash, (), b"\x01" * 32, {}, {}))
+        with pytest.raises(ChainIntegrityError, match=f"^{message}$"):
+            append_block(chain, block)
+        assert validate_chain([*chain, block]).first_failure_height == 2
+
+    def test_seal_block_links_to_the_head(self):
+        chain = ledgermod.seal_block([], (), b"\x22" * 32, {}, {})
+        assert chain == [make_block(0, ZERO_DIGEST, (), b"\x22" * 32, {}, {})]
+        votes, contributions = {0: b"\x01" * 32}, {0: 0.5}
+        longer = ledgermod.seal_block(chain, (), b"\x23" * 32, votes, contributions)
+        assert len(chain) == 1 and longer[0] is chain[0]
+        assert longer[1] == make_block(1, chain[0].block_hash, (), b"\x23" * 32, votes,
+                                       contributions)
+        assert validate_chain(longer)
+
 
 class TestExportImport:
     def test_export_format_is_frozen(self):
