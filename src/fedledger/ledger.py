@@ -2,12 +2,12 @@
 
 Model payloads live off-chain in a SHA-256 blob store; the chain records
 only fixed-size transaction records carrying 256-bit digests, so on-chain
-growth is independent of model size. Validators fetch the submitted
-local models from the store, cross-verify them on held-out shards and vote
-on the candidates each aggregates from the models it accepted; the
-strict-majority candidate becomes the round's global model. Blocks are
-hash-chained over a canonical JSON serialization, so any single-byte
-tamper is detectable at its height.
+growth is independent of model size. The validator panel fetches each
+submitted local model from the store once; each validator cross-verifies
+the models on its held-out shard and votes on the candidate it aggregates
+from those it accepted; the strict-majority candidate becomes the round's
+global model. Blocks are hash-chained over a canonical JSON serialization,
+so any single-byte tamper is detectable at its height.
 """
 
 from __future__ import annotations
@@ -170,19 +170,22 @@ def verify_local_updates(
     the validator's feature width and of the global model's architecture
     `layer_dims`, and its accuracy on this validator's shard at threshold 0.5,
     whatever the run's `threshold`, is at or above the panel's accuracy floor;
-    an accepted outcome carries the model it deserialized to. The other
-    checks run on each payload on its own. The models that pass them are
-    scored together in one stacked forward pass over the shard, whose
-    accuracies are bit for bit model.evaluate's; its memory grows with
-    len(txs) * len(shard) * the widest layer.
+    an accepted outcome carries the model it deserialized to. It reads and
+    decodes each payload itself (cross_verify does so once for the whole
+    panel), checks each model against this validator's shard and scores the
+    models that pass together, in one stacked forward pass over the shard,
+    whose accuracies are bit for bit model.evaluate's; its memory grows
+    with len(txs) * len(shard) * the widest layer.
     """
-    return _verify(panel, validator_id, txs, store, tuple(layer_dims), {})
+    return _verify(panel, validator_id, [_fetch(store, tx) for tx in txs], tuple(layer_dims))
 
 
-def _decode(payload: bytes) -> ModelParams | str:
-    """The finite model a payload encodes, or why it is malformed."""
+def _fetch(store: ContentStore, tx: LocalUpdateTx) -> ModelParams | str:
+    """The finite model tx's payload encodes, or why it cannot be used."""
     try:
-        params = deserialize_params(payload)
+        params = deserialize_params(store.get(tx.model_digest))
+    except (BlobNotFoundError, BlobCorruptionError) as exc:
+        return f"payload unavailable: {exc}"
     except ValueError as exc:
         return f"malformed payload: {exc}"
     if not np.isfinite(params.weights).all():
@@ -193,28 +196,15 @@ def _decode(payload: bytes) -> ModelParams | str:
 def _verify(
     panel: ValidatorPanel,
     validator_id: int,
-    txs: Sequence[LocalUpdateTx],
-    store: ContentStore,
+    fetched: Sequence[ModelParams | str],
     layer_dims: tuple[int, ...],
-    decoded: dict[bytes, ModelParams | str],
 ) -> list[VerificationOutcome]:
-    """verify_local_updates(), reading each payload's decoding from `decoded`
-    by digest and adding the ones it decodes, so that validators sharing one
-    dict decode each payload once. Every payload is still fetched through
-    store.get, whose integrity check makes a digest name one payload.
-    """
+    """verify_local_updates() on payloads already read by _fetch, in order:
+    what one validator decides on its own shard."""
     shard = panel.test_shards[validator_id]
     outcomes: list[VerificationOutcome] = []
     scored: list[int] = []  # positions of the outcomes still to be scored
-    for tx in txs:
-        try:
-            payload = store.get(tx.model_digest)
-        except (BlobNotFoundError, BlobCorruptionError) as exc:
-            outcomes.append(VerificationOutcome(f"payload unavailable: {exc}"))
-            continue
-        params = decoded.get(tx.model_digest)
-        if params is None:
-            params = decoded[tx.model_digest] = _decode(payload)
+    for params in fetched:
         if isinstance(params, str):
             reason = params
         elif params.input_width != shard.schema_width:
@@ -246,24 +236,23 @@ def cross_verify(
 ) -> tuple[bytes, ModelParams, dict[int, bytes], dict[int, ModelParams]]:
     """One round's validation, from the store alone.
 
-    Each validator verifies the transactions (one per organization) against
-    its own shard and the architecture of `prior`, and averages the models
-    it accepted, in the order of txs, or carries `prior` forward when it
-    accepted none; majority_global then picks the round's global model.
-    Each validator fetches every payload from the store, but each distinct
-    payload is decoded once per call, and validators that accepted the same
-    transactions share one average. Returns the winning digest, that
-    model, every validator's vote, and {org_id: model} of the updates
-    accepted by the first validator that voted for the winner. No strict
-    majority raises ConsensusError.
+    The panel reads and decodes each transaction's payload (one per
+    organization) once; each validator then verifies the decoded models
+    against its own shard and the architecture of `prior`, and averages the
+    models it accepted, in the order of txs, or carries `prior` forward when
+    it accepted none; majority_global then picks the round's global model.
+    Validators that accepted the same transactions share one average.
+    Returns the winning digest, that model, every validator's vote, and
+    {org_id: model} of the updates accepted by the first validator that
+    voted for the winner. No strict majority raises ConsensusError.
     """
     accepted: dict[int, dict[int, ModelParams]] = {}
     candidates: dict[int, ModelParams] = {}
-    decoded: dict[bytes, ModelParams | str] = {}
+    fetched = [_fetch(store, tx) for tx in txs]
     # by the positions in txs of the accepted updates: the models and their average
     averaged: dict[tuple[int, ...], tuple[dict[int, ModelParams], ModelParams]] = {}
     for vid in panel.validators:
-        outcomes = _verify(panel, vid, txs, store, prior.layer_dims, decoded)
+        outcomes = _verify(panel, vid, fetched, prior.layer_dims)
         kept = tuple(i for i, o in enumerate(outcomes) if o)
         if kept not in averaged:
             models = {txs[i].org_id: outcomes[i].params for i in kept}

@@ -404,9 +404,9 @@ class TestCrossVerify:
         assert params_digest(new_global) == digest
         assert sorted(accepted) == accepted_orgs
 
-    def test_each_payload_decoded_once(self, monkeypatch):
-        # every validator fetches every payload, but a payload is decoded once
-        # per call; the outcomes are those of separate per-validator calls
+    def test_each_payload_read_once(self, monkeypatch):
+        # the panel reads and decodes each transaction's payload once per call,
+        # for every validator; the outcomes are those of separate per-validator calls
         store = ContentStore()
         shard = balanced_shard(seed=0)
         honest = trained_model(shard)
@@ -447,9 +447,10 @@ class TestCrossVerify:
         monkeypatch.setattr(store, "get", counted_get)
         monkeypatch.setattr(ledgermod, "_verify", recorded_verify)
         cross_verify(panel, txs, store, prior)
-        # orgs 0 and 4 share a digest; the corrupt and missing blobs never decode
-        assert len(decoded) == len(set(decoded)) == 4
-        assert fetched == [tx.model_digest for tx in txs] * len(panel.validators)
+        # one read per transaction, in order; orgs 0 and 4 share a digest but are
+        # two transactions, so each decodes; the corrupt and missing blobs never do
+        assert fetched == [tx.model_digest for tx in txs]
+        assert len(decoded) == 5
         assert outcomes == expected
         for vid in panel.validators:
             for got, want in zip(outcomes[vid], expected[vid]):
@@ -461,7 +462,7 @@ class TestCrossVerify:
             assert reasons[3] == "malformed payload: non-finite weights"
             assert reasons[6] == ("malformed payload: layer_dims (2, 3, 1) do not match "
                                   "the global model's (2, 1)")
-        # the flipped validator rejects what the others accept, from the same decoding
+        # the flipped validator rejects what the others accept, from the same read
         assert [bool(o) for o in outcomes[0]] == [True, False, False, False, True, False, False]
         assert [bool(o) for o in outcomes[1]] == [False, False, False, False, False, True, False]
 

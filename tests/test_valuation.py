@@ -14,6 +14,7 @@ from fedledger.model import ModelParams, average, loss
 from fedledger.valuation import (
     STABLE_WALKS,
     CapacityError,
+    CoalitionGame,
     FunctionGame,
     ShapleyResult,
     UtilityGame,
@@ -1178,6 +1179,13 @@ class TestCoalitionTable:
         assert table.shape == (1 << 14,)
         assert peak < means_bytes / 4
 
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        # as on macOS, where os has no sched_getaffinity
+        monkeypatch.delattr(valuation.os, "sched_getaffinity", raising=False)
+        assert valuation._usable_cpus() == valuation.os.cpu_count()
+        monkeypatch.setattr(valuation.os, "cpu_count", lambda: None)
+        assert valuation._usable_cpus() == 1
+
 
 class TestRefusals:
     """Inputs that no round gives the valuation routines."""
@@ -1195,6 +1203,18 @@ class TestRefusals:
     def test_refused(self, refused, match):
         with pytest.raises(ValueError, match=match):
             refused(additive_game([1.0, 2.0, 3.0]))
+
+    def test_game_without_evaluate_masks(self):
+        # a subclass must implement _evaluate_masks; only the empty coalition
+        # is known without it
+        class Bare(CoalitionGame):
+            def __init__(self):
+                self._init_players([1, 2])
+
+        game = Bare()
+        assert game.utility([]) == 0.0
+        with pytest.raises(NotImplementedError):
+            game.utility([1])
 
     def test_tmc_of_no_players_is_empty(self):
         assert tmc_shapley(FunctionGame([], len)) == ShapleyResult({}, 0, "tmc", stderr={})
