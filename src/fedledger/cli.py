@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -295,8 +296,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def render_round_csv(spec: ExperimentSpec, result: RunResult) -> str:
-    lines = [f"# config_hash={config_hash(spec)}", ROUND_CSV_HEADER]
+def render_round_csv(spec: ExperimentSpec, result: RunResult,
+                     digest: str | None = None) -> str:
+    """The rounds CSV, under the header `config_hash(spec)`, or `digest` when
+    the caller has computed it."""
+    lines = [f"# config_hash={digest or config_hash(spec)}", ROUND_CSV_HEADER]
     for report in result.reports:
         m = report.global_metrics
         lines.append(
@@ -323,11 +327,13 @@ def summary_row(
     )
 
 
-def execute_job(args: tuple[ExperimentSpec, str, int, int]) -> dict[str, str]:
+def execute_job(args: tuple[ExperimentSpec, str, int, int],
+                digest: str | None = None) -> dict[str, str]:
     """One (policy, epochs, batch) run; module-level so worker pools can pickle it.
 
     Loads its own copy of the data, so results are identical whether jobs
-    run sequentially or in parallel processes.
+    run sequentially or in parallel processes. `digest`, the spec's
+    `config_hash` if the caller has it, heads the rounds CSV.
     """
     spec, policy, epochs, batch_size = args
     dataset = load_experiment_data(spec)
@@ -335,25 +341,30 @@ def execute_job(args: tuple[ExperimentSpec, str, int, int]) -> dict[str, str]:
     result, state = run(cfg, dataset)
     return {
         "tag": f"{policy}_e{epochs}_b{batch_size}",
-        "rounds_csv": render_round_csv(spec, result),
+        "rounds_csv": render_round_csv(spec, result, digest),
         "summary_row": summary_row(policy, epochs, batch_size, result),
         "chain_jsonl": ledgermod.export_chain(state.chain),
     }
 
 
 def cmd_run(spec: ExperimentSpec, parallel: bool = False) -> list[Path]:
-    """Run every job, then write their outputs; a failed job leaves no --out."""
+    """Run every job, then write their outputs; a failed job leaves no --out.
+
+    The spec's `config_hash`, which reads a CSV run's whole file, is computed
+    once and heads every output CSV."""
     jobs = _run_jobs(spec)
+    digest = config_hash(spec)
+    job = functools.partial(execute_job, digest=digest)
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(len(jobs), valuation._usable_cpus())) as pool:
-            outcomes = list(pool.map(execute_job, jobs))
+            outcomes = list(pool.map(job, jobs))
     else:
-        outcomes = [execute_job(job) for job in jobs]
+        outcomes = [job(args) for args in jobs]
 
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    summary_lines = [f"# config_hash={config_hash(spec)}", SUMMARY_CSV_HEADER]
+    summary_lines = [f"# config_hash={digest}", SUMMARY_CSV_HEADER]
     for outcome in outcomes:
         rounds_path = out_dir / f"rounds_{outcome['tag']}.csv"
         rounds_path.write_text(outcome["rounds_csv"])

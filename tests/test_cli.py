@@ -708,6 +708,30 @@ class TestRunCommand:
             assert s.name == p.name
             assert s.read_bytes() == p.read_bytes(), s.name
 
+    def test_csv_hashed_once_per_run(self, tmp_path, monkeypatch):
+        # config_hash reads the whole file: one read heads every job's rounds
+        # CSV and the summary, and the headers are those config_hash gives
+        path = cmd_generate(ExperimentSpec(synthetic_n=300, synthetic_minority_fraction=0.1,
+                                           seed=3, out=str(tmp_path / "data.csv")))
+        spec = ExperimentSpec(**{**TOY.__dict__, "data": "csv", "csv_path": str(path),
+                                 "out": str(tmp_path / "res"), "rounds": 1,
+                                 "policies": ("random", "contribution")})
+        header = f"# config_hash={config_hash(spec)}"
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def spy(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        written = cmd_run(spec)
+        assert reads == [path]
+        csvs = [p for p in written if p.suffix == ".csv"]
+        assert len(csvs) == 3
+        for csv in csvs:
+            assert csv.read_text().partition("\n")[0] == header
+
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 3)])
     def test_parallel_pool_sized_by_jobs_and_usable_cpus(self, tmp_path, monkeypatch,
                                                           cpus, workers):

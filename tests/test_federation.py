@@ -1,4 +1,9 @@
+import multiprocessing
+import os
 import pickle
+import signal
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +12,8 @@ from fedledger import federation as fed
 from fedledger import ledger as ledgermod
 from fedledger import model as modelmod
 from fedledger import valuation as valmod
-from fedledger.cli import ExperimentSpec, build_federation_config, synthetic_dataset
+from fedledger.cli import (ExperimentSpec, build_federation_config, execute_job,
+                           synthetic_dataset)
 from fedledger.data import Dataset, SmoteConfig, StratificationError
 from fedledger.federation import (
     FederationConfig,
@@ -489,3 +495,203 @@ class TestRun:
         initial = modelmod.evaluate(state.global_params, state.server_test).accuracy
         result, _ = run(cfg, data)
         assert result.reports[-1].global_metrics.accuracy >= initial
+
+
+class TestTrainingWorker:
+    """A round whose training work reaches SPLIT_MIN_WORK trains half its
+    shards in a forked worker process; every output is the in-process run's."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_worker(self, monkeypatch):
+        # each test forks its own worker, after its own patches, and stops it
+        fed._drop_worker()
+        monkeypatch.setattr(fed, "SPLIT_MIN_WORK", 1)
+        monkeypatch.setattr(valmod, "_usable_cpus", lambda: 2)
+        yield
+        fed._drop_worker()
+
+    @staticmethod
+    def state(**kwargs):
+        cfg = small_config(num_orgs=5, policy=SelectionPolicy("random", k=5), **kwargs)
+        return init_round0(cfg, small_dataset(n=600))
+
+    @staticmethod
+    def in_process(monkeypatch, fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(valmod, "_usable_cpus", lambda: 1)
+            return fn()
+
+    @staticmethod
+    def worker_pid():
+        (child,) = multiprocessing.active_children()
+        return child.pid
+
+    @pytest.mark.parametrize("policy", ["random", "greedy"])
+    def test_outputs_byte_identical(self, monkeypatch, policy):
+        spec = ExperimentSpec(synthetic_n=900, num_orgs=6, clients_per_round=3, rounds=3,
+                              hidden_dims=(4,), epochs=2, valuation="tmc", seed=7)
+
+        def job():
+            outputs = execute_job((spec, policy, spec.epochs, spec.batch_size))
+            return outputs["rounds_csv"], outputs["chain_jsonl"]
+
+        split = job()
+        self.worker_pid()  # the split run forked the worker
+        fed._drop_worker()
+        assert self.in_process(monkeypatch, job) == split
+        assert multiprocessing.active_children() == []
+
+    def test_overflow_warns_and_trains_as_in_process(self, monkeypatch):
+        state = self.state(train=TrainConfig(learning_rate=1e300, epochs=2, batch_size=16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning):
+                state.train_round(0, range(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            split = state.train_round(0, range(5))
+            expected = self.in_process(monkeypatch, lambda: state.train_round(0, range(5)))
+        self.worker_pid()
+        assert split.keys() == expected.keys()
+        for org in expected:
+            assert split[org].weights.tobytes() == expected[org].weights.tobytes()
+
+    def test_worker_warnings_issued_under_callers_filters(self, monkeypatch):
+        original = modelmod.local_train_many
+
+        def warning_in_worker(*args):
+            if multiprocessing.parent_process() is not None:
+                warnings.warn("raised in the worker", UserWarning)
+            return original(*args)
+
+        monkeypatch.setattr(modelmod, "local_train_many", warning_in_worker)
+        state = self.state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="^raised in the worker$"):
+                state.train_round(0, range(5))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state.train_round(1, range(5))
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (UserWarning, "raised in the worker", __file__)]
+
+    def test_worker_exception_reaches_caller_and_worker_serves_on(self, monkeypatch):
+        state = self.state()
+        round0 = {derive_seed(state.cfg.master_seed, "train", 0, org) for org in range(5)}
+        original = modelmod.local_train_many
+
+        def fail_round0_in_worker(params, shards, cfg, seeds):
+            if multiprocessing.parent_process() is not None and round0 & set(seeds):
+                raise LookupError(f"no shard for {len(shards)} seeds")
+            return original(params, shards, cfg, seeds)
+
+        monkeypatch.setattr(modelmod, "local_train_many", fail_round0_in_worker)
+        with pytest.raises(LookupError, match="^no shard for 2 seeds$"):
+            state.train_round(0, range(5))
+        pid = self.worker_pid()
+        split = state.train_round(1, range(5))
+        assert self.worker_pid() == pid
+        expected = self.in_process(monkeypatch, lambda: state.train_round(1, range(5)))
+        for org in expected:
+            assert split[org].weights.tobytes() == expected[org].weights.tobytes()
+
+    @pytest.mark.parametrize("shard, message", [
+        (Dataset(np.zeros((4, 2)), np.zeros(4)),
+         "feature width 2 does not match model input width 6"),
+        (Dataset(np.zeros((0, 6)), np.zeros(0)), "dataset is empty"),
+    ])
+    def test_refused_shard_named_by_its_index_in_the_round(self, shard, message):
+        state = self.state()
+        state.shards[3] = shard
+        with pytest.raises(ValueError, match=f"^shard 3: {message}$"):
+            state.train_round(0, range(5))
+
+    @pytest.mark.parametrize("when", ["idle", "mid-request"])
+    def test_killed_worker_costs_no_round(self, monkeypatch, when):
+        # round 1 finds the worker dead, idle since round 0 or killed while it
+        # trains round 1's far half, and trains both halves in-process
+        cfg = self.state(valuation="tmc").cfg
+        round1 = {derive_seed(cfg.master_seed, "train", 1, org) for org in range(5)}
+        original = modelmod.local_train_many
+
+        def killed_in_worker(params, shards, train, seeds):
+            if (when == "mid-request" and multiprocessing.parent_process() is not None
+                    and round1 & set(seeds)):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(params, shards, train, seeds)
+
+        monkeypatch.setattr(modelmod, "local_train_many", killed_in_worker)
+        pids = []
+
+        def chain_after(rounds):
+            state = self.state(valuation="tmc")
+            for t in range(rounds):
+                run_round(state, t)
+                children = multiprocessing.active_children()
+                pids.extend(child.pid for child in children)
+                if t == 0 and when == "idle" and children:
+                    os.kill(children[0].pid, signal.SIGKILL)
+                    children[0].join(timeout=10)  # so that round 1's request meets a closed pipe
+            return ledgermod.export_chain(state.chain)
+
+        expected = self.in_process(monkeypatch, lambda: chain_after(3))
+        assert chain_after(3) == expected
+        # rounds 0 and 2 each forked a worker, and round 1 left none alive
+        assert len(pids) == 2 and pids[0] != pids[1]
+        assert [child.pid for child in multiprocessing.active_children()] == [pids[1]]
+
+    def test_interrupted_reply_leaves_no_stale_reply(self, monkeypatch):
+        # an interrupt while the caller waits leaves the reply unread: the
+        # worker goes with it, so the next round cannot read that reply
+        state = self.state()
+        state.train_round(0, range(5))
+        conn = fed._worker.conn
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(conn, "recv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            state.train_round(1, range(5))
+        split = state.train_round(2, range(5))
+        expected = self.in_process(monkeypatch, lambda: state.train_round(2, range(5)))
+        for org in expected:
+            assert split[org].weights.tobytes() == expected[org].weights.tobytes()
+
+    def test_one_worker_forked_at_the_threshold_and_kept(self, monkeypatch):
+        state = self.state()
+        monkeypatch.setattr(fed, "SPLIT_MIN_WORK", 2 * sum(len(shard) for shard in state.shards))
+        state.train_round(0, range(5))
+        pid = self.worker_pid()
+        state.train_round(1, range(5))
+        assert self.worker_pid() == pid
+
+    @pytest.mark.parametrize("condition", ["one cpu", "below threshold", "in a child",
+                                           "second thread"])
+    def test_no_fork(self, monkeypatch, condition):
+        state = self.state()
+        if condition == "one cpu":
+            monkeypatch.setattr(valmod, "_usable_cpus", lambda: 1)
+        elif condition == "below threshold":
+            # 5 shards x 2 epochs: twice the rows, one short of splitting
+            work = 2 * sum(len(shard) for shard in state.shards)
+            monkeypatch.setattr(fed, "SPLIT_MIN_WORK", work + 1)
+        elif condition == "in a child":
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if condition == "second thread":
+            thread.start()
+        try:
+            trained = state.train_round(0, range(5))
+            assert multiprocessing.active_children() == []
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        expected = modelmod.local_train_many(
+            state.global_params, state.shards, state.cfg.train,
+            [derive_seed(state.cfg.master_seed, "train", 0, org) for org in range(5)])
+        assert [trained[org].weights.tobytes() for org in range(5)] == [
+            model.weights.tobytes() for model in expected]
