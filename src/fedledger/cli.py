@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ledger as ledgermod
-from . import valuation
+from . import worker
 from .data import (CREDIT_CARD_COLUMNS, Count, Dataset, DataError, SmoteConfig, _field_types,
                    load_csv, read_utf8, standardize)
 from .federation import FederationAborted, FederationConfig, RunResult, RunSettings, run
@@ -356,7 +356,7 @@ def cmd_run(spec: ExperimentSpec, parallel: bool = False) -> list[Path]:
     digest = config_hash(spec)
     job = functools.partial(execute_job, digest=digest)
     if parallel and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(len(jobs), valuation._usable_cpus())) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(jobs), worker._usable_cpus())) as pool:
             outcomes = list(pool.map(job, jobs))
     else:
         outcomes = [job(args) for args in jobs]

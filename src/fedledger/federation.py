@@ -11,11 +11,6 @@ averaged, and seal the round in a new block.
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
-import sys
-import threading
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -27,6 +22,7 @@ from . import ledger as ledgermod
 from . import model as modelmod
 from . import selection as selmod
 from . import valuation as valmod
+from . import worker
 from .data import Count, Dataset, PartitionPlan, SmoteConfig, check_fields
 from .ledger import Block, ContentStore, LocalUpdateTx, ValidatorPanel
 from .model import Metrics, ModelParams, TrainConfig
@@ -40,7 +36,7 @@ TRAIN_FRACTION = 0.8
 
 # A round's training work, epochs x the rows of its shards, from which half its
 # shards train in the worker process. Below it, shipping them and waiting for
-# the reply cost more than the second CPU saves: README, "Training on two CPUs".
+# the reply cost more than the second CPU saves: README, "Work on a second CPU".
 SPLIT_MIN_WORK = 100_000
 
 
@@ -204,175 +200,40 @@ class FederationState:
         return dict(zip(orgs, trained))
 
 
-def _splits(shards: list[Dataset], train: TrainConfig) -> bool:
-    """Whether a round trains half its shards in the worker: it has two or more
-    and enough work, this process may run on two CPUs, is not itself a child
-    (so `--parallel` jobs and the worker train in-process), and can fork safely,
-    with no other thread alive."""
-    return (
-        len(shards) >= 2
-        and train.epochs * sum(len(shard) for shard in shards) >= SPLIT_MIN_WORK
-        and valmod._usable_cpus() >= 2
-        and multiprocessing.parent_process() is None
-        and threading.active_count() == 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-
-
 def _train(params: ModelParams, shards: list[Dataset], train: TrainConfig,
            seeds: list[int]) -> list[ModelParams]:
     """modelmod.local_train_many(params, shards, train, seeds), bit for bit.
 
-    A round that `_splits` sorts its shards by size and deals them alternately
-    into two halves: the worker trains the second while this process trains
-    the first, each with local_train_many, whose shards never change each
-    other's arithmetic. Warnings the worker recorded are issued here, under
-    this process's filters, and its exception is raised here. If the worker
-    has died, this process trains its half too.
+    A round of two shards or more whose work reaches SPLIT_MIN_WORK, when this
+    process may use its worker, sorts its shards by size and deals them
+    alternately into two halves, which never change each other's arithmetic:
+    the worker trains the second while this process trains the first.
     """
-    if not _splits(shards, train):
+    work = train.epochs * sum(len(shard) for shard in shards)
+    if len(shards) < 2 or work < SPLIT_MIN_WORK or not worker.available():
         return modelmod.local_train_many(params, shards, train, seeds)
     # local_train_many's own check, on the whole round, so that a refusal
     # names a shard by its index in `shards`, not in a half
     modelmod._check_data(params.input_width, shards, "shard")
     by_size = sorted(range(len(shards)), key=lambda i: len(shards[i]))
     near, far = by_size[::2], by_size[1::2]
-    far_shards, far_seeds = [shards[i] for i in far], [seeds[i] for i in far]
-    sent = _send(params, far_shards, train, far_seeds)
-    try:
-        trained = modelmod.local_train_many(
-            params, [shards[i] for i in near], train, [seeds[i] for i in near])
-    finally:
-        # always read the reply, so that the next request's is the next one read
-        reply = _receive() if sent else None
-    if reply is None:
-        far_trained = modelmod.local_train_many(params, far_shards, train, far_seeds)
-    else:
-        block, caught = reply
-        for warning in caught:
-            _warn_here(*warning)
-        if isinstance(block, Exception):
-            raise block
-        far_trained = [ModelParams(params.layer_dims, row) for row in block]
+    trained, block = worker.split(
+        "train", (params, train, [seeds[i] for i in far]),
+        [array for i in far for array in (shards[i].features, shards[i].labels)],
+        lambda: modelmod.local_train_many(
+            params, [shards[i] for i in near], train, [seeds[i] for i in near]))
+    far_trained = [ModelParams(params.layer_dims, row) for row in block]
     by_position = dict(zip(near + far, trained + far_trained))
     return [by_position[i] for i in range(len(shards))]
 
 
-class _Worker:
-    """A daemon child, forked from this process, that trains shards on request
-    (`_serve`) over one pipe; it exits when this end closes or this process dies."""
-
-    def __init__(self) -> None:
-        context = multiprocessing.get_context("fork")
-        self.conn, child_end = context.Pipe()
-        self.process = context.Process(target=_serve, args=(child_end, self.conn),
-                                       name="fedledger-train", daemon=True)
-        with warnings.catch_warnings():
-            # Python 3.12+ warns of a fork with threads alive; `_splits` allows
-            # none, and idle BLAS threads are not copied
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                    DeprecationWarning)
-            self.process.start()
-        child_end.close()
-
-    def close(self) -> None:
-        self.conn.close()
-        self.process.terminate()
-        self.process.join()
-
-
-# the one training worker of this process, forked at the first round that splits
-_worker: _Worker | None = None
-
-
-def _send(params: ModelParams, shards: list[Dataset], train: TrainConfig,
-          seeds: list[int]) -> bool:
-    """Send a request to this process's worker, forked first if there is none;
-    false if it has died. A send that fails drops the worker, since a request
-    cut short would leave the pipe out of step.
-
-    The request is the model, the shards' shapes, the train config, the seeds
-    and numpy's error state, then each shard's features and labels as raw
-    bytes, written from the arrays themselves. Pickled, the shards were copied
-    here every round, megabytes that changed this process's heap layout: a
-    later set-up in the same process ran a quarter slower."""
-    global _worker
-    if _worker is None:
-        try:
-            _worker = _Worker()
-        except OSError:  # no process to be had: this one trains both halves
-            return False
-    conn = _worker.conn
-    try:
-        conn.send((params, [shard.features.shape for shard in shards], train, seeds,
-                   np.geterr()))
-        for shard in shards:
-            conn.send_bytes(np.ascontiguousarray(shard.features))
-            conn.send_bytes(np.ascontiguousarray(shard.labels))
-    except BaseException as exc:
-        _drop_worker()
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            return False
-        raise
-    return True
-
-
-def _receive() -> tuple | None:
-    """The worker's reply to the request just sent; None if it died. A receive
-    that fails drops the worker, since a reply left unread would answer the
-    next request."""
-    try:
-        return _worker.conn.recv()
-    except BaseException as exc:
-        _drop_worker()
-        if isinstance(exc, (EOFError, ConnectionResetError)):
-            return None
-        raise
-
-
-def _drop_worker() -> None:
-    """Stop this process's worker, if any; the next round that splits forks another."""
-    global _worker
-    if _worker is not None:
-        worker, _worker = _worker, None
-        worker.close()
-
-
-def _serve(conn, caller_end) -> None:
-    """The worker's loop: for each request `_send` writes, reply (weights block
-    or exception, recorded warnings)."""
-    caller_end.close()  # so that the caller's end closing, or its death, reads as EOF
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
-    while True:
-        try:
-            params, shapes, train, seeds, errstate = conn.recv()
-            # a Dataset holds float64 features and int64 labels
-            shards = [Dataset._from_checked(np.frombuffer(conn.recv_bytes()).reshape(shape),
-                                            np.frombuffer(conn.recv_bytes(), dtype=np.int64))
-                      for shape in shapes]
-        except EOFError:
-            return
-        with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
-            warnings.simplefilter("always")
-            try:
-                trained = modelmod.local_train_many(params, shards, train, seeds)
-                reply = np.stack([model.weights for model in trained])
-            except Exception as exc:  # the caller's to raise
-                reply = exc
-        conn.send((reply, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
-
-
-def _warn_here(message, category, filename: str, lineno: int) -> None:
-    """Issue a warning the worker recorded as warnings.warn would have issued it
-    here: under this process's filters, and with the registry of the module at
-    `filename`, which keeps a warning shown once per location."""
-    module = next((m for m in list(sys.modules.values())
-                   if getattr(m, "__file__", None) == filename), None)
-    scope = vars(module) if module is not None else {}
-    warnings.warn_explicit(message, category, filename, lineno,
-                           module=scope.get("__name__"),
-                           registry=scope.setdefault("__warningregistry__", {}),
-                           module_globals=scope or None)
+def _train_block(params: ModelParams, train: TrainConfig, seeds: list[int],
+                 *arrays: np.ndarray) -> np.ndarray:
+    """The worker's task "train": local_train_many of the shards whose features
+    and labels alternate in `arrays`, as one block of weights."""
+    shards = [Dataset._from_checked(x, y) for x, y in zip(arrays[::2], arrays[1::2])]
+    return np.stack([model.weights for model in
+                     modelmod.local_train_many(params, shards, train, seeds)])
 
 
 def _flip_labels(shard: Dataset, probability: float, seed: int) -> Dataset:

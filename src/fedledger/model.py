@@ -223,7 +223,7 @@ class _Loss:
     the model's input width and `w` a (m, P) block for `dims`. The layer
     views alias the C-contiguous block, which the caller may rewrite between
     calls (a UtilityGame writes each batch's means into its block, and
-    _table() each chunk's). A call values rows start: of the block through
+    _value_chunks each chunk's). A call values rows start: of the block through
     _forward and _bce, every step written into the kernel's buffers, and
     returns its loss buffer's rows start:, which the next call overwrites.
     Each loss is bit for bit that model's loss alone; memory grows with

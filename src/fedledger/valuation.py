@@ -11,16 +11,14 @@ of permutations.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import model
+from . import model, worker
 from .data import Dataset, check_count
 from .model import ModelParams
 
@@ -115,12 +113,11 @@ class UtilityGame(CoalitionGame):
 
     Coalitions are evaluated in batches of up to BATCH_ACTIVATIONS hidden
     activations, utility() a batch of one, each by one call of the game's
-    own model._Loss kernel, which only the thread reading the game uses. The
-    full table (_table) builds each coalition's mean from a smaller
-    coalition's sum with one add, bypassing the cache, and values its chunks
-    through one model._Loss kernel per thread, on two threads when it can.
-    Every value is bit for bit base_loss - model.loss(model.average(members),
-    server_test) with the members in sorted org_id order, on either thread.
+    own model._Loss kernel. The full table (_table) builds each coalition's
+    mean from a smaller coalition's sum with one add, bypassing the cache,
+    and may value half its chunks in the worker process. Every value is bit
+    for bit base_loss - model.loss(model.average(members), server_test) with
+    the members in sorted org_id order, in either process.
 
     base_loss is model.loss(prior_global, server_test); a caller that
     already holds that value passes it as _base_loss and saves the pass.
@@ -198,84 +195,69 @@ class UtilityGame(CoalitionGame):
             start += count
 
     def _table(self) -> np.ndarray:
-        """Every coalition's utility, indexed by mask, from subset sums.
-
-        The sums over the lowest `low` players are tabled once, each from a
-        smaller mask's sum plus one weight row. Each aligned chunk of 2^low
-        masks copies that table, or adds its first higher member to it, adds
-        the rest in ascending order and divides each row by its count, a
-        float column tabled per count of higher members: a mean summed as
-        model.average sums, from +0.0 in ascending player order. One call of
-        the thread's model._Loss kernel, built once on its block, values the
-        chunk, and base_loss minus its losses is written straight into the
-        table; the empty coalition gets no row and stays 0.0. The kernel's
-        buffers hold what one chunk's temporaries did. A chunk makes as few
-        numpy calls as it can, because the set-up of each call holds the
-        interpreter lock, which the two threads share.
-
-        A table of two chunks or more is valued on two threads when the
-        process may run on two CPUs: the caller and one pool worker, closed
-        before this returns, take chunk starts from one shared iterator.
-        Chunks are then half the size, so the two blocks in flight hold what
-        one did. Each thread copies into its own block and each chunk writes
-        only its own slice of the table, so every value is the same, bit for
-        bit, whichever thread computes it.
+        """Every coalition's utility, indexed by mask: _value_chunks of each
+        aligned chunk of 2^low masks, 2^low coalitions being what fits one pass.
+        A table of two chunks or more, when this process may use its worker, has
+        the worker value the odd chunks while this process values the even ones;
+        a chunk's values depend on neither the other chunks nor the process.
         """
         n = len(self._players)
-        weights = list(self._weights)  # one row view per player, taken once
         low = min(n, self._batch.bit_length() - 1)
-        threaded = low < n and _usable_cpus() >= 2
-        if threaded:
-            low = max(low - 1, 0)
-        size = 1 << low
-        sums = np.zeros((size, self._weights.shape[1]))
-        for i in range(low):
-            np.add(sums[: 1 << i], weights[i], out=sums[1 << i : 2 << i])
-        # divisors[h]: each row's member count in a chunk with h higher members
-        divisors = np.add.outer(np.arange(n - low + 1.0), np.bitwise_count(np.arange(size)))
         table = np.zeros(1 << n)
-        starts = iter(range(0, 1 << n, size))
-
-        def value_chunks() -> None:
-            try:
-                block = np.empty_like(sums)
-                kernel = model._Loss(self._dims, block, self.server_test)
-                for start in starts:
-                    first = 1 if start == 0 else 0  # skip the empty coalition
-                    if first == size:
-                        continue
-                    high = [weights[i] for i in range(low, n) if start >> i & 1]
-                    if high:
-                        np.add(sums, high[0], out=block)
-                        for row in high[1:]:
-                            block += row
-                    else:
-                        np.copyto(block, sums)
-                    means = block[first:]
-                    means /= divisors[len(high), first:, None]
-                    np.subtract(self._base_loss, kernel(first),
-                                out=table[start + first : start + size])
-            except BaseException:
-                for _ in starts:  # leave the other thread no chunk to start
-                    pass
-                raise
-
-        if threaded:
-            with ThreadPoolExecutor(1) as pool:
-                worker = pool.submit(value_chunks)
-                value_chunks()
-                worker.result()
+        chunks = table.reshape(-1, 1 << low)  # row c: the masks of chunk c
+        count = len(chunks)
+        args = (self._dims, self._base_loss, low)
+        arrays = (self._weights, self.server_test.features, self.server_test.labels)
+        if count < 2 or not worker.available():
+            chunks[:] = _value_chunks(*args, range(count), *arrays)
         else:
-            value_chunks()
+            chunks[::2], chunks[1::2] = worker.split(
+                "table", (*args, range(1, count, 2)), arrays,
+                lambda: _value_chunks(*args, range(0, count, 2), *arrays))
         return table
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _value_chunks(dims: tuple[int, ...], base_loss: float, low: int, chunks: Sequence[int],
+                  weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The worker's task "table": row i holds the utilities of chunk
+    chunks[i], masks chunks[i] * 2^low onwards, of the UtilityGame whose
+    players' weights are the rows of `weights`.
+
+    The sums over the lowest `low` players are tabled once, each from a
+    smaller mask's sum plus one weight row. Each chunk copies that table, or
+    adds its first higher member to it, adds the rest in ascending order and
+    divides each row by its count, a float column tabled per count of higher
+    members: a mean summed as model.average sums, from +0.0 in ascending
+    player order. One call of a model._Loss kernel, built once on its block,
+    values the chunk, and base_loss minus its losses is written straight into
+    its row; the empty coalition gets no row and stays 0.0.
+    """
+    n = len(weights)
+    size = 1 << low
+    out = np.zeros((len(chunks), size))
+    rows = list(weights)  # one row view per player, taken once
+    sums = np.zeros((size, weights.shape[1]))
+    for i in range(low):
+        np.add(sums[: 1 << i], rows[i], out=sums[1 << i : 2 << i])
+    # divisors[h]: each row's member count in a chunk with h higher members
+    divisors = np.add.outer(np.arange(n - low + 1.0), np.bitwise_count(np.arange(size)))
+    block = np.empty_like(sums)
+    kernel = model._Loss(dims, block, Dataset._from_checked(features, labels))
+    for chunk, row in zip(chunks, out):
+        first = 1 if chunk == 0 else 0  # skip the empty coalition
+        if first == size:
+            continue
+        high = [rows[i] for i in range(low, n) if chunk << low >> i & 1]
+        if high:
+            np.add(sums, high[0], out=block)
+            for weight in high[1:]:
+                block += weight
+        else:
+            np.copyto(block, sums)
+        means = block[first:]
+        means /= divisors[len(high), first:, None]
+        np.subtract(base_loss, kernel(first), out=row[first:])
+    return out
 
 
 class FunctionGame(CoalitionGame):
@@ -309,8 +291,7 @@ def exact_shapley(game: CoalitionGame) -> ShapleyResult:
     the classical permutation-average form, so the values always sum to the
     utility of the grand coalition. The table of all 2^N utilities comes
     from game._table(): one read of the cache for most games, subset sums
-    for a UtilityGame, whose chunks run on two threads when the process may
-    use two CPUs; the values do not depend on which thread computed what.
+    for a UtilityGame, whose values do not depend on which process computed what.
     """
     players = game.players
     n = len(players)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedledger import cli, valuation
+from fedledger import cli, worker
 from fedledger.cli import (
     ConfigError,
     ExperimentSpec,
@@ -751,7 +751,7 @@ class TestRunCommand:
                 return map(fn, jobs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(valuation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: cpus)
         spec = ExperimentSpec(**{**TOY.__dict__, "out": str(tmp_path / "res"), "rounds": 1,
                                  "policies": ("random", "contribution", "greedy")})
         cmd_run(spec, parallel=True)

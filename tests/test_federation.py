@@ -12,6 +12,7 @@ from fedledger import federation as fed
 from fedledger import ledger as ledgermod
 from fedledger import model as modelmod
 from fedledger import valuation as valmod
+from fedledger import worker
 from fedledger.cli import (ExperimentSpec, build_federation_config, execute_job,
                            synthetic_dataset)
 from fedledger.data import Dataset, SmoteConfig, StratificationError
@@ -504,11 +505,11 @@ class TestTrainingWorker:
     @pytest.fixture(autouse=True)
     def fresh_worker(self, monkeypatch):
         # each test forks its own worker, after its own patches, and stops it
-        fed._drop_worker()
+        worker._drop_worker()
         monkeypatch.setattr(fed, "SPLIT_MIN_WORK", 1)
-        monkeypatch.setattr(valmod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
         yield
-        fed._drop_worker()
+        worker._drop_worker()
 
     @staticmethod
     def state(**kwargs):
@@ -518,7 +519,7 @@ class TestTrainingWorker:
     @staticmethod
     def in_process(monkeypatch, fn):
         with monkeypatch.context() as patch:
-            patch.setattr(valmod, "_usable_cpus", lambda: 1)
+            patch.setattr(worker, "_usable_cpus", lambda: 1)
             return fn()
 
     @staticmethod
@@ -537,7 +538,7 @@ class TestTrainingWorker:
 
         split = job()
         self.worker_pid()  # the split run forked the worker
-        fed._drop_worker()
+        worker._drop_worker()
         assert self.in_process(monkeypatch, job) == split
         assert multiprocessing.active_children() == []
 
@@ -646,7 +647,7 @@ class TestTrainingWorker:
         # worker goes with it, so the next round cannot read that reply
         state = self.state()
         state.train_round(0, range(5))
-        conn = fed._worker.conn
+        conn = worker._worker[0]
 
         def interrupted():
             raise KeyboardInterrupt
@@ -672,7 +673,7 @@ class TestTrainingWorker:
     def test_no_fork(self, monkeypatch, condition):
         state = self.state()
         if condition == "one cpu":
-            monkeypatch.setattr(valmod, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(worker, "_usable_cpus", lambda: 1)
         elif condition == "below threshold":
             # 5 shards x 2 epochs: twice the rows, one short of splitting
             work = 2 * sum(len(shard) for shard in state.shards)

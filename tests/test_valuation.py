@@ -1,6 +1,8 @@
 import itertools
 import math
-import sys
+import multiprocessing
+import os
+import signal
 import threading
 import tracemalloc
 from itertools import groupby
@@ -8,7 +10,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from fedledger import valuation
+from fedledger import valuation, worker
 from fedledger.data import Dataset
 from fedledger.model import ModelParams, average, loss
 from fedledger.valuation import (
@@ -978,7 +980,7 @@ class TestGameKernel:
         assert len(called) > 10 and set(called) == set(built)
 
     def test_no_kernel_for_a_table(self):
-        # exact_shapley reads the table, whose threads keep their own kernels
+        # exact_shapley reads the table, whose chunks are valued on kernels of their own
         game = model_game((16,), 37, PLAYERS, seed=3)
         exact_shapley(game)
         assert "_kernel" not in vars(game)
@@ -1033,17 +1035,24 @@ def spread_game(hidden_dims, players, seed):
 class TestCoalitionTable:
     """UtilityGame._table(), the subset-sum table exact_shapley reads."""
 
+    @pytest.fixture(autouse=True)
+    def fresh_worker(self):
+        # each test forks its own worker, after its own patches, and stops it
+        worker._drop_worker()
+        yield
+        worker._drop_worker()
+
     @pytest.mark.parametrize("hidden_dims", [(), (16,), (8, 4)])
     @pytest.mark.parametrize("batch", [1, 3, 40])  # L = min(n, 0), min(n, 1), min(n, 5)
     @pytest.mark.parametrize("players", [(2, 5, 11), (2, 5, 7, 11, 13, 17, 23)])
     @pytest.mark.parametrize("spread", [False, True])
-    @pytest.mark.parametrize("cpus", [1, 2])  # one thread, or two where the table has two chunks
+    @pytest.mark.parametrize("cpus", [1, 2])  # in-process, or the worker where there are two chunks
     def test_bitwise_equal_to_batched_and_oracle(
         self, monkeypatch, hidden_dims, batch, players, spread, cpus
     ):
         widest = max((*hidden_dims, 1))
         monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", batch * 37 * widest)
-        monkeypatch.setattr(valuation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: cpus)
 
         def build():
             if spread:
@@ -1054,6 +1063,8 @@ class TestCoalitionTable:
         assert game._batch == batch
         n = len(players)
         table = game._table()
+        forked = cpus == 2 and batch.bit_length() - 1 < n
+        assert len(multiprocessing.active_children()) == forked
         assert table.dtype == np.float64 and table.shape == (1 << n,)
         assert game._cache == {0: 0.0}  # the table bypasses the cache
         np.testing.assert_array_equal(
@@ -1065,9 +1076,10 @@ class TestCoalitionTable:
     @staticmethod
     def count_passes(monkeypatch, cpus):
         """The rows each loss-kernel call of an exact_shapley of 10 players
-        values with `cpus` CPUs, in call order; the game's batch is 40."""
+        values in this process with `cpus` CPUs, in call order; the game's
+        batch is 40."""
         monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", 40 * 37 * 16)
-        monkeypatch.setattr(valuation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: cpus)
         game = model_game((16,), 37, tuple(range(0, 30, 3)), seed=4)
         assert game._batch == 40
         rows = []
@@ -1075,7 +1087,8 @@ class TestCoalitionTable:
 
         def counting(kernel, start=0):
             losses = call(kernel, start)
-            rows.append(len(losses))
+            if multiprocessing.parent_process() is None:
+                rows.append(len(losses))
             return losses
 
         def refused(self, masks):
@@ -1090,83 +1103,100 @@ class TestCoalitionTable:
         # 2^10 masks in chunks of 2^5; the empty coalition gets no row
         assert self.count_passes(monkeypatch, cpus=1) == [31] + [32] * 31
 
-    def test_two_threads_pass_half_chunks(self, monkeypatch):
-        # the chunks are halved to 2^4 masks and shared between two threads
-        rows = self.count_passes(monkeypatch, cpus=2)
-        assert sorted(rows) == [15] + [16] * 63
+    def test_caller_passes_the_even_chunks_at_full_size(self, monkeypatch):
+        # the worker values the odd 16 of the 32 chunks of 2^5 masks
+        assert self.count_passes(monkeypatch, cpus=2) == [31] + [32] * 15
+        assert len(multiprocessing.active_children()) == 1
 
     @staticmethod
-    def failing_game(monkeypatch, fails):
-        """A 10-player game on two CPUs whose loss-kernel calls raise on the
-        thread `fails` names; the other thread's calls run as usual."""
-        monkeypatch.setattr(valuation, "_usable_cpus", lambda: 2)
+    def one_cpu_table(monkeypatch, game):
+        with monkeypatch.context() as patch:
+            patch.setattr(worker, "_usable_cpus", lambda: 1)
+            return game._table()
+
+    @pytest.mark.parametrize("fails", ["caller", "worker"])
+    def test_chunk_failure_reaches_caller_and_worker_serves_on(self, monkeypatch, fails):
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
         game = model_game((16,), 37, tuple(range(10)), seed=5)
-        assert game._batch.bit_length() - 1 < 10  # two chunks or more: two threads
+        assert game._batch.bit_length() - 1 < 10  # two chunks or more: the worker's share
+        expected = self.one_cpu_table(monkeypatch, game)
         call = valuation.model._Loss.__call__
-        main = threading.main_thread()
-        main_ran, worker_ran = threading.Event(), threading.Event()
+        failed, caller_calls = [], []  # in the memory of the process that appends
 
         def failing(kernel, start=0):
-            on_main = threading.current_thread() is main
-            (main_ran if on_main else worker_ran).set()
-            if on_main == (fails == "caller"):
-                raise RuntimeError(f"chunk failed on the {fails}")
-            # neither thread takes every chunk before the other has started one
-            assert (worker_ran if on_main else main_ran).wait(timeout=10)
+            in_worker = multiprocessing.parent_process() is not None
+            if not in_worker:
+                caller_calls.append(start)
+            if in_worker == (fails == "worker") and not failed:
+                failed.append(start)
+                raise LookupError(f"chunk failed in the {fails}")
             return call(kernel, start)
 
         monkeypatch.setattr(valuation.model._Loss, "__call__", failing)
-        return game
+        with pytest.raises(LookupError, match=f"^chunk failed in the {fails}$"):
+            game._table()
+        (child,) = multiprocessing.active_children()
+        caller_calls.clear()
+        table = game._table()
+        assert multiprocessing.active_children() == [child]
+        assert len(caller_calls) == 2  # the caller's 2 of the 4 chunks
+        np.testing.assert_array_equal(bits(table), bits(expected))
 
-    @pytest.mark.parametrize("fails", ["caller", "worker"])
-    def test_chunk_failure_propagates_and_leaves_no_thread(self, monkeypatch, fails):
-        before = threading.active_count()
-        game = self.failing_game(monkeypatch, fails)
-        with pytest.raises(RuntimeError, match=f"chunk failed on the {fails}"):
-            exact_shapley(game)
-        assert threading.active_count() == before
-
-    def test_no_thread_outlives_the_table(self, monkeypatch):
-        monkeypatch.setattr(valuation, "_usable_cpus", lambda: 2)
+    @pytest.mark.parametrize("when", ["idle", "mid-request"])
+    def test_killed_worker_costs_no_table(self, monkeypatch, when):
+        # the second table finds the worker dead, idle since the first or
+        # killed while it values the odd chunks, and values them in-process
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
         game = model_game((16,), 37, tuple(range(10)), seed=5)
-        before = threading.active_count()
-        threads = set()
-        call = valuation.model._Loss.__call__
-        main_ran, worker_ran = threading.Event(), threading.Event()
+        expected = self.one_cpu_table(monkeypatch, game)
+        np.testing.assert_array_equal(bits(game._table()), bits(expected))
+        (child,) = multiprocessing.active_children()
+        if when == "idle":
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=10)  # so that the request meets a closed pipe
+            assert not child.is_alive()
+        else:
+            call = valuation.model._Loss.__call__
 
-        def recording(kernel, start=0):
-            threads.add(threading.current_thread())
-            on_main = threading.current_thread() is threading.main_thread()
-            (main_ran if on_main else worker_ran).set()
-            # each thread takes a chunk: neither goes on until the other has one
-            assert (worker_ran if on_main else main_ran).wait(timeout=10)
-            return call(kernel, start)
+            def killed_in_worker(kernel, start=0):
+                if multiprocessing.parent_process() is not None:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return call(kernel, start)
 
-        monkeypatch.setattr(valuation.model._Loss, "__call__", recording)
-        game._table()
-        assert threading.main_thread() in threads
-        workers = threads - {threading.main_thread()}
-        assert len(workers) == 1
-        assert not any(t.is_alive() for t in workers)
-        assert threading.active_count() == before
+            monkeypatch.setattr(valuation.model._Loss, "__call__", killed_in_worker)
+            worker._drop_worker()  # so that the worker forked next holds the patch
+        np.testing.assert_array_equal(bits(game._table()), bits(expected))
+        assert multiprocessing.active_children() == []
 
-    def test_switching_threads_often_loses_no_chunk(self, monkeypatch):
-        # a chunk start lost between the threads would leave its rows 0.0
-        monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", 40 * 37 * 16)
-        game = model_game((16,), 37, tuple(range(12)), seed=7)
-        monkeypatch.setattr(valuation, "_usable_cpus", lambda: 1)
-        expected = game._table()
-        monkeypatch.setattr(valuation, "_usable_cpus", lambda: 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    @pytest.mark.parametrize("condition", ["one chunk", "one cpu", "in a child",
+                                           "second thread"])
+    def test_no_fork(self, monkeypatch, condition):
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
+        if condition == "one chunk":
+            monkeypatch.setattr(valuation, "BATCH_ACTIVATIONS", 1024 * 37 * 16)
+        game = model_game((16,), 37, tuple(range(10)), seed=5)
+        assert (game._batch.bit_length() - 1 >= 10) == (condition == "one chunk")
+        expected = self.one_cpu_table(monkeypatch, game)
+        if condition == "one cpu":
+            monkeypatch.setattr(worker, "_usable_cpus", lambda: 1)
+        elif condition == "in a child":
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if condition == "second thread":
+            thread.start()
         try:
-            tables = [game._table() for _ in range(5)]
+            table = game._table()
+            assert multiprocessing.active_children() == []
         finally:
-            sys.setswitchinterval(interval)
-        for table in tables:
-            np.testing.assert_array_equal(bits(table), bits(expected))
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        np.testing.assert_array_equal(bits(table), bits(expected))
 
-    def test_peak_memory_below_a_quarter_of_the_means(self):
+    def test_peak_memory_below_a_quarter_of_the_means(self, monkeypatch):
+        # in-process: tracemalloc sees this process only
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 1)
         game = model_game((16,), 37, tuple(range(14)), seed=6, width=4)
         assert game._dims == (4, 16, 1)
         means_bytes = (1 << 14) * game._weights.shape[1] * 8
@@ -1179,12 +1209,36 @@ class TestCoalitionTable:
         assert table.shape == (1 << 14,)
         assert peak < means_bytes / 4
 
+    def test_worker_peak_memory_below_a_quarter_of_the_means(self, monkeypatch, tmp_path):
+        # the worker traces its own task and leaves its peak in a file
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
+        game = model_game((16,), 37, tuple(range(14)), seed=6, width=4)
+        means_bytes = (1 << 14) * game._weights.shape[1] * 8
+        value_chunks = valuation._value_chunks
+
+        def traced_in_worker(*args, **kwargs):
+            if multiprocessing.parent_process() is None:
+                return value_chunks(*args, **kwargs)
+            tracemalloc.start()
+            try:
+                chunks = value_chunks(*args, **kwargs)
+                (tmp_path / "peak").write_text(str(tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return chunks
+
+        monkeypatch.setattr(valuation, "_value_chunks", traced_in_worker)
+        table = game._table()
+        assert len(multiprocessing.active_children()) == 1
+        assert table.shape == (1 << 14,)
+        assert 0 < int((tmp_path / "peak").read_text()) < means_bytes / 4
+
     def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
         # as on macOS, where os has no sched_getaffinity
-        monkeypatch.delattr(valuation.os, "sched_getaffinity", raising=False)
-        assert valuation._usable_cpus() == valuation.os.cpu_count()
-        monkeypatch.setattr(valuation.os, "cpu_count", lambda: None)
-        assert valuation._usable_cpus() == 1
+        monkeypatch.delattr(worker.os, "sched_getaffinity", raising=False)
+        assert worker._usable_cpus() == worker.os.cpu_count()
+        monkeypatch.setattr(worker.os, "cpu_count", lambda: None)
+        assert worker._usable_cpus() == 1
 
 
 class TestRefusals:
