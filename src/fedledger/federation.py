@@ -218,8 +218,7 @@ def _train(params: ModelParams, shards: list[Dataset], train: TrainConfig,
     by_size = sorted(range(len(shards)), key=lambda i: len(shards[i]))
     near, far = by_size[::2], by_size[1::2]
     trained, block = worker.split(
-        "train", (params, train, [seeds[i] for i in far]),
-        [array for i in far for array in (shards[i].features, shards[i].labels)],
+        "train", (params, train, [seeds[i] for i in far]), [shards[i] for i in far],
         lambda: modelmod.local_train_many(
             params, [shards[i] for i in near], train, [seeds[i] for i in near]))
     far_trained = [ModelParams(params.layer_dims, row) for row in block]
@@ -228,12 +227,11 @@ def _train(params: ModelParams, shards: list[Dataset], train: TrainConfig,
 
 
 def _train_block(params: ModelParams, train: TrainConfig, seeds: list[int],
-                 *arrays: np.ndarray) -> np.ndarray:
-    """The worker's task "train": local_train_many of the shards whose features
-    and labels alternate in `arrays`, as one block of weights."""
-    shards = [Dataset._from_checked(x, y) for x, y in zip(arrays[::2], arrays[1::2])]
+                 *shards: Dataset) -> np.ndarray:
+    """The worker's task "train": local_train_many of the shards, as one block
+    of weights."""
     return np.stack([model.weights for model in
-                     modelmod.local_train_many(params, shards, train, seeds)])
+                     modelmod.local_train_many(params, list(shards), train, seeds)])
 
 
 def _flip_labels(shard: Dataset, probability: float, seed: int) -> Dataset:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import model
+from . import model, worker
 from .data import Dataset, check_fields
 from .model import ModelParams
 
@@ -27,6 +27,12 @@ ZERO_DIGEST = b"\x00" * 32
 
 # on-chain record: 32-byte digest + round/org/payload-size as 8 bytes each
 TX_WIRE_BYTES = 56
+
+# The scoring work of a verification, the models scored times the rows of the
+# shard each is scored on, summed over validators, from which the worker
+# scores half the models. Below it, the request and the wait for the reply
+# cost more than the second CPU saves: README, "Work on a second CPU".
+SCORE_MIN_WORK = 50_000
 
 
 class BlobNotFoundError(KeyError):
@@ -173,11 +179,13 @@ def verify_local_updates(
     an accepted outcome carries the model it deserialized to. It reads and
     decodes each payload itself (cross_verify does so once for the whole
     panel), checks each model against this validator's shard and scores the
-    models that pass together, in one stacked forward pass over the shard,
-    whose accuracies are bit for bit model.evaluate's; its memory grows
-    with len(txs) * len(shard) * the widest layer.
+    models that pass together, in one stacked forward pass over the shard
+    (or two, one in the worker, as cross_verify scores), whose accuracies are
+    bit for bit model.evaluate's; its memory grows with len(txs) *
+    len(shard) * the widest layer.
     """
-    return _verify(panel, validator_id, [_fetch(store, tx) for tx in txs], tuple(layer_dims))
+    fetched = [_fetch(store, tx) for tx in txs]
+    return _verify(panel, (validator_id,), fetched, tuple(layer_dims))[validator_id]
 
 
 def _fetch(store: ContentStore, tx: LocalUpdateTx) -> ModelParams | str:
@@ -193,39 +201,84 @@ def _fetch(store: ContentStore, tx: LocalUpdateTx) -> ModelParams | str:
     return params
 
 
+def _check(params: ModelParams | str, shard: Dataset, layer_dims: tuple[int, ...]) -> str:
+    """Why a validator holding `shard` rejects a payload _fetch read before
+    scoring it, or "" if it scores it."""
+    if isinstance(params, str):
+        return params
+    if params.input_width != shard.schema_width:
+        return (f"malformed payload: feature width {shard.schema_width} does not "
+                f"match model input width {params.input_width}")
+    if params.layer_dims != layer_dims:
+        return (f"malformed payload: layer_dims {params.layer_dims} do not match "
+                f"the global model's {layer_dims}")
+    return ""
+
+
 def _verify(
     panel: ValidatorPanel,
-    validator_id: int,
+    validators: Sequence[int],
     fetched: Sequence[ModelParams | str],
     layer_dims: tuple[int, ...],
-) -> list[VerificationOutcome]:
-    """verify_local_updates() on payloads already read by _fetch, in order:
-    what one validator decides on its own shard."""
-    shard = panel.test_shards[validator_id]
-    outcomes: list[VerificationOutcome] = []
-    scored: list[int] = []  # positions of the outcomes still to be scored
-    for params in fetched:
-        if isinstance(params, str):
-            reason = params
-        elif params.input_width != shard.schema_width:
-            reason = (f"malformed payload: feature width {shard.schema_width} does not "
-                      f"match model input width {params.input_width}")
-        elif params.layer_dims != layer_dims:
-            reason = (f"malformed payload: layer_dims {params.layer_dims} do not match "
-                      f"the global model's {layer_dims}")
-        else:
-            scored.append(len(outcomes))
-            outcomes.append(VerificationOutcome(params=params))
-            continue
-        outcomes.append(VerificationOutcome(reason))
-    if scored:
-        stack = np.array([outcomes[i].params.weights for i in scored])
-        floor = panel.accuracy_floor
-        for i, accuracy in zip(scored, model.stacked_accuracy(layer_dims, stack, shard).tolist()):
+) -> dict[int, list[VerificationOutcome]]:
+    """verify_local_updates() of each of `validators` on payloads already read
+    by _fetch, in order: what each validator decides on its own shard. Each
+    validator checks every payload, and the models that pass are scored,
+    every validator's by _accuracies at once; then each validator applies
+    its floor to its own models' accuracies."""
+    shards = [panel.test_shards[vid] for vid in validators]
+    reasons = [[_check(params, shard, layer_dims) for params in fetched] for shard in shards]
+    scored = [[i for i, reason in enumerate(own) if not reason] for own in reasons]
+    stacks = [np.array([fetched[i].weights for i in own]) for own in scored]
+    floor = panel.accuracy_floor
+    verdicts = {}
+    for vid, own, positions, accuracies in zip(validators, reasons, scored,
+                                               _accuracies(layer_dims, stacks, shards)):
+        for i, accuracy in zip(positions, accuracies.tolist()):
             if accuracy < floor:
-                outcomes[i] = VerificationOutcome(
-                    f"accuracy {accuracy:.4f} below floor {floor:.4f}")
-    return outcomes
+                own[i] = f"accuracy {accuracy:.4f} below floor {floor:.4f}"
+        verdicts[vid] = [VerificationOutcome(reason) if reason else
+                         VerificationOutcome(params=params)
+                         for reason, params in zip(own, fetched)]
+    return verdicts
+
+
+def _accuracies(layer_dims: tuple[int, ...], stacks: Sequence[np.ndarray],
+                shards: Sequence[Dataset]) -> list[np.ndarray]:
+    """The accuracy of each row of stacks[j] on shards[j], for every j: _score.
+
+    When the work, the stacks' rows times their shards' rows, reaches
+    SCORE_MIN_WORK and this process may use its worker, the worker scores
+    the odd rows of every stack while this process scores the even ones. A
+    model's accuracy depends on neither the other models of its stack nor
+    the process that scores it, so both ways give the same bits.
+    """
+    work = sum(len(stack) * len(shard) for stack, shard in zip(stacks, shards))
+    if work < SCORE_MIN_WORK or not worker.available():
+        return _score(layer_dims, *_pairs(stacks, shards))
+    evens, odds = worker.split(
+        "score", (layer_dims,), _pairs([stack[1::2] for stack in stacks], shards),
+        lambda: _score(layer_dims, *_pairs([stack[::2] for stack in stacks], shards)))
+    merged = []
+    for stack, even, odd in zip(stacks, evens, odds):
+        accuracies = np.empty(len(stack))
+        accuracies[::2], accuracies[1::2] = even, odd
+        merged.append(accuracies)
+    return merged
+
+
+def _pairs(stacks: Sequence[np.ndarray], shards: Sequence[Dataset]) -> list:
+    """stacks[0], shards[0], stacks[1], shards[1], ...: _score's arguments."""
+    return [item for pair in zip(stacks, shards) for item in pair]
+
+
+def _score(layer_dims: tuple[int, ...], *pairs: np.ndarray | Dataset) -> list[np.ndarray]:
+    """The worker's task "score": model.stacked_accuracy of each stack of
+    weight rows in `pairs` on the Dataset after it, one stacked pass each; a
+    stack of no rows scores nothing."""
+    return [model.stacked_accuracy(layer_dims, np.ascontiguousarray(stack), shard)
+            if len(stack) else np.empty(0)
+            for stack, shard in zip(pairs[::2], pairs[1::2])]
 
 
 def cross_verify(
@@ -237,10 +290,15 @@ def cross_verify(
     """One round's validation, from the store alone.
 
     The panel reads and decodes each transaction's payload (one per
-    organization) once; each validator then verifies the decoded models
-    against its own shard and the architecture of `prior`, and averages the
-    models it accepted, in the order of txs, or carries `prior` forward when
-    it accepted none; majority_global then picks the round's global model.
+    organization) once; each validator then checks the decoded models
+    against its own shard and the architecture of `prior`. The models that
+    pass are scored on every validator's shard at once: when the models
+    scored times the shards' rows reach SCORE_MIN_WORK and this process may
+    use its worker, the worker scores the odd-positioned models while this
+    process scores the even ones, with the same bits as one process. Each
+    validator applies its accuracy floor, and averages the models it
+    accepted, in the order of txs, or carries `prior` forward when it
+    accepted none; majority_global then picks the round's global model.
     Validators that accepted the same transactions share one average.
     Returns the winning digest, that model, every validator's vote, and
     {org_id: model} of the updates accepted by the first validator that
@@ -249,10 +307,11 @@ def cross_verify(
     accepted: dict[int, dict[int, ModelParams]] = {}
     candidates: dict[int, ModelParams] = {}
     fetched = [_fetch(store, tx) for tx in txs]
+    verdicts = _verify(panel, panel.validators, fetched, prior.layer_dims)
     # by the positions in txs of the accepted updates: the models and their average
     averaged: dict[tuple[int, ...], tuple[dict[int, ModelParams], ModelParams]] = {}
     for vid in panel.validators:
-        outcomes = _verify(panel, vid, fetched, prior.layer_dims)
+        outcomes = verdicts[vid]
         kept = tuple(i for i, o in enumerate(outcomes) if o)
         if kept not in averaged:
             models = {txs[i].org_id: outcomes[i].params for i in kept}

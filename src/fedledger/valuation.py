@@ -207,21 +207,22 @@ class UtilityGame(CoalitionGame):
         chunks = table.reshape(-1, 1 << low)  # row c: the masks of chunk c
         count = len(chunks)
         args = (self._dims, self._base_loss, low)
-        arrays = (self._weights, self.server_test.features, self.server_test.labels)
+        items = (self._weights, self.server_test)
         if count < 2 or not worker.available():
-            chunks[:] = _value_chunks(*args, range(count), *arrays)
+            chunks[:] = _value_chunks(*args, range(count), *items)
         else:
             chunks[::2], chunks[1::2] = worker.split(
-                "table", (*args, range(1, count, 2)), arrays,
-                lambda: _value_chunks(*args, range(0, count, 2), *arrays))
+                "table", (*args, range(1, count, 2)), items,
+                lambda: _value_chunks(*args, range(0, count, 2), *items))
         return table
 
 
 def _value_chunks(dims: tuple[int, ...], base_loss: float, low: int, chunks: Sequence[int],
-                  weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+                  weights: np.ndarray, server_test: Dataset) -> np.ndarray:
     """The worker's task "table": row i holds the utilities of chunk
     chunks[i], masks chunks[i] * 2^low onwards, of the UtilityGame whose
-    players' weights are the rows of `weights`.
+    players' weights are the rows of `weights` and whose test set is
+    `server_test`.
 
     The sums over the lowest `low` players are tabled once, each from a
     smaller mask's sum plus one weight row. Each chunk copies that table, or
@@ -242,7 +243,7 @@ def _value_chunks(dims: tuple[int, ...], base_loss: float, low: int, chunks: Seq
     # divisors[h]: each row's member count in a chunk with h higher members
     divisors = np.add.outer(np.arange(n - low + 1.0), np.bitwise_count(np.arange(size)))
     block = np.empty_like(sums)
-    kernel = model._Loss(dims, block, Dataset._from_checked(features, labels))
+    kernel = model._Loss(dims, block, server_test)
     for chunk, row in zip(chunks, out):
         first = 1 if chunk == 0 else 0  # skip the empty coalition
         if first == size:

@@ -662,11 +662,27 @@ class TestRunCommand:
         golden = kernel_pin(GOLDEN_TMC_CHAIN)
         assert tmc_chain(tmp_path / "res") == golden.read_bytes()
 
-    def test_benchmark_workload_chains_pinned(self, kernel_pin):
+    def test_benchmark_workload_chains_pinned(self, kernel_pin, monkeypatch):
         # large-shards is the only byte-compare of a run with SMOTE and with
-        # lock-step SGD groups that keep their shape for many steps
+        # lock-step SGD groups that keep their shape for many steps. Where
+        # this process may use its worker, large-shards trains and scores
+        # through it and exact-shapley values its tables through it, so that
+        # a run on one CPU and one on two compare both paths with the pins
         expected = {name: kernel_pin(pins) for name, pins in BENCHMARK_CHAINS.items()}
-        assert {name: workload_chain_digest(name) for name in BENCHMARK.WORKLOADS} == expected
+        tasks = {}
+        real_split = worker.split
+
+        def spied(task, *args):
+            tasks.setdefault(name, set()).add(task)  # name: the workload running
+            return real_split(task, *args)
+
+        monkeypatch.setattr(worker, "split", spied)
+        digests = {}
+        for name in BENCHMARK.WORKLOADS:
+            digests[name] = workload_chain_digest(name)
+        assert digests == expected
+        assert tasks == ({"exact-shapley": {"table"}, "large-shards": {"train", "score"}}
+                         if worker.available() else {})
 
     def test_large_shards_setup_pinned(self):
         # 50,000 rows standardized, 30 shards rebalanced by SMOTE from 26-27

@@ -1,10 +1,14 @@
 import hashlib
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedledger import ledger as ledgermod
+from fedledger import worker
 from fedledger.data import Dataset
 from fedledger.ledger import (
     TX_WIRE_BYTES,
@@ -439,9 +443,10 @@ class TestCrossVerify:
             fetched.append(digest)
             return real_get(digest)
 
-        def recorded_verify(panel, vid, *args):
-            outcomes[vid] = real_verify(panel, vid, *args)
-            return outcomes[vid]
+        def recorded_verify(*args):
+            verdicts = real_verify(*args)
+            outcomes.update(verdicts)
+            return verdicts
 
         monkeypatch.setattr(ledgermod, "deserialize_params", counted_decode)
         monkeypatch.setattr(store, "get", counted_get)
@@ -492,6 +497,137 @@ class TestCrossVerify:
                 if width != 3:
                     assert outcome.reason == ("malformed payload: layer_dims (2, 5, 1) do "
                                               "not match the global model's (2, 3, 1)")
+
+
+class TestSplitScoring:
+    """cross_verify with the worker scoring the odd-positioned models on every
+    validator's shard: every verdict is the one-process run's."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_worker(self, monkeypatch):
+        # each test forks its own worker, after its own patches, and stops it
+        worker._drop_worker()
+        monkeypatch.setattr(ledgermod, "SCORE_MIN_WORK", 1)
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
+        yield
+        worker._drop_worker()
+
+    @staticmethod
+    def verdicts(monkeypatch, cpus=2):
+        """cross_verify of a round with one payload of every kind, on `cpus`
+        CPUs: the winner, the new global model's bytes, the votes, the
+        accepted models' bytes and every validator's rejection reasons."""
+        store = ContentStore()
+        shard = balanced_shard(seed=0)
+        corrupt = submit(store, init_params((2, 1), seed=8), org=1)
+        store.blobs[corrupt.model_digest] = b"tampered"
+        nan_weights = np.zeros(3)
+        nan_weights[0] = np.nan
+        txs = [
+            submit(store, trained_model(shard), org=0),
+            corrupt,
+            LocalUpdateTx(0, 2, b"\x11" * 32, 100),  # missing blob
+            submit(store, ModelParams((2, 1), nan_weights), org=3),
+            submit(store, trained_model(shard, seed=1), org=4),
+            submit(store, trained_model(shard, flip_labels=True), org=5),
+            submit(store, init_params((2, 3, 1), seed=1), org=6),  # another architecture
+            submit(store, ModelParams((2, 1), np.zeros(3)), org=7),  # exactly at the floor
+            submit(store, trained_model(balanced_shard(seed=3), seed=2), org=8),
+        ]
+        reasons = {}
+        real = ledgermod._verify
+
+        def recorded(*args):
+            verdicts = real(*args)
+            reasons.update({vid: [o.reason for o in outcomes] for vid, outcomes in verdicts.items()})
+            return verdicts
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ledgermod, "_verify", recorded)
+            patch.setattr(worker, "_usable_cpus", lambda: cpus)
+            digest, new_global, votes, accepted = cross_verify(
+                TestCrossVerify.panel(flipped=(0,)), txs, store, init_params((2, 1), seed=5))
+        return (digest, new_global.weights.tobytes(), votes,
+                {org: m.weights.tobytes() for org, m in accepted.items()}, reasons)
+
+    def test_verdicts_those_of_one_process(self, monkeypatch):
+        tasks = []
+        real_split = worker.split
+
+        def spied(task, *args):
+            tasks.append(task)
+            return real_split(task, *args)
+
+        monkeypatch.setattr(worker, "split", spied)
+        expected = self.verdicts(monkeypatch, cpus=1)
+        assert tasks == [] and multiprocessing.active_children() == []
+        split = self.verdicts(monkeypatch)
+        assert tasks == ["score"] and len(multiprocessing.active_children()) == 1
+        assert split == expected
+        digest, _, votes, accepted, reasons = split
+        # the flipped validator 0 loses the vote, and the other two accept the
+        # same four models; five models pass the checks, so each side scores some
+        assert votes[1] == votes[2] == digest != votes[0]
+        assert sorted(accepted) == [0, 4, 7, 8]
+        for vid in (0, 1, 2):
+            assert "integrity" in reasons[vid][1]
+            assert reasons[vid][2].startswith("payload unavailable: ")
+            assert reasons[vid][3] == "malformed payload: non-finite weights"
+            assert reasons[vid][6].startswith("malformed payload: layer_dims (2, 3, 1)")
+            below = [i for i, r in enumerate(reasons[vid]) if r.startswith("accuracy ")]
+            assert below == ([0, 4, 8] if vid == 0 else [5])
+            assert all(reasons[vid][i].endswith(" below floor 0.5000") for i in below)
+
+    def test_no_fork_below_the_threshold(self, monkeypatch):
+        # five models pass the checks on each of three 20-row shards
+        monkeypatch.setattr(ledgermod, "SCORE_MIN_WORK", 5 * 3 * 20 + 1)
+        expected = self.verdicts(monkeypatch, cpus=1)
+        assert self.verdicts(monkeypatch) == expected
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(ledgermod, "SCORE_MIN_WORK", 5 * 3 * 20)
+        assert self.verdicts(monkeypatch) == expected
+        assert len(multiprocessing.active_children()) == 1
+
+    def test_worker_exception_reaches_caller_and_worker_serves_on(self, monkeypatch):
+        expected = self.verdicts(monkeypatch, cpus=1)
+        real = ledgermod.model.stacked_accuracy
+        failed = []  # in the worker's memory
+
+        def fails_once_in_worker(*args):
+            if multiprocessing.parent_process() is not None and not failed:
+                failed.append(True)
+                raise LookupError("scoring failed in the worker")
+            return real(*args)
+
+        monkeypatch.setattr(ledgermod.model, "stacked_accuracy", fails_once_in_worker)
+        with pytest.raises(LookupError, match="^scoring failed in the worker$"):
+            self.verdicts(monkeypatch)
+        (child,) = multiprocessing.active_children()
+        assert self.verdicts(monkeypatch) == expected
+        assert multiprocessing.active_children() == [child]
+
+    @pytest.mark.parametrize("when", ["idle", "mid-request"])
+    def test_killed_worker_costs_no_verdict(self, monkeypatch, when):
+        # the second round finds the worker dead, idle since the first or
+        # killed while it scores, and scores the odd models in-process
+        expected = self.verdicts(monkeypatch, cpus=1)
+        assert self.verdicts(monkeypatch) == expected
+        (child,) = multiprocessing.active_children()
+        if when == "idle":
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=10)  # so that the request meets a closed pipe
+        else:
+            real = ledgermod.model.stacked_accuracy
+
+            def killed_in_worker(*args):
+                if multiprocessing.parent_process() is not None:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(*args)
+
+            monkeypatch.setattr(ledgermod.model, "stacked_accuracy", killed_in_worker)
+            worker._drop_worker()  # so that the worker forked next holds the patch
+        assert self.verdicts(monkeypatch) == expected
+        assert multiprocessing.active_children() == []
 
 
 def build_chain(n_blocks, seed=0):
