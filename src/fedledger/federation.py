@@ -207,7 +207,8 @@ def _train(params: ModelParams, shards: list[Dataset], train: TrainConfig,
     A round of two shards or more whose work reaches SPLIT_MIN_WORK, when this
     process may use its worker, sorts its shards by size and deals them
     alternately into two halves, which never change each other's arithmetic:
-    the worker trains the second while this process trains the first.
+    the worker runs the task "train", local_train_many of the second half,
+    while this process trains the first.
     """
     work = train.epochs * sum(len(shard) for shard in shards)
     if len(shards) < 2 or work < SPLIT_MIN_WORK or not worker.available():
@@ -217,21 +218,12 @@ def _train(params: ModelParams, shards: list[Dataset], train: TrainConfig,
     modelmod._check_data(params.input_width, shards, "shard")
     by_size = sorted(range(len(shards)), key=lambda i: len(shards[i]))
     near, far = by_size[::2], by_size[1::2]
-    trained, block = worker.split(
-        "train", (params, train, [seeds[i] for i in far]), [shards[i] for i in far],
+    trained, far_trained = worker.split(
+        "train", (params, [shards[i] for i in far], train, [seeds[i] for i in far]),
         lambda: modelmod.local_train_many(
             params, [shards[i] for i in near], train, [seeds[i] for i in near]))
-    far_trained = [ModelParams(params.layer_dims, row) for row in block]
     by_position = dict(zip(near + far, trained + far_trained))
     return [by_position[i] for i in range(len(shards))]
-
-
-def _train_block(params: ModelParams, train: TrainConfig, seeds: list[int],
-                 *shards: Dataset) -> np.ndarray:
-    """The worker's task "train": local_train_many of the shards, as one block
-    of weights."""
-    return np.stack([model.weights for model in
-                     modelmod.local_train_many(params, list(shards), train, seeds)])
 
 
 def _flip_labels(shard: Dataset, probability: float, seed: int) -> Dataset:

@@ -255,10 +255,10 @@ def _accuracies(layer_dims: tuple[int, ...], stacks: Sequence[np.ndarray],
     """
     work = sum(len(stack) * len(shard) for stack, shard in zip(stacks, shards))
     if work < SCORE_MIN_WORK or not worker.available():
-        return _score(layer_dims, *_pairs(stacks, shards))
+        return _score(layer_dims, stacks, shards)
     evens, odds = worker.split(
-        "score", (layer_dims,), _pairs([stack[1::2] for stack in stacks], shards),
-        lambda: _score(layer_dims, *_pairs([stack[::2] for stack in stacks], shards)))
+        "score", (layer_dims, [stack[1::2] for stack in stacks], shards),
+        lambda: _score(layer_dims, [stack[::2] for stack in stacks], shards))
     merged = []
     for stack, even, odd in zip(stacks, evens, odds):
         accuracies = np.empty(len(stack))
@@ -267,18 +267,14 @@ def _accuracies(layer_dims: tuple[int, ...], stacks: Sequence[np.ndarray],
     return merged
 
 
-def _pairs(stacks: Sequence[np.ndarray], shards: Sequence[Dataset]) -> list:
-    """stacks[0], shards[0], stacks[1], shards[1], ...: _score's arguments."""
-    return [item for pair in zip(stacks, shards) for item in pair]
-
-
-def _score(layer_dims: tuple[int, ...], *pairs: np.ndarray | Dataset) -> list[np.ndarray]:
+def _score(layer_dims: tuple[int, ...], stacks: Sequence[np.ndarray],
+           shards: Sequence[Dataset]) -> list[np.ndarray]:
     """The worker's task "score": model.stacked_accuracy of each stack of
-    weight rows in `pairs` on the Dataset after it, one stacked pass each; a
-    stack of no rows scores nothing."""
+    weight rows on its shard, one stacked pass each; a stack of no rows
+    scores nothing."""
     return [model.stacked_accuracy(layer_dims, np.ascontiguousarray(stack), shard)
             if len(stack) else np.empty(0)
-            for stack, shard in zip(pairs[::2], pairs[1::2])]
+            for stack, shard in zip(stacks, shards)]
 
 
 def cross_verify(

@@ -206,19 +206,18 @@ class UtilityGame(CoalitionGame):
         table = np.zeros(1 << n)
         chunks = table.reshape(-1, 1 << low)  # row c: the masks of chunk c
         count = len(chunks)
-        args = (self._dims, self._base_loss, low)
-        items = (self._weights, self.server_test)
+        args = (self._dims, self._base_loss, low, self._weights, self.server_test)
         if count < 2 or not worker.available():
-            chunks[:] = _value_chunks(*args, range(count), *items)
+            chunks[:] = _value_chunks(*args, range(count))
         else:
             chunks[::2], chunks[1::2] = worker.split(
-                "table", (*args, range(1, count, 2)), items,
-                lambda: _value_chunks(*args, range(0, count, 2), *items))
+                "table", (*args, range(1, count, 2)),
+                lambda: _value_chunks(*args, range(0, count, 2)))
         return table
 
 
-def _value_chunks(dims: tuple[int, ...], base_loss: float, low: int, chunks: Sequence[int],
-                  weights: np.ndarray, server_test: Dataset) -> np.ndarray:
+def _value_chunks(dims: tuple[int, ...], base_loss: float, low: int, weights: np.ndarray,
+                  server_test: Dataset, chunks: Sequence[int]) -> np.ndarray:
     """The worker's task "table": row i holds the utilities of chunk
     chunks[i], masks chunks[i] * 2^low onwards, of the UtilityGame whose
     players' weights are the rows of `weights` and whose test set is

@@ -1,20 +1,22 @@
 """This process's second CPU: whether it may use one (`available`), and the
 worker process, forked from it, that runs one part of a task (`split`) there.
+Only this module knows how a request crosses the pipe (see _send).
 """
 
 import ctypes
 import functools
 import glob
 import importlib
-import itertools
+import io
 import multiprocessing
 import os
+import pickle
 import signal
 import sys
 import threading
 import warnings
 import weakref
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .data import Dataset
 # the tasks a request may name, each a function of a module of this package,
 # looked up when the worker serves the request: so a patch made before the fork
 # applies there too, and no function is pickled
-TASKS = {"train": ("federation", "_train_block"), "table": ("valuation", "_value_chunks"),
+TASKS = {"train": ("model", "local_train_many"), "table": ("valuation", "_value_chunks"),
          "score": ("ledger", "_score")}
 
 # the variables BLAS libraries read their thread count from: with every one
@@ -72,21 +74,20 @@ def available() -> bool:
     )
 
 
-def split(task: str, args: tuple, items: Sequence[np.ndarray | Dataset],
-          near: Callable) -> tuple:
-    """(near(), task(*args, *items)): the worker runs the task while this
-    process runs near(), or this process runs it afterwards if the worker has
-    died. Each item is an array, sent with every request, or a Dataset, sent
-    once per worker (see _send). Warnings the worker recorded are issued
-    here, under this process's filters, and its exception is raised here."""
-    sent = _send(task, args, items)
+def split(task: str, args: tuple, near: Callable) -> tuple:
+    """(near(), task(*args)): the worker runs the task while this process runs
+    near(), or this process runs it afterwards if the worker has died. The
+    arguments are plain values (see _send for how they cross). Warnings the
+    worker recorded are issued here, under this process's filters, and its
+    exception is raised here."""
+    sent = _send(task, args)
     try:
         here = near()
     finally:
         # always read the reply, so that the next request's is the next one read
         reply = _receive() if sent else None
     if reply is None:
-        return here, _function(task)(*args, *items)
+        return here, _function(task)(*args)
     far, caught = reply
     for warning in caught:
         _warn_here(*warning)
@@ -126,59 +127,54 @@ def _fork() -> tuple:
 # fork), forked at the first request
 _worker: tuple | None = None
 
-# The Datasets this process's worker holds, by id(): (the key requests name it
-# by, the finalizer that frees the key when this process frees the Dataset).
-# Emptied whenever the worker is dropped, so a new worker receives each again.
-_held: dict[int, tuple[int, weakref.finalize]] = {}
-# keys of held Datasets this process freed since its last request
-_freed: list[int] = []
-_keys = itertools.count()
+# The Datasets this process's worker holds, by id(): a weak reference to each,
+# dead once this process frees it. Emptied whenever the worker is dropped, so
+# that a new worker receives each again.
+_held: dict[int, weakref.ref] = {}
 
 
-def _free(ident: int) -> None:
-    """A held Dataset was freed: the next request has the worker drop it."""
-    entry = _held.pop(ident, None)
-    if entry is not None:
-        _freed.append(entry[0])
+class _Pickler(pickle.Pickler):
+    """A request's pickler, which names each Dataset as _send says."""
+
+    def persistent_id(self, obj):
+        if not isinstance(obj, Dataset):
+            return None
+        if id(obj) in _held:
+            return id(obj)
+        _held[id(obj)] = weakref.ref(obj)
+        return id(obj), obj.features, obj.labels
 
 
-def _send(task: str, args: tuple, items: Sequence[np.ndarray | Dataset]) -> bool:
+def _send(task: str, args: tuple) -> bool:
     """Send a request to this process's worker, forked first if there is none;
     false if it has died. A send that fails drops the worker, since a request
     cut short would leave the pipe out of step.
 
-    The request is the task's name, its arguments, a spec per item, numpy's
-    error state and the keys of the Datasets the worker may drop, then the raw
-    bytes of each array the specs announce, written from the array itself. An
-    array item is sent whole. A Dataset is sent whole, features and labels,
-    the first time this worker meets it, under a new key, and by that key
-    alone after that: a Dataset is never changed, and the worker keeps it
-    until this process frees it. Pickled, a round's shards were copied here
-    every round, megabytes that changed this process's heap layout: a later
-    set-up in the same process ran a quarter slower."""
+    A request is one message, (the ids of the Datasets the worker may drop, a
+    pickle of (task, args, numpy's error state)), then the raw bytes of each
+    contiguous array the pickle holds, written from the array itself: the
+    pickle is protocol 5's, with those arrays' buffers out of band (PEP 574).
+    A Dataset crosses whole the first time this worker meets it, and by its
+    id() alone after that: a Dataset is never changed, and the worker keeps
+    it until this process frees it. The freed are those whose reference has
+    died since the last request; the worker drops them before it unpickles,
+    since a freed id may name a new Dataset in this very request. Pickled in
+    band, a round's shards were copied here every round, megabytes that
+    changed this process's heap layout: a later set-up in the same process
+    ran a quarter slower."""
     global _worker
     try:
         if _worker is None:
             _worker = _fork()  # an OSError here: no process to be had
         conn = _worker[0]
-        specs, arrays = [], []  # a spec: (key, or None for an array; the arrays sent)
-        for item in items:
-            if not isinstance(item, Dataset):
-                parts, key = [item], None
-            elif id(item) in _held:
-                parts, key = [], _held[id(item)][0]
-            else:
-                parts, key = [item.features, item.labels], next(_keys)
-                finalizer = weakref.finalize(item, _free, id(item))
-                finalizer.atexit = False
-                _held[id(item)] = key, finalizer
-            specs.append((key, [(a.shape, a.dtype.str) for a in parts]))
-            arrays += parts
-        freed = _freed[:]
-        conn.send((task, args, specs, np.geterr(), freed))
-        del _freed[:len(freed)]
-        for array in arrays:
-            conn.send_bytes(np.ascontiguousarray(array))
+        freed = [ident for ident, ref in _held.items() if ref() is None]
+        for ident in freed:
+            del _held[ident]
+        request, buffers = io.BytesIO(), []
+        _Pickler(request, 5, buffer_callback=buffers.append).dump((task, args, np.geterr()))
+        conn.send((freed, request.getvalue()))
+        for buffer in buffers:
+            conn.send_bytes(buffer.raw())
         return True
     except BaseException as exc:
         _drop_worker()
@@ -207,10 +203,7 @@ def _drop_worker() -> None:
     forked, compute here on every thread BLAS had; the next request forks
     another."""
     global _worker
-    while _held:
-        _, (_, finalizer) = _held.popitem()
-        finalizer.detach()
-    _freed.clear()
+    _held.clear()
     if _worker is not None:
         (conn, process, threads), _worker = _worker, None
         conn.close()
@@ -221,36 +214,39 @@ def _drop_worker() -> None:
 
 
 def _serve(conn, caller_end) -> None:
-    """The worker's loop: for each request `_send` writes, reply (the task's
-    result or the exception it raised, recorded warnings). It computes on one
-    BLAS thread, as the caller does while the worker lives (see _fork)."""
+    """The worker's loop: for each request `_send` writes, drop the Datasets
+    the caller freed, unpickle the rest, taking each out-of-band buffer from
+    the pipe as the pickle meets it and keeping each Dataset sent whole, and
+    reply (the task's result or the exception it raised, recorded warnings).
+    It computes on one BLAS thread, as the caller does while the worker lives
+    (see _fork)."""
     caller_end.close()  # so that the caller's end closing, or its death, reads as EOF
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     blas = _openblas()
     if blas is not None:
         blas[1](1)
-    held: dict[int, Dataset] = {}  # by key, the Datasets the caller has sent
+    held: dict[int, Dataset] = {}  # by the caller's id(), the Datasets it has sent
+
+    def load(pid):  # a Dataset's id(), or (id, features, labels) when sent whole
+        if isinstance(pid, int):
+            return held[pid]
+        held[pid[0]] = Dataset._from_checked(*pid[1:])
+        return held[pid[0]]
+
     while True:
         try:
-            task, args, specs, errstate, freed = conn.recv()
-            for key in freed:
-                del held[key]
-            items = []
-            for key, layout in specs:
-                parts = [np.frombuffer(conn.recv_bytes(), dtype).reshape(shape)
-                         for shape, dtype in layout]
-                if key is None:
-                    items.append(parts[0])
-                    continue
-                if parts:
-                    held[key] = Dataset._from_checked(*parts)
-                items.append(held[key])
+            freed, request = conn.recv()
+            for ident in freed:
+                del held[ident]
+            unpickler = pickle.Unpickler(io.BytesIO(request), buffers=iter(conn.recv_bytes, None))
+            unpickler.persistent_load = load
+            task, args, errstate = unpickler.load()
         except EOFError:
             return
         with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
             warnings.simplefilter("always")
             try:
-                reply = _function(task)(*args, *items)
+                reply = _function(task)(*args)
             except Exception as exc:  # the caller's to raise
                 reply = exc
         conn.send((reply, [(w.message, w.category, w.filename, w.lineno) for w in caught]))

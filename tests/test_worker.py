@@ -27,15 +27,16 @@ def stack(seed, m=3):
     return np.array([init_params(DIMS, seed + i).weights for i in range(m)])
 
 
-def far_scores(*items):
-    """What the worker's task "score" returns for items, as bytes."""
-    _, far = worker.split("score", (DIMS,), items, lambda: None)
+def far_scores(stacks, shards):
+    """What the worker's task "score" returns for stacks and shards, as bytes."""
+    _, far = worker.split("score", (DIMS, stacks, shards), lambda: None)
     return [accuracies.tobytes() for accuracies in far]
 
 
-def expected_scores(*items):
-    """What the task "score" returns for items in this process, as bytes."""
-    return [accuracies.tobytes() for accuracies in ledgermod._score(DIMS, *items)]
+def expected_scores(stacks, shards):
+    """What the task "score" returns for stacks and shards in this process,
+    as bytes."""
+    return [accuracies.tobytes() for accuracies in ledgermod._score(DIMS, stacks, shards)]
 
 
 @pytest.fixture(autouse=True)
@@ -48,75 +49,116 @@ def fresh_worker():
 
 @pytest.fixture
 def sent(monkeypatch):
-    """Every buffer this process writes raw to a worker's pipe, as bytes."""
-    buffers = []
-    real = Connection.send_bytes
+    """What this process writes to a worker's pipe: ("request", the ids the
+    worker may drop) for each pickled request, and the bytes of each raw
+    buffer written after it."""
+    messages = []
+    real_send, real_send_bytes = Connection.send, Connection.send_bytes
 
-    def recorded(conn, buf, *args):
+    def request(conn, obj):
         if multiprocessing.parent_process() is None:
-            buffers.append(bytes(buf))
-        return real(conn, buf, *args)
+            messages.append(("request", obj[0]))
+        return real_send(conn, obj)
 
-    monkeypatch.setattr(Connection, "send_bytes", recorded)
-    return buffers
+    def raw(conn, buf, *args):
+        if multiprocessing.parent_process() is None:
+            messages.append(bytes(buf))
+        return real_send_bytes(conn, buf, *args)
+
+    monkeypatch.setattr(Connection, "send", request)
+    monkeypatch.setattr(Connection, "send_bytes", raw)
+    return messages
+
+
+@pytest.fixture
+def count(monkeypatch):
+    """A task that counts the Datasets alive in the worker: a copy of every
+    one this process held at the fork, and those it was sent."""
+    def alive():
+        gc.collect()
+        return sum(isinstance(obj, Dataset) for obj in gc.get_objects())
+
+    monkeypatch.setattr(ledgermod, "_count_datasets", alive, raising=False)
+    monkeypatch.setitem(worker.TASKS, "count", ("ledger", "_count_datasets"))
+    return lambda: worker.split("count", (), lambda: None)[1]
+
+
+def data(ds):
+    return [ds.features.tobytes(), ds.labels.tobytes()]
 
 
 class TestDatasetsSentOnce:
     def test_each_dataset_crosses_the_pipe_once(self, sent):
         a, b, w = shard(1), shard(2), stack(0)
         for _ in range(3):
-            assert far_scores(w, a, w, b) == expected_scores(w, a, w, b)
-        # a Dataset named twice in one request crosses once, before its first use
+            assert far_scores([w, w], [a, b]) == expected_scores([w, w], [a, b])
+        # a Dataset named twice in one request crosses once, as does an array
         c = shard(3)
-        assert far_scores(w, c, w, c) == expected_scores(w, c, w, c)
-        data = {name: (ds.features.tobytes(), ds.labels.tobytes()) for name, ds in
-                [("a", a), ("b", b)]}
-        weights = w.tobytes()
-        assert sent[:6] == [weights, *data["a"], weights, *data["b"]]
+        assert far_scores([w, w], [c, c]) == expected_scores([w, w], [c, c])
+        request, weights = ("request", []), w.tobytes()
+        assert sent[:6] == [request, weights, *data(a), *data(b)]
         # then the stacks alone: the worker holds both Datasets
-        assert sent[6:10] == [weights] * 4
-        assert sent[10:] == [weights, c.features.tobytes(), c.labels.tobytes(), weights]
+        assert sent[6:10] == [request, weights] * 2
+        assert sent[10:] == [request, weights, *data(c)]
 
-    def test_freed_dataset_forgotten_by_the_worker(self, monkeypatch):
-        # the worker counts the Datasets alive in it: a copy of every one this
-        # process held at the fork, and those it was sent
-        def alive(*items):
-            gc.collect()
-            return sum(isinstance(obj, Dataset) for obj in gc.get_objects())
-
-        monkeypatch.setattr(ledgermod, "_count_datasets", alive, raising=False)
-        monkeypatch.setitem(worker.TASKS, "count", ("ledger", "_count_datasets"))
+    def test_freed_dataset_forgotten_by_the_worker(self, sent, count):
         w = stack(0)
         kept, freed = shard(1), shard(2)
-        far_scores(w, kept, w, freed)
-        key = worker._held[id(freed)][0]
-        before = worker.split("count", (), [], lambda: None)[1]
+        far_scores([w, w], [kept, freed])
+        before = count()
+        ident = id(freed)
         del freed
-        gc.collect()
-        assert worker._freed == [key]
-        assert worker.split("count", (), [], lambda: None)[1] == before - 1
-        assert worker._freed == [] and list(worker._held) == [id(kept)]
-        # the Dataset still held is still named by its key alone
-        assert far_scores(w, kept) == expected_scores(w, kept)
+        sent.clear()
+        assert count() == before - 1
+        assert sent == [("request", [ident])] and list(worker._held) == [id(kept)]
+        # the Dataset still held is still named by its id alone
+        sent.clear()
+        assert far_scores([w], [kept]) == expected_scores([w], [kept])
+        assert sent == [("request", []), w.tobytes()]
+
+    def test_reused_id_names_the_new_dataset(self, count):
+        # CPython hands a freed Dataset's id() to a later object: a Dataset
+        # that takes it must cross whole, and the worker must drop the old
+        # one before it reads the new. With every row predicted positive by
+        # the zero model, shard i scores (i + 1) / 101, so each attempt's
+        # expected score is its own
+        w = np.vstack([np.zeros((1, stack(0).shape[1])), stack(0)])
+        features = shard(0, n=101).features
+        kept = shard(1)
+        base = count()
+        far_scores([w], [kept])
+        freed = set()
+        for i in range(100):
+            new = Dataset(features, np.arange(101) <= i)
+            reused = id(new) in freed
+            assert far_scores([w], [new]) == expected_scores([w], [new])
+            if reused:
+                break
+            freed.add(id(new))
+            del new
+        else:
+            pytest.fail("no id() was reused in 100 Datasets")
+        # the worker holds the live Datasets it was sent, and no other
+        assert sorted(worker._held) == sorted([id(kept), id(new)])
+        assert count() == base + 2
 
     @pytest.mark.parametrize("how", ["dropped", "killed"])
     def test_reforked_worker_receives_every_dataset_again(self, sent, how):
         a, w = shard(1), stack(0)
-        expected = expected_scores(w, a)
-        data = [a.features.tobytes(), a.labels.tobytes()]
-        assert far_scores(w, a) == expected
+        expected = expected_scores([w], [a])
+        assert far_scores([w], [a]) == expected
         (child,) = multiprocessing.active_children()
         if how == "dropped":
             worker._drop_worker()
         else:
             os.kill(child.pid, signal.SIGKILL)
             child.join(timeout=10)
-            assert far_scores(w, a) == expected  # scored here: the worker is dead
+            assert far_scores([w], [a]) == expected  # scored here: the worker is dead
             assert multiprocessing.active_children() == []
         assert worker._held == {}
         sent.clear()
-        assert far_scores(w, a) == expected
-        assert sent == [w.tobytes(), *data]
+        assert far_scores([w], [a]) == expected
+        assert sent == [("request", []), w.tobytes(), *data(a)]
         assert len(multiprocessing.active_children()) == 1
 
 
@@ -135,8 +177,8 @@ class TestBlasThreads:
 
         monkeypatch.setattr(worker, "_openblas", lambda: (lambda: 5, recorded))
         a, w = shard(1), stack(0)
-        far_scores(w, a)
-        far_scores(w, a)
+        far_scores([w], [a])
+        far_scores([w], [a])
         assert calls == [1]
         assert (tmp_path / "worker").read_text() == "1\n"
         worker._drop_worker()
@@ -149,7 +191,7 @@ class TestBlasThreads:
         monkeypatch.setattr(worker, "_threads", get, raising=False)
         monkeypatch.setitem(worker.TASKS, "threads", ("worker", "_threads"))
         before = get()
-        here, far = worker.split("threads", (), [], get)
+        here, far = worker.split("threads", (), get)
         assert (here, far) == (1, 1)
         worker._drop_worker()
         assert get() == before
